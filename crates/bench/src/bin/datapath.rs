@@ -34,10 +34,11 @@
 //! (baseline — per-op journal append/retire and per-stripe parity
 //! deltas) vs the same burst through `write_batch` (optimized — one
 //! journal round-trip, merged same-stripe deltas, full rows promoted
-//! to a read-free re-encode). `small_write_batched` lifts the same
-//! comparison to the server layer: concurrent single-unit WRITEs with
-//! the group-commit stage off vs on. The acceptance bar for
-//! `small_write` is ≥2x.
+//! to a read-free re-encode). The acceptance bar is ≥2x. (The
+//! committed `BENCH_PR8`–`PR10` reports also carry a
+//! `small_write_batched` entry this bin no longer emits: it drove an
+//! engine commit stage that has been deleted. The served write path is
+//! measured by `stackbench`'s `write_small_qd16`.)
 //!
 //! The `multi_tenant_skew` scenario gates the QoS scheduler: a victim
 //! tenant's closed-loop read latency while a hot tenant saturates the
@@ -86,7 +87,7 @@ use pddl_core::{Layout, Pddl};
 use pddl_server::server::{serve, ServerConfig};
 use pddl_server::wire::{self, Status, RESPONSE_HEADER_LEN};
 use pddl_server::workload::{AccessDist, Arrival};
-use pddl_server::{Client, CommitConfig, Engine, Op, QosQueue, RebuildConfig, Request, VolumeSpec};
+use pddl_server::{Client, Engine, Op, QosQueue, RebuildConfig, Request, VolumeSpec};
 
 fn pattern(len: usize, tag: u8) -> Vec<u8> {
     (0..len)
@@ -245,144 +246,6 @@ fn write_scenarios(cfg: &Config) -> Vec<Scenario> {
     ]
 }
 
-/// A lane of concurrent writers against one engine: per-writer job
-/// channels, a shared completion channel, and a worker thread per
-/// writer executing single-unit WRITEs. Used by the group-commit
-/// scenario to drive both the immediate and the batched commit path
-/// with identical concurrency.
-///
-/// Each job message carries one burst: the writer issues `depth`
-/// single-unit WRITEs at offsets interleaved across the writer set
-/// (`start + round * writers + w`), so within every round the
-/// in-flight offsets form one consecutive run. That keeps the
-/// channel/wakeup cost of the harness amortized over many ops — on a
-/// small host the per-message scheduler round-trips would otherwise
-/// dominate what the commit stage itself costs or saves.
-struct CommitLane {
-    jobs: Vec<mpsc::Sender<u64>>,
-    done: mpsc::Receiver<u8>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl CommitLane {
-    fn build(engine: &Arc<Engine>, writers: usize, depth: u64, unit: usize) -> Self {
-        let (done_tx, done) = mpsc::channel();
-        let mut jobs = Vec::with_capacity(writers);
-        let mut threads = Vec::with_capacity(writers);
-        for w in 0..writers {
-            let (tx, rx) = mpsc::channel::<u64>();
-            jobs.push(tx);
-            let engine = Arc::clone(engine);
-            let done = done_tx.clone();
-            let payload = pattern(unit, w as u8);
-            threads.push(std::thread::spawn(move || {
-                let mut frame = Vec::new();
-                while let Ok(start) = rx.recv() {
-                    let mut status = Status::Ok.code();
-                    for round in 0..depth {
-                        let req = Request {
-                            id: 0,
-                            op: Op::Write,
-                            volume: 0,
-                            offset: start + round * writers as u64 + w as u64,
-                            length: 1,
-                            payload: payload.clone(),
-                        };
-                        engine.execute_frame_into(w as u32, &req, &mut frame);
-                        if status == Status::Ok.code() {
-                            status = frame[12];
-                        }
-                    }
-                    let _ = done.send(status);
-                }
-            }));
-        }
-        Self {
-            jobs,
-            done,
-            threads,
-        }
-    }
-
-    /// One closed-loop burst: every writer commits its `depth` units
-    /// of a shared consecutive run, and the call returns once all are
-    /// acknowledged.
-    fn burst(&self, start: u64) {
-        for tx in &self.jobs {
-            tx.send(start).expect("writer alive");
-        }
-        for _ in &self.jobs {
-            let status = self.done.recv().expect("writer replied");
-            assert_eq!(status, Status::Ok.code(), "batched write failed");
-        }
-    }
-
-    fn teardown(mut self) {
-        self.jobs.clear();
-        for t in self.threads.drain(..) {
-            t.join().unwrap();
-        }
-    }
-}
-
-/// Group commit at the server layer: the same burst of concurrent
-/// single-unit WRITEs with the commit stage off (baseline — every op
-/// takes its own journal round-trip) vs on (optimized — depositors
-/// coalesce into one `write_batch` per round). Writer count equals the
-/// batch threshold, so each round of deposits flushes exactly once
-/// without waiting out the age bound, and it is twice the stripe data
-/// width with row-aligned starts, so every flush covers exactly two
-/// full rows that promote to read-free re-encodes.
-///
-/// This scenario is reported but not gated: group commit trades two
-/// scheduler handoffs per op (depositors park until the leader
-/// flushes) for the coalesced batch's I/O savings, and which side of
-/// that trade wins is a property of the host. On a single-core CI
-/// runner the handoffs cost more than RAM-backed "I/O" saves and the
-/// ratio lands below 1.0; the `small_write` scenario above isolates
-/// the batching gain itself with the scheduler out of the picture.
-fn group_commit_scenario(cfg: &Config) -> Scenario {
-    let d = Pddl::new(cfg.n, cfg.k)
-        .expect("valid PDDL shape")
-        .data_per_stripe() as u64;
-    let writers = 2 * d as usize;
-    let immediate = Arc::new(Engine::new(build_array(cfg)));
-    let batched = Arc::new(Engine::new(build_array(cfg)));
-    batched.set_commit_config(CommitConfig {
-        batch: writers,
-        interval: std::time::Duration::from_millis(2),
-    });
-    let cap = immediate.volume_info().capacity_units;
-    // Deep enough bursts to amortize the harness channels, shallow
-    // enough that the burst plus its sliding start fits the volume.
-    let depth = (cap / 2 / writers as u64).clamp(1, 8);
-    let burst = writers as u64 * depth;
-    let rows = (cap / d).saturating_sub(burst / d).max(1);
-    let base_lane = CommitLane::build(&immediate, writers, depth, cfg.unit_bytes);
-    let opt_lane = CommitLane::build(&batched, writers, depth, cfg.unit_bytes);
-    let mut cur_base = 0u64;
-    let mut cur_opt = rows / 2;
-    let (baseline, optimized) = measure_pair(
-        cfg.skew_iters,
-        cfg.unit_bytes * burst as usize,
-        || {
-            base_lane.burst((cur_base % rows) * d);
-            cur_base = cur_base.wrapping_add(7);
-        },
-        || {
-            opt_lane.burst((cur_opt % rows) * d);
-            cur_opt = cur_opt.wrapping_add(7);
-        },
-    );
-    base_lane.teardown();
-    opt_lane.teardown();
-    assert!(
-        immediate.outstanding_intents().is_empty() && batched.outstanding_intents().is_empty(),
-        "group commit left journal intents outstanding"
-    );
-    Scenario::new("small_write_batched", baseline, optimized)
-}
-
 /// Telemetry overhead: the same engine-served single-unit op with the
 /// live telemetry plane disabled ("baseline") vs enabled ("optimized",
 /// the shipping default). Both sides run the full frame path; the only
@@ -471,9 +334,9 @@ struct SkewJob {
 /// One complete server stack, in-process: an engine with three carved
 /// volumes (background tenant 0 on volume 0, hot tenant 1, victim
 /// tenant 2), a throttled rebuild in flight, a [`QosQueue`] in front of
-/// a worker pool, and producer threads keeping the hot and background
-/// lanes saturated — the server's admission pipeline without the TCP
-/// noise.
+/// a pool of executor threads, and producer threads keeping the hot and
+/// background lanes saturated — the DRR scheduler priced on its own
+/// (the served stack admits per shard and does not queue).
 struct SkewStack {
     engine: Arc<Engine>,
     queue: Arc<QosQueue<SkewJob>>,
@@ -859,9 +722,6 @@ fn fan_in_scenario(cfg: &Config, tiny: bool) -> Scenario {
             "127.0.0.1:0",
             ServerConfig {
                 shards,
-                // The portable fallback ignores `shards`; give it
-                // enough workers that the comparison still runs.
-                workers: 8,
                 ..ServerConfig::default()
             },
         )
@@ -959,7 +819,6 @@ fn main() {
     scenarios.push(read_scenario("healthy_seq_read", &cfg, &[]));
     scenarios.push(read_scenario("degraded_seq_read", &cfg, &[1]));
     scenarios.extend(write_scenarios(&cfg));
-    scenarios.push(group_commit_scenario(&cfg));
     scenarios.extend(telemetry_scenarios(&cfg));
     scenarios.push(multi_tenant_skew_scenario(&cfg));
     scenarios.extend(scenario_engine_scenarios(&cfg, tiny));

@@ -87,6 +87,10 @@ pub struct Counters {
     pub media_write: u64,
     /// `scrub.passes`.
     pub scrub_passes: u64,
+    /// Largest `journal.batch_ops` sample: the most client ops one
+    /// array write batch carried. Timing-dependent (which WRITEs a
+    /// shard decodes in the same tick), so it stays out of the digest.
+    pub max_batch_ops: u64,
 }
 
 /// End-of-run evidence: scrubs, journal, final readback, counters.
@@ -209,20 +213,20 @@ pub fn run(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<RunResult, String> {
         engine.clone(),
         "127.0.0.1:0",
         ServerConfig {
-            workers: cfg.clients + 2,
-            queue_depth: 64,
             // Pin two event-loop shards so every chaos run exercises
             // cross-shard routing and fan-out joins, even on the
             // single-core CI hosts where the auto default would be 1.
             shards: 2,
             idle_timeout: Duration::from_secs(120),
-            poll_interval: Duration::from_millis(5),
-            // Group commit stays off in chaos runs: coalescing ops
-            // from different clients into one array batch would
-            // fate-share injected faults nondeterministically, and the
-            // checker's oracle is exact per-op results. The batched
-            // array path is exercised nemesis-side by
-            // `FaultEvent::CrashMidCommit` instead.
+            // Write batching is on, as it is for every served WRITE:
+            // local WRITEs from different clients that a shard decodes
+            // in one tick commit as one array batch. The checker's
+            // exact per-op oracle survives that because `write_batch`
+            // reports per op and contains a media fault to the stripe
+            // it hit, and same-tick ops come from different clients,
+            // whose blocks are disjoint. The harness test asserts a
+            // sweep sees such a batch (`Counters::max_batch_ops`);
+            // `FaultEvent::CrashMidCommit` tears one on purpose.
             ..ServerConfig::default()
         },
     )
@@ -867,6 +871,7 @@ fn end_state(
                 media_read: r.counter("faults.media_read").unwrap_or(0),
                 media_write: r.counter("faults.media_write").unwrap_or(0),
                 scrub_passes: r.counter("scrub.passes").unwrap_or(0),
+                max_batch_ops: r.histogram("journal.batch_ops").map_or(0, |h| h.max()),
             }
         }
         Err(_) => {

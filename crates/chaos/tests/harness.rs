@@ -59,10 +59,18 @@ fn sabotage_is_caught_and_shrunk() {
 /// sweep's seed range, and its evidence must show the full story: the
 /// batch tore (journal intents outstanding), replay repaired every torn
 /// stripe, and the post-replay scrub came back clean.
+///
+/// The same sweep proves chaos checks the write path that ships: it
+/// runs with tick batching on, so somewhere in the 20 seeds an array
+/// write batch must have carried two or more client ops. (Which tick
+/// two WRITEs meet in is timing, so single seeds may see none; about
+/// a third of the seeds home two clients' regions on one shard and
+/// coalesce on nearly every run.)
 #[test]
 fn crash_mid_commit_tears_and_replay_repairs() {
     let cfg = ChaosConfig::default();
     let mut exercised = 0;
+    let mut max_batch_ops = 0;
     for seed in 0..20 {
         let plan = generate(seed, &cfg).unwrap();
         let crashes = plan
@@ -70,10 +78,11 @@ fn crash_mid_commit_tears_and_replay_repairs() {
             .iter()
             .filter(|e| matches!(e, FaultEvent::CrashMidCommit { .. }))
             .count();
+        let result = run(&cfg, &plan).unwrap();
+        max_batch_ops = max_batch_ops.max(result.end.counters.max_batch_ops);
         if crashes == 0 {
             continue;
         }
-        let result = run(&cfg, &plan).unwrap();
         assert_eq!(result.crash_commits.len(), crashes, "seed {seed}");
         for ev in &result.crash_commits {
             assert!(
@@ -96,12 +105,14 @@ fn crash_mid_commit_tears_and_replay_repairs() {
             );
         }
         exercised += 1;
-        if exercised >= 3 {
-            break;
-        }
     }
     assert!(
         exercised > 0,
         "no seed in 0..20 generated a crash-mid-commit event"
+    );
+    assert!(
+        max_batch_ops >= 2,
+        "no write batch in the 20-seed sweep coalesced two client ops \
+         (largest: {max_batch_ops}) — is tick batching still on?"
     );
 }

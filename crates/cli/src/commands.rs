@@ -49,21 +49,16 @@ USAGE:
                    per-disk utilization skew
   pddl serve     --disks N --width K [--unit B] [--periods P]
                  [--addr HOST:PORT] [--shards S] [--stripe-shards L]
-                 [--workers W] [--queue-depth Q] [--duration-ms T]
-                 [--rebuild-batch B] [--rebuild-rate R]
+                 [--duration-ms T] [--rebuild-batch B] [--rebuild-rate R]
                  [--metrics-addr HOST:PORT]
-                 [--commit-batch N] [--commit-interval US]
                    export the functional array as a TCP block service;
-                   --shards S = thread-per-core event loops on the
-                   sharded runtime (0 = one per core, the default);
+                   --shards S = thread-per-core event loops (0 = one
+                   per core, the default), each committing the WRITEs
+                   it decodes in one tick as one array batch;
                    --stripe-shards L = engine stripe-lock table size;
-                   --workers/--queue-depth only shape the portable
-                   worker-pool backend (non-Linux fallback);
                    REBUILD runs online in batches of B stripes,
                    throttled to R stripes/sec (0 = unthrottled);
-                   --metrics-addr adds a Prometheus /metrics endpoint;
-                   --commit-batch N (≥2) group-commits WRITEs N at a
-                   time, flushing early after --commit-interval µs
+                   --metrics-addr adds a Prometheus /metrics endpoint
   pddl stats     --addr HOST:PORT
                    one telemetry snapshot from a served volume
                    (counters, gauges, latency histograms)
@@ -674,20 +669,10 @@ fn build_engine(cli: &Cli, obs: Option<&ObsOutput>) -> Result<Engine, String> {
 }
 
 fn server_config(cli: &Cli) -> Result<ServerConfig, String> {
-    let defaults = ServerConfig::default();
-    let commit_interval_us: u64 = cli.num(
-        "commit-interval",
-        defaults.commit_interval.as_micros() as u64,
-    )?;
     Ok(ServerConfig {
-        workers: cli.num("workers", 4)?,
-        queue_depth: cli.num("queue-depth", 64)?,
-        // 0 = one event-loop shard per available core (the pool
-        // backend ignores this field entirely).
+        // 0 = one event-loop shard per available core.
         shards: cli.num("shards", 0)?,
-        commit_batch: cli.num("commit-batch", defaults.commit_batch)?,
-        commit_interval: std::time::Duration::from_micros(commit_interval_us),
-        ..defaults
+        ..ServerConfig::default()
     })
 }
 
@@ -707,30 +692,18 @@ pub fn serve_cmd(cli: &Cli) -> Result<(), String> {
         Some(maddr) => Some(serve_metrics(Arc::clone(&engine), maddr).map_err(|e| e.to_string())?),
         None => None,
     };
-    let backend = match handle.runtime_shards() {
-        Some(n) => format!("{n} runtime shard(s)"),
-        None => "worker pool".to_string(),
-    };
     println!(
-        "serving on {}: {} disks, {} units × {} B ({} KiB client capacity), {} stripe shards, {}",
+        "serving on {}: {} disks, {} units × {} B ({} KiB client capacity), {} stripe shards, {} runtime shard(s)",
         handle.local_addr(),
         info.disks,
         info.capacity_units,
         info.unit_bytes,
         info.capacity_units * info.unit_bytes as u64 / 1024,
         handle.engine().shards(),
-        backend,
+        handle.runtime_shards(),
     );
     if let Some(m) = &metrics {
         println!("metrics on http://{}/metrics", m.local_addr());
-    }
-    let commit = engine.commit_config();
-    if commit.batch >= 2 {
-        println!(
-            "group commit: flush at {} writes or {} µs",
-            commit.batch,
-            commit.interval.as_micros()
-        );
     }
     if duration_ms == 0 {
         // Run until killed; the handle's threads do all the work.

@@ -197,9 +197,10 @@ impl ObsSink for Observer {
             Event::JournalCommit { .. } => {
                 self.registry.add("journal.commits", 1);
             }
-            Event::JournalBatch { stripes, .. } => {
+            Event::JournalBatch { stripes, ops } => {
                 self.registry.add("journal.group_commits", 1);
                 self.registry.record("journal.batch_size", stripes);
+                self.registry.record("journal.batch_ops", ops);
             }
             Event::JournalReplay { stripes } => {
                 self.registry.add("journal.replayed_stripes", stripes);

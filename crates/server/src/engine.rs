@@ -20,8 +20,10 @@
 //! with two layers:
 //!
 //! * each array lives behind a plain `Arc` plus a `quiesce: RwLock<()>`
-//!   — client I/O on the legacy worker path holds the **read** side (so
-//!   any number of ops run concurrently), lifecycle ops (`scrub`,
+//!   — client I/O on the in-process path ([`Engine::execute`] and its
+//!   frame variants: the runtime's control thread, tests, the scenario
+//!   engine, benchmarks) holds the **read** side (so any number of ops
+//!   run concurrently), lifecycle ops (`scrub`,
 //!   `recover`, `replace_disk`, `arm_crash`) take the **write** side and
 //!   therefore see a quiesced array. The thread-per-core runtime's
 //!   shard threads take *neither*: stripe ownership serializes
@@ -67,27 +69,17 @@
 //! progress is published through atomics and served lock-free by
 //! `REBUILD_STATUS`.
 //!
-//! # Group commit
+//! # Write commit
 //!
-//! With [`CommitConfig::batch`] ≥ 2 the engine stops writing each WRITE
-//! segment through the array immediately. A worker instead *deposits*
-//! the segment into its shard's pending buffer and blocks until a flush
-//! commits it; the depositor that fills the batch (or the first whose
-//! age timer expires) becomes the **leader**, takes the whole buffer,
-//! and commits it with one `DeclusteredArray::write_batch` call — one
-//! journal append, coalesced same-stripe parity updates, one retire.
-//! Because deposits block until their batch commits, no WRITE is ever
-//! acknowledged before it is durable in the array: per-connection
-//! completion ordering and read-your-writes both fall out of the wire
-//! protocol (a client sees its WRITE response only after the flush).
-//! Cross-connection reads racing an *open* batch force-flush any batch
-//! whose pending entries overlap the read range before touching the
-//! array, so a read never returns data older than a write that was
-//! deposited before the read began. `FLUSH` drains every shard's open
-//! batch, making it a real ordering barrier again.
+//! The engine has no commit stage: a WRITE segment goes straight
+//! through the array's batched journal path (a lone `write` is a
+//! `write_batch` of one) and is in the array when the call returns, so
+//! `FLUSH` has nothing engine-side to drain. Coalescing happens one
+//! layer up: the runtime hands every fully-local WRITE a shard decoded
+//! in one tick to [`Engine::shard_write_batch`] as one batch.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -106,9 +98,10 @@ use crate::wire::{
 /// Default number of stripe shard locks.
 pub const DEFAULT_SHARDS: usize = 64;
 
-/// Telemetry shards per engine. Worker threads map onto shards
-/// round-robin; more workers than shards just share (still lock-free),
-/// so this only needs to cover the common pool sizes.
+/// Telemetry shards per engine. Recording threads (runtime shards, the
+/// control thread, in-process callers) map onto telemetry shards
+/// round-robin; more threads than shards just share (still lock-free),
+/// so this only needs to cover the common shard counts.
 const TELEMETRY_SHARDS: usize = 8;
 
 /// The telemetry [`OpKind`] for a wire op.
@@ -225,28 +218,6 @@ impl Default for RebuildConfig {
     }
 }
 
-/// Knobs for the group-committed write path.
-#[derive(Debug, Clone, Copy)]
-pub struct CommitConfig {
-    /// Deposits that trigger a flush (per array shard). `0` or `1`
-    /// disables group commit: every WRITE segment goes straight to the
-    /// array, exactly the pre-batching behavior.
-    pub batch: usize,
-    /// Maximum time a deposit waits for the batch to fill before the
-    /// waiter flushes it anyway — the latency bound a sparse write
-    /// stream pays for batching.
-    pub interval: Duration,
-}
-
-impl Default for CommitConfig {
-    fn default() -> Self {
-        Self {
-            batch: 1,
-            interval: Duration::from_millis(2),
-        }
-    }
-}
-
 const REBUILD_NONE: u8 = 0;
 const REBUILD_RUNNING: u8 = 1;
 const REBUILD_DONE: u8 = 2;
@@ -311,33 +282,6 @@ impl RebuildCtl {
     }
 }
 
-/// Where a depositor's WRITE segment result comes back. Each deposit
-/// allocates one slot; the flush leader moves the per-op result from
-/// `write_batch` into it and wakes the waiter.
-struct CommitSlot {
-    result: Mutex<Option<Result<(), ArrayError>>>,
-    cv: Condvar,
-}
-
-impl CommitSlot {
-    fn new() -> Self {
-        Self {
-            result: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// One WRITE segment parked in a shard's pending buffer, waiting for a
-/// group commit. The payload is owned (copied out of the request) so
-/// the depositing worker's frame buffer stays free.
-struct PendingWrite {
-    phys: u64,
-    units: u64,
-    data: Vec<u8>,
-    slot: Arc<CommitSlot>,
-}
-
 /// One pool member: the array plus its private stripe-shard lock
 /// table. Lock tables are per array — stripe indices are array-local,
 /// so sharing a table across arrays would only manufacture false
@@ -347,28 +291,23 @@ struct ArrayShard {
     /// points take `&self`); `quiesce` below provides the exclusion
     /// lifecycle ops need.
     array: Arc<DeclusteredArray>,
-    /// Quiesce gate: legacy client I/O and the rebuild worker hold the
-    /// read side across each op/batch; lifecycle ops (scrub, recover,
+    /// Quiesce gate: in-process client I/O and the rebuild worker hold
+    /// the read side across each op/batch; lifecycle ops (scrub, recover,
     /// replace, arm_crash) hold the write side — after parking any
     /// runtime shards, which deliberately never touch this lock.
     quiesce: RwLock<()>,
     stripe_locks: Vec<Mutex<()>>,
-    /// The open group-commit batch: deposits accumulate here until a
-    /// leader takes the whole vector and commits it in one
-    /// `write_batch`. Taking the vector closes the batch; the next
-    /// deposit opens a new one.
-    commit: Mutex<Vec<PendingWrite>>,
 }
 
-/// State shared between request workers and the rebuild thread.
+/// State shared between request-serving threads and the rebuild thread.
 struct Inner {
     /// The array pool, fixed at construction. All arrays share one unit
     /// size; disks index globally across the pool in array order.
     pool: Vec<ArrayShard>,
     /// Volume table and free-space accounting over the pool.
     volumes: VolumeManager,
-    /// Tenant limits and token buckets, shared with the server's
-    /// admission queue (and charged directly by the rebuild worker).
+    /// Tenant limits and token buckets, shared with the runtime's
+    /// admission check (and charged directly by the rebuild worker).
     tenants: Arc<TenantRegistry>,
     /// Unit size shared by every array in the pool.
     unit_bytes: usize,
@@ -391,14 +330,6 @@ struct Inner {
     /// the worker. `0.0` means unthrottled.
     rebuild_rate_bits: AtomicU64,
     rebuild: RebuildCtl,
-    /// Group-commit batch threshold; ≤ 1 means the feature is off and
-    /// WRITE segments take the immediate path. Atomic so an operator
-    /// (or a test) can retune it on the shared engine without a
-    /// restart.
-    commit_batch: AtomicUsize,
-    /// Group-commit age bound in nanoseconds (see
-    /// [`CommitConfig::interval`]).
-    commit_interval_ns: AtomicU64,
     /// Hook installed by the thread-per-core runtime: invoking it parks
     /// every shard thread at its loop boundary and returns a guard that
     /// resumes them on drop. Lifecycle ops call it *before* taking any
@@ -491,6 +422,44 @@ fn shard_set(a: &DeclusteredArray, locks: &[Mutex<()>], start: u64, units: u64) 
     set
 }
 
+/// Acquire, in ascending index order (one total order ⇒ no deadlock),
+/// the stripe locks covering every `(start, units)` range on `shard`.
+/// The union is deduplicated first, so each lock is taken once.
+fn stripe_guards(
+    shard: &ArrayShard,
+    ranges: impl IntoIterator<Item = (u64, u64)>,
+) -> Vec<MutexGuard<'_, ()>> {
+    let mut set: Vec<usize> = Vec::new();
+    for (start, units) in ranges {
+        set.extend(shard_set(&shard.array, &shard.stripe_locks, start, units));
+    }
+    set.sort_unstable();
+    set.dedup();
+    set.into_iter()
+        .map(|i| lock(&shard.stripe_locks[i]))
+        .collect()
+}
+
+/// Zero-fill `units` units of `array` from `phys`, one `zeros`-sized
+/// write at a time — TRIM's body on both the in-process and the
+/// shard-exec path. Partial progress stands on error.
+fn zero_fill(
+    array: &DeclusteredArray,
+    phys: u64,
+    units: u64,
+    zeros: &[u8],
+    unit: usize,
+) -> Result<(), ArrayError> {
+    let chunk_units = (zeros.len() / unit).max(1) as u64;
+    let mut done = 0u64;
+    while done < units {
+        let n = chunk_units.min(units - done);
+        array.write(phys + done, &zeros[..n as usize * unit])?;
+        done += n;
+    }
+    Ok(())
+}
+
 /// The background rebuild loop: one bounded, shard-locked batch per
 /// iteration, with progress published after every batch. Rebuild I/O
 /// is a first-class low-priority tenant: each batch is admitted
@@ -554,7 +523,7 @@ fn rebuild_worker(inner: Arc<Inner>, array_idx: usize, mut ticket: RebuildTicket
     inner.rebuild.state.store(final_state, Ordering::Release);
 }
 
-/// Shared request executor; one per served volume, shared by all worker
+/// Shared request executor; one per served pool, shared by all serving
 /// threads via `Arc`.
 pub struct Engine {
     inner: Arc<Inner>,
@@ -630,7 +599,6 @@ impl Engine {
                 array: Arc::new(array),
                 quiesce: RwLock::new(()),
                 stripe_locks: (0..shards.max(1)).map(|_| Mutex::new(())).collect(),
-                commit: Mutex::new(Vec::new()),
             })
             .collect();
         Self {
@@ -648,10 +616,6 @@ impl Engine {
                 rebuild_batch: rebuild.batch,
                 rebuild_rate_bits: AtomicU64::new(rebuild.rate.to_bits()),
                 rebuild: RebuildCtl::new(),
-                commit_batch: AtomicUsize::new(1),
-                commit_interval_ns: AtomicU64::new(
-                    CommitConfig::default().interval.as_nanos() as u64
-                ),
                 pauser: Mutex::new(None),
             }),
         }
@@ -689,25 +653,24 @@ impl Engine {
         &self.inner.volumes
     }
 
-    /// The shared tenant registry: the server's admission queue
-    /// schedules against it, operators retune limits through it.
+    /// The shared tenant registry: the runtime admits each decoded
+    /// frame against it, operators retune limits through it.
     pub fn tenants(&self) -> &Arc<TenantRegistry> {
         &self.inner.tenants
     }
 
-    /// Classify a request for the admission queue: `(tenant, payload
-    /// bytes)` — the scheduling key and token-bucket cost. Ops that
+    /// Classify a request for admission: `(tenant, payload bytes)` —
+    /// whose token bucket pays, and how much. Ops that
     /// don't address a volume (and ops on dead volumes, which will fail
     /// fast in dispatch) charge tenant 0 at zero cost.
     ///
-    /// The tenant is resolved at enqueue time and is deliberately not
+    /// The tenant is resolved at decode time and is deliberately not
     /// re-resolved at dispatch: if the volume is deleted and its id
-    /// reused while the op is queued, the op is scheduled and charged
+    /// reused while the op is parked awaiting tokens, the op is charged
     /// against the tenant that owned the volume when the request
     /// arrived, then fails (or executes) against the volume table as it
-    /// stands at dispatch. Mis-charging one queue residency is bounded
-    /// and harmless; the alternative (re-resolve + requeue) reorders a
-    /// connection's pipeline.
+    /// stands at dispatch. Mis-charging one parked request is bounded
+    /// and harmless.
     ///
     /// The charge is capped at [`MAX_PAYLOAD`]: a READ declaring more
     /// is rejected with `BadRequest` at dispatch, and a legitimately
@@ -743,37 +706,6 @@ impl Engine {
         self.inner
             .rebuild_rate_bits
             .store(rate.max(0.0).to_bits(), Ordering::Release);
-    }
-
-    /// The current group-commit knobs.
-    pub fn commit_config(&self) -> CommitConfig {
-        CommitConfig {
-            batch: self.inner.commit_batch.load(Ordering::Acquire),
-            interval: Duration::from_nanos(self.inner.commit_interval_ns.load(Ordering::Acquire)),
-        }
-    }
-
-    /// Retune group commit on the shared engine. A batch of `0`/`1`
-    /// turns the feature off; deposits already parked ride out under
-    /// the old knobs (their waiters flush them within one old
-    /// interval).
-    pub fn set_commit_config(&self, cfg: CommitConfig) {
-        // A zero interval would make every deposit its own leader (a
-        // busy flush loop); clamp to something that still batches.
-        let interval_ns = cfg.interval.as_nanos().max(100_000) as u64;
-        self.inner
-            .commit_interval_ns
-            .store(interval_ns, Ordering::Release);
-        self.inner.commit_batch.store(cfg.batch, Ordering::Release);
-    }
-
-    /// Flush every shard's open group-commit batch (used by `FLUSH`,
-    /// shutdown, and tests). A no-op when group commit is off or the
-    /// buffers are empty.
-    pub fn flush_commits(&self) {
-        for shard in &self.inner.pool {
-            self.flush_shard(shard);
-        }
     }
 
     /// Arm the crash hook on every array in the pool: after
@@ -1073,8 +1005,8 @@ impl Engine {
     }
 
     /// [`Engine::execute_frame`] into a caller-owned buffer, which is
-    /// resized and overwritten in place. A worker that keeps one buffer
-    /// per connection stops paying a response-sized allocation + zeroing
+    /// resized and overwritten in place. A caller that keeps one buffer
+    /// per thread stops paying a response-sized allocation + zeroing
     /// pass per request: once the buffer has grown to the largest
     /// response seen, the frame costs nothing to produce and a healthy
     /// READ is a single array-to-frame copy.
@@ -1083,9 +1015,9 @@ impl Engine {
     }
 
     /// [`Engine::execute_frame_into`] for queued execution: the caller
-    /// (the server worker pool) passes how long the request waited in
-    /// the admission queue, which lands in the queue-wait histogram and
-    /// the flight-recorder span alongside the service time.
+    /// (the runtime's control thread) passes how long the request
+    /// waited for admission, which lands in the queue-wait histogram
+    /// and the flight-recorder span alongside the service time.
     pub fn execute_queued_frame_into(
         &self,
         client: u32,
@@ -1135,6 +1067,21 @@ impl Engine {
     /// threads fall back to stripe locking while it runs.
     pub fn rebuild_locking(&self) -> bool {
         self.inner.rebuild.state.load(Ordering::Acquire) == REBUILD_RUNNING
+    }
+
+    /// Stripe guards for a shard-exec op on `ranges`: none (and no
+    /// allocation) while stripe ownership alone orders the stripes, the
+    /// covering locks while a rebuild is running.
+    fn rebuild_guards<'a>(
+        &self,
+        shard: &'a ArrayShard,
+        ranges: impl IntoIterator<Item = (u64, u64)>,
+    ) -> Vec<MutexGuard<'a, ()>> {
+        if self.rebuild_locking() {
+            stripe_guards(shard, ranges)
+        } else {
+            Vec::new()
+        }
     }
 
     /// Arrays in the pool (shard-exec `array` indices are `0..this`).
@@ -1212,14 +1159,8 @@ impl Engine {
     /// [`ArrayError`] from the device layer.
     pub fn shard_read(&self, array: usize, phys: u64, out: &mut [u8]) -> Result<(), ArrayError> {
         let shard = &self.inner.pool[array];
-        if self.rebuild_locking() {
-            let units = (out.len() / self.inner.unit_bytes) as u64;
-            let _guards: Vec<_> = shard_set(&shard.array, &shard.stripe_locks, phys, units)
-                .into_iter()
-                .map(|i| lock(&shard.stripe_locks[i]))
-                .collect();
-            return shard.array.read_into(phys, out);
-        }
+        let units = (out.len() / self.inner.unit_bytes) as u64;
+        let _guards = self.rebuild_guards(shard, [(phys, units)]);
         shard.array.read_into(phys, out)
     }
 
@@ -1233,25 +1174,11 @@ impl Engine {
         ops: &[(u64, &[u8])],
     ) -> Vec<Result<(), ArrayError>> {
         let shard = &self.inner.pool[array];
-        let _guards: Vec<_> = if self.rebuild_locking() {
-            let unit = self.inner.unit_bytes as u64;
-            let mut set: Vec<usize> = Vec::new();
-            for &(phys, data) in ops {
-                set.extend(shard_set(
-                    &shard.array,
-                    &shard.stripe_locks,
-                    phys,
-                    data.len() as u64 / unit,
-                ));
-            }
-            set.sort_unstable();
-            set.dedup();
-            set.into_iter()
-                .map(|i| lock(&shard.stripe_locks[i]))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let unit = self.inner.unit_bytes as u64;
+        let ranges = ops
+            .iter()
+            .map(|&(phys, data)| (phys, data.len() as u64 / unit));
+        let _guards = self.rebuild_guards(shard, ranges);
         shard.array.write_batch(ops)
     }
 
@@ -1270,25 +1197,8 @@ impl Engine {
         zeros: &[u8],
     ) -> Result<(), ArrayError> {
         let shard = &self.inner.pool[array];
-        let unit = self.inner.unit_bytes;
-        let chunk_units = (zeros.len() / unit).max(1) as u64;
-        let _guards: Vec<_> = if self.rebuild_locking() {
-            shard_set(&shard.array, &shard.stripe_locks, phys, units)
-                .into_iter()
-                .map(|i| lock(&shard.stripe_locks[i]))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut done = 0u64;
-        while done < units {
-            let n = chunk_units.min(units - done);
-            shard
-                .array
-                .write(phys + done, &zeros[..n as usize * unit])?;
-            done += n;
-        }
-        Ok(())
+        let _guards = self.rebuild_guards(shard, [(phys, units)]);
+        zero_fill(&shard.array, phys, units, zeros, self.inner.unit_bytes)
     }
 
     /// Open the observability bracket for one request: emits
@@ -1340,14 +1250,8 @@ impl Engine {
     /// release — never holds two arrays' locks at once).
     fn read_segment(&self, seg: &Segment, out: &mut [u8]) -> Result<(), ArrayError> {
         let shard = &self.inner.pool[seg.array as usize];
-        if self.inner.commit_batch.load(Ordering::Acquire) >= 2 {
-            self.flush_overlapping(shard, seg.phys, seg.units);
-        }
         let _q = rdlock(&shard.quiesce);
-        let _guards: Vec<_> = shard_set(&shard.array, &shard.stripe_locks, seg.phys, seg.units)
-            .into_iter()
-            .map(|i| lock(&shard.stripe_locks[i]))
-            .collect();
+        let _guards = stripe_guards(shard, [(seg.phys, seg.units)]);
         shard.array.read_into(seg.phys, out)
     }
 
@@ -1382,15 +1286,10 @@ impl Engine {
             Op::Read => self.do_read(req),
             Op::Write => self.do_write(req),
             Op::Trim => self.do_trim(req),
-            // Writes are synchronous (a group-committed WRITE is not
-            // acknowledged until its batch lands) and the in-memory
-            // devices have no volatile cache, so FLUSH only needs to
-            // drain any open group-commit batches to be a real
-            // ordering barrier.
-            Op::Flush => {
-                self.flush_commits();
-                (Status::Ok, Vec::new())
-            }
+            // Writes are synchronous (acknowledged only once they are
+            // in the array) and the in-memory devices have no volatile
+            // cache, so there is nothing left for FLUSH to push.
+            Op::Flush => (Status::Ok, Vec::new()),
             Op::Info => self.do_info(req),
             Op::FailDisk => self.do_fail_disk(req),
             Op::Rebuild => self.do_rebuild(req),
@@ -1563,117 +1462,13 @@ impl Engine {
         (status, frame.split_off(RESPONSE_HEADER_LEN))
     }
 
-    /// Serve one resolved segment of a WRITE from `data`: immediately
-    /// when group commit is off, else by depositing into the shard's
-    /// pending buffer and blocking until a flush commits it.
+    /// Serve one resolved segment of a WRITE from `data` (lock, write,
+    /// release — never holds two arrays' locks at once).
     fn write_segment(&self, seg: &Segment, data: &[u8]) -> Result<(), ArrayError> {
-        if self.inner.commit_batch.load(Ordering::Acquire) >= 2 {
-            return self.deposit_write(seg, data);
-        }
         let shard = &self.inner.pool[seg.array as usize];
         let _q = rdlock(&shard.quiesce);
-        let _guards: Vec<_> = shard_set(&shard.array, &shard.stripe_locks, seg.phys, seg.units)
-            .into_iter()
-            .map(|i| lock(&shard.stripe_locks[i]))
-            .collect();
+        let _guards = stripe_guards(shard, [(seg.phys, seg.units)]);
         shard.array.write(seg.phys, data)
-    }
-
-    /// Park a WRITE segment in its shard's open batch and wait for the
-    /// result. The depositor that fills the batch flushes it on the
-    /// spot; otherwise the first waiter whose age bound expires while
-    /// its entry is still parked becomes the leader. Every path ends
-    /// with the per-op `write_batch` result for exactly this segment.
-    fn deposit_write(&self, seg: &Segment, data: &[u8]) -> Result<(), ArrayError> {
-        let shard = &self.inner.pool[seg.array as usize];
-        let slot = Arc::new(CommitSlot::new());
-        let batch = self.inner.commit_batch.load(Ordering::Acquire);
-        let interval = Duration::from_nanos(self.inner.commit_interval_ns.load(Ordering::Acquire));
-        let full = {
-            let mut q = lock(&shard.commit);
-            q.push(PendingWrite {
-                phys: seg.phys,
-                units: seg.units,
-                data: data.to_vec(),
-                slot: Arc::clone(&slot),
-            });
-            q.len() >= batch
-        };
-        if full {
-            self.flush_shard(shard);
-        }
-        let mut result = lock(&slot.result);
-        loop {
-            if let Some(r) = result.take() {
-                return r;
-            }
-            let (guard, timeout) = slot
-                .cv
-                .wait_timeout(result, interval)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            result = guard;
-            if timeout.timed_out() && result.is_none() {
-                // Age bound hit with the entry still parked (or a
-                // leader mid-flush; flushing an already-empty buffer
-                // is a harmless no-op). Lead the flush ourselves so a
-                // sparse write stream is delayed by at most one
-                // interval.
-                drop(result);
-                self.flush_shard(shard);
-                result = lock(&slot.result);
-            }
-        }
-    }
-
-    /// Commit a shard's open batch: take the whole pending buffer,
-    /// write it through the array's batched journal path under the
-    /// union of the entries' stripe shard locks, then hand each
-    /// depositor its per-op result.
-    fn flush_shard(&self, shard: &ArrayShard) {
-        let entries = std::mem::take(&mut *lock(&shard.commit));
-        if entries.is_empty() {
-            return;
-        }
-        let results = {
-            let _q = rdlock(&shard.quiesce);
-            let mut set: Vec<usize> = Vec::new();
-            for e in &entries {
-                set.extend(shard_set(
-                    &shard.array,
-                    &shard.stripe_locks,
-                    e.phys,
-                    e.units,
-                ));
-            }
-            set.sort_unstable();
-            set.dedup();
-            let _guards: Vec<_> = set
-                .into_iter()
-                .map(|i| lock(&shard.stripe_locks[i]))
-                .collect();
-            let ops: Vec<(u64, &[u8])> = entries
-                .iter()
-                .map(|e| (e.phys, e.data.as_slice()))
-                .collect();
-            shard.array.write_batch(&ops)
-        };
-        for (e, r) in entries.iter().zip(results) {
-            *lock(&e.slot.result) = Some(r);
-            e.slot.cv.notify_all();
-        }
-    }
-
-    /// Force-flush the shard's open batch if any parked entry overlaps
-    /// `[phys, phys + units)` — the read-your-writes fence for reads
-    /// racing deposits from other connections.
-    fn flush_overlapping(&self, shard: &ArrayShard, phys: u64, units: u64) {
-        let end = phys.saturating_add(units);
-        let overlaps = lock(&shard.commit)
-            .iter()
-            .any(|e| e.phys < end && phys < e.phys.saturating_add(e.units));
-        if overlaps {
-            self.flush_shard(shard);
-        }
     }
 
     fn do_write(&self, req: &Request) -> (Status, Vec<u8>) {
@@ -1720,21 +1515,10 @@ impl Engine {
             // The shard guards span this segment's whole loop, so the
             // segment still clears atomically with respect to colliding
             // writes.
-            let _guards: Vec<_> = shard_set(&shard.array, &shard.stripe_locks, seg.phys, seg.units)
-                .into_iter()
-                .map(|i| lock(&shard.stripe_locks[i]))
-                .collect();
-            let mut done = 0u64;
-            while done < seg.units {
-                let n = TRIM_CHUNK_UNITS.min(seg.units - done);
-                if let Err(e) = shard
-                    .array
-                    .write(seg.phys + done, &zeros[..n as usize * unit])
-                {
-                    resolved.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    return (status_of(&e), Vec::new());
-                }
-                done += n;
+            let _guards = stripe_guards(shard, [(seg.phys, seg.units)]);
+            if let Err(e) = zero_fill(&shard.array, seg.phys, seg.units, &zeros, unit) {
+                resolved.stats.errors.fetch_add(1, Ordering::Relaxed);
+                return (status_of(&e), Vec::new());
             }
         }
         (Status::Ok, Vec::new())
@@ -1897,7 +1681,7 @@ mod tests {
     }
 
     /// The zero-copy frame path must emit byte-identical frames to
-    /// encoding the `Response` the legacy path produces — across
+    /// encoding the `Response` that `execute` produces — across
     /// success, every validation failure, and mode changes.
     #[test]
     fn execute_frame_matches_encoded_execute() {
@@ -2517,139 +2301,6 @@ mod tests {
         sorted.dedup();
         assert_eq!(set, sorted);
         assert!(set.iter().all(|&i| i < e.shards()));
-    }
-
-    /// With group commit on, concurrent writers coalesce into shared
-    /// flushes, every writer gets its ack, and every byte lands.
-    #[test]
-    fn group_commit_coalesces_and_acknowledges_every_writer() {
-        let e = Arc::new(engine());
-        e.set_commit_config(CommitConfig {
-            batch: 4,
-            interval: Duration::from_millis(1),
-        });
-        let threads: Vec<_> = (0..8u64)
-            .map(|i| {
-                let e = Arc::clone(&e);
-                std::thread::spawn(move || {
-                    let r = e.execute(i as u32, &req(Op::Write, i * 2, 2, vec![i as u8; 32]));
-                    assert_eq!(r.status, Status::Ok, "writer {i}");
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert!(e.outstanding_intents().is_empty());
-        for i in 0..8u64 {
-            let r = e.execute(0, &req(Op::Read, i * 2, 2, vec![]));
-            assert_eq!(r.status, Status::Ok);
-            assert_eq!(r.payload, vec![i as u8; 32], "writer {i}'s data");
-        }
-        assert!(e.scrub().unwrap().is_empty());
-    }
-
-    /// A lone write must not wait for a batch that will never fill:
-    /// the age bound turns the waiter into the leader.
-    #[test]
-    fn lone_write_commits_within_the_age_bound() {
-        let e = engine();
-        e.set_commit_config(CommitConfig {
-            batch: 64,
-            interval: Duration::from_millis(1),
-        });
-        let t = Instant::now();
-        let r = e.execute(0, &req(Op::Write, 3, 1, vec![0xabu8; 16]));
-        assert_eq!(r.status, Status::Ok);
-        assert!(
-            t.elapsed() < Duration::from_secs(5),
-            "age-bound flush did not fire"
-        );
-        assert_eq!(
-            e.execute(0, &req(Op::Read, 3, 1, vec![])).payload,
-            vec![0xabu8; 16]
-        );
-    }
-
-    /// A read racing a parked deposit from another connection must
-    /// force-flush the overlapping batch and return the new data.
-    #[test]
-    fn read_force_flushes_an_overlapping_open_batch() {
-        let e = Arc::new(engine());
-        // A batch that never fills and an age bound far beyond the
-        // test's patience: only the read's force-flush can commit it.
-        e.set_commit_config(CommitConfig {
-            batch: 64,
-            interval: Duration::from_secs(60),
-        });
-        let writer = {
-            let e = Arc::clone(&e);
-            std::thread::spawn(move || {
-                let r = e.execute(1, &req(Op::Write, 5, 1, vec![0x77u8; 16]));
-                assert_eq!(r.status, Status::Ok);
-            })
-        };
-        // Wait until the deposit is parked (bounded poll).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while lock(&e.inner.pool[0].commit).is_empty() {
-            assert!(Instant::now() < deadline, "deposit never parked");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let r = e.execute(0, &req(Op::Read, 5, 1, vec![]));
-        assert_eq!(r.status, Status::Ok);
-        assert_eq!(r.payload, vec![0x77u8; 16], "read must see the deposit");
-        writer.join().unwrap();
-    }
-
-    /// FLUSH drains open batches, releasing writers parked behind a
-    /// long age bound.
-    #[test]
-    fn flush_op_drains_open_batches() {
-        let e = Arc::new(engine());
-        e.set_commit_config(CommitConfig {
-            batch: 64,
-            interval: Duration::from_secs(60),
-        });
-        let writer = {
-            let e = Arc::clone(&e);
-            std::thread::spawn(move || {
-                let r = e.execute(1, &req(Op::Write, 0, 2, vec![0x11u8; 32]));
-                assert_eq!(r.status, Status::Ok);
-            })
-        };
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while lock(&e.inner.pool[0].commit).is_empty() {
-            assert!(Instant::now() < deadline, "deposit never parked");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(
-            e.execute(0, &req(Op::Flush, 0, 0, vec![])).status,
-            Status::Ok
-        );
-        writer.join().unwrap();
-        assert_eq!(
-            e.execute(0, &req(Op::Read, 0, 2, vec![])).payload,
-            vec![0x11u8; 32]
-        );
-    }
-
-    /// Per-op error isolation survives the batched path: a bad address
-    /// fails its own op without wedging batch-mates.
-    #[test]
-    fn group_commit_reports_per_op_errors() {
-        let e = engine();
-        e.set_commit_config(CommitConfig {
-            batch: 2,
-            interval: Duration::from_millis(1),
-        });
-        let r = e.execute(0, &req(Op::Write, u64::MAX - 3, 1, vec![0u8; 16]));
-        assert_eq!(r.status, Status::BadAddress);
-        let r = e.execute(0, &req(Op::Write, 2, 1, vec![0x5cu8; 16]));
-        assert_eq!(r.status, Status::Ok);
-        assert_eq!(
-            e.execute(0, &req(Op::Read, 2, 1, vec![])).payload,
-            vec![0x5cu8; 16]
-        );
     }
 
     /// An engine constructed around an array that died mid-write (torn

@@ -2,17 +2,16 @@
 //! of [`pddl_array::DeclusteredArray`]s — carved into logical volumes
 //! with per-tenant QoS — over a compact NBD-flavoured wire protocol.
 //!
-//! The crate is five layers, bottom-up:
+//! The crate's modules, bottom-up:
 //!
 //! | module     | role |
 //! |------------|------|
 //! | [`wire`]   | frame codec: request/response encode + decode, volume + pool payloads |
-//! | [`queue`]  | bounded blocking MPMC queue (legacy FIFO; admission now uses [`pddl_volume::QosQueue`]) |
 //! | [`ring`]   | bounded SPSC ring, the inter-shard mailbox of the sharded runtime |
-//! | `reactor`  | zero-dep epoll reactor (raw syscalls, edge-triggered; Linux x86_64/aarch64) |
-//! | [`engine`] | volume resolution + request execution over per-array stripe shard locks |
-//! | `runtime`  | thread-per-core shard runtime: per-core event loops, stripe-owner routing, fan-out/join |
-//! | [`server`] | accept loop + serve entry: sharded runtime on Linux, blocking worker pool elsewhere |
+//! | [`reactor`] | readiness reactor: zero-dep epoll (raw syscalls, edge-triggered) on Linux x86_64/aarch64, a std-only sleep-poll stand-in elsewhere |
+//! | [`engine`] | volume resolution + request execution: lock-free shard-exec entry points for the runtime, stripe-locked in-process `execute*` for everything else |
+//! | [`runtime`] | thread-per-core shard runtime: per-core event loops, stripe-owner routing, fan-out/join, per-tick write batching |
+//! | [`server`] | the serve entry: bind, start the runtime, hand back a [`ServerHandle`] |
 //! | [`metrics_http`] | `/metrics` Prometheus exposition over minimal HTTP/1.0 |
 //! | [`shaping`] | per-connection client-side network shaping (bandwidth caps, latency, stalls) |
 //! | [`workload`] | seeded access-distribution + arrival-process generators for scenario workloads |
@@ -43,30 +42,36 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Concurrency: reads to distinct stripes run in parallel across the
-//! worker pool; writes serialize per stripe shard; `FAIL_DISK` quiesces
-//! the volume behind a write lock. `REBUILD` is *online and
-//! incremental*: it validates synchronously, answers `Accepted`, and a
-//! background thread reconstructs in bounded batches holding only the
-//! shard locks for each batch's stripes — client I/O keeps flowing
-//! throughout, and `REBUILD_STATUS` reports `repaired / total`
-//! progress without touching the array lock.
+//! Concurrency: each stripe is served by exactly one shard thread, so
+//! ops on stripes with different owners run in parallel and ops on one
+//! stripe are ordered by its owner without locks; array lifecycle ops
+//! (scrub, recover, replace) park every shard first. `REBUILD` is
+//! *online and incremental*: it validates synchronously, answers
+//! `Accepted`, and a background thread reconstructs in bounded batches
+//! holding only the stripe locks for each batch's stripes — client I/O
+//! keeps flowing throughout (taking the same locks while the rebuild
+//! runs), and `REBUILD_STATUS` reports `repaired / total` progress
+//! without touching the array lock.
 
 pub mod bench;
 pub mod client;
 pub mod engine;
 pub mod metrics_http;
-pub mod queue;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
+// The one platform predicate: raw-syscall epoll where its syscall
+// numbers and inline asm are written down, the std-only stand-in
+// everywhere else (and on demand, so CI can run it on Linux).
+#[cfg_attr(
+    any(
+        pddl_portable_reactor,
+        not(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        ))
+    ),
+    path = "reactor_portable.rs"
+)]
 pub mod reactor;
 pub mod ring;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 pub mod runtime;
 pub mod server;
 pub mod shaping;
@@ -76,13 +81,12 @@ pub mod workload;
 
 pub use bench::{run as run_bench, BenchConfig, BenchReport};
 pub use client::{Client, ClientError};
-pub use engine::{CommitConfig, Engine, RebuildConfig};
+pub use engine::{Engine, RebuildConfig};
 pub use metrics_http::{serve_metrics, MetricsServer};
 pub use pddl_volume::{
     QosQueue, TenantLimits, TenantRegistry, VolumeMeta, VolumeSpec, REBUILD_TENANT,
 };
-pub use queue::BoundedQueue;
-pub use server::{serve, serve_threaded, ServerConfig, ServerHandle};
+pub use server::{serve, ServerConfig, ServerHandle};
 pub use shaping::{Conn, NetShape, ShapedStream};
 pub use trace::{tag_bytes, OpTrace, TraceError, TraceOp};
 pub use wire::{
@@ -90,3 +94,11 @@ pub use wire::{
     VolumeInfo, WireError,
 };
 pub use workload::{AccessDist, AccessSampler, Arrival, ArrivalGen};
+
+/// Fieldless marker for the write-commit policy, which has no knobs:
+/// every WRITE commits in its owning shard's tick batch. Kept only
+/// because the `stackbench` benchmark prints `CommitConfig::default()`
+/// into its report's config string; the next benchmark PR drops both.
+/// (Braces, not a unit struct: clippy rejects `default()` on those.)
+#[derive(Debug, Default, Clone, Copy)]
+pub struct CommitConfig {}

@@ -5,10 +5,11 @@
 //! no `mio`. The four kernel entry points a readiness loop needs
 //! (`epoll_create1`, `epoll_ctl`, `epoll_pwait`, `eventfd2`) are
 //! invoked as raw Linux syscalls via inline assembly, on the only two
-//! architectures CI and production use (x86_64, aarch64 — the module
-//! is compiled out elsewhere and the server falls back to the blocking
-//! worker-pool path). File descriptors are held as
-//! [`std::os::fd::OwnedFd`] so closing stays std's responsibility.
+//! architectures CI and production use (x86_64, aarch64 — elsewhere
+//! `reactor_portable.rs` is compiled in this module's place, with the
+//! same names, and the runtime above is unchanged). File descriptors
+//! are held as [`std::os::fd::OwnedFd`] so closing stays std's
+//! responsibility.
 //!
 //! Everything is edge-triggered: the runtime drains a socket to
 //! `WouldBlock` on every readable event and tracks residual readiness

@@ -66,6 +66,7 @@ use crate::reactor::{
     Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::ring::{ring, Consumer, Producer};
+use crate::server::ServerConfig;
 use crate::wire::{self, Op, Request, Status, WireError, RESPONSE_HEADER_LEN};
 use pddl_volume::{Resolved, TenantRegistry};
 
@@ -107,18 +108,6 @@ pub fn owner_of(array: usize, stripe: u64, shards: usize) -> usize {
 pub fn accept_should_backoff(e: &io::Error) -> bool {
     // ENOMEM=12, ENFILE=23, EMFILE=24 on Linux.
     matches!(e.raw_os_error(), Some(12 | 23 | 24))
-}
-
-/// Runtime tuning, distilled from [`crate::server::ServerConfig`].
-#[derive(Debug, Clone)]
-pub struct RuntimeConfig {
-    /// Shard (event-loop) threads; minimum 1.
-    pub shards: usize,
-    /// Drop a connection idle (no frame, no partial progress) this long.
-    pub idle_timeout: Duration,
-    /// Kill a connection whose response bytes make no progress for
-    /// this long (slow-consumer defense).
-    pub write_timeout: Duration,
 }
 
 // ---------------------------------------------------------------------
@@ -212,10 +201,9 @@ struct ShardStats {
     ring_depth: AtomicU64,
     /// Requests parked awaiting QoS admission at last tick. In-flight
     /// work (cross-shard joins, control-thread ops) is deliberately
-    /// excluded so `queue.depth` keeps the pool backend's contract:
-    /// admitted-but-waiting work only, never the op that is itself
-    /// observing the gauge. Executing jobs show in
-    /// `server.jobs_inflight`.
+    /// excluded so `queue.depth` means waiting-for-admission work
+    /// only, never the op that is itself observing the gauge.
+    /// Executing jobs show in `server.jobs_inflight`.
     queued: AtomicU64,
 }
 
@@ -291,13 +279,18 @@ impl Drop for PauseGuard {
 pub struct Runtime {
     addr: SocketAddr,
     shared: Arc<RtShared>,
-    accept: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
     shards: Vec<JoinHandle<()>>,
-    control: Option<JoinHandle<()>>,
-    control_tx: Option<mpsc::Sender<ControlJob>>,
+    control: JoinHandle<()>,
+    control_tx: mpsc::Sender<ControlJob>,
 }
 
 impl Runtime {
+    /// The bound listener address.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
     /// Requests executed so far (any status).
     pub fn requests_served(&self) -> u64 {
         self.shared.requests.load(Ordering::Relaxed)
@@ -316,47 +309,65 @@ impl Runtime {
     /// Stop accepting, wake and join every thread. In-flight responses
     /// are abandoned (connections see a close); acknowledged writes
     /// are already durable.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        plock(&self.shared.pause.state).closed = true;
-        self.shared.pause.cv.notify_all();
-        // Unblock the acceptor with a throwaway connection, then the
-        // shard loops with their doorbells.
+        // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        for bell in &self.shared.doorbells {
-            bell.signal();
-        }
-        for t in self.shards.drain(..) {
-            let _ = t.join();
-        }
-        // Shards are gone: unregister the pauser, then retire the
-        // control thread by dropping its queue.
-        self.shared.engine.clear_runtime_pauser();
-        drop(self.control_tx.take());
-        if let Some(t) = self.control.take() {
-            let _ = t.join();
-        }
+        let _ = self.accept.join();
+        stop_threads(
+            &self.shared,
+            self.shards,
+            Some((self.control_tx, self.control)),
+        );
     }
 }
 
-/// Start the sharded runtime on an already-bound listener. Registers
-/// the runtime pauser with the engine and the shard gauges/counters
-/// with its telemetry plane.
+/// Stop and join the shard threads of a running (or half-started)
+/// runtime, unregister its pauser, then retire the control thread, if
+/// one was started, by dropping its queue.
+fn stop_threads(
+    shared: &RtShared,
+    shards: Vec<JoinHandle<()>>,
+    control: Option<(mpsc::Sender<ControlJob>, JoinHandle<()>)>,
+) {
+    shared.stop.store(true, Ordering::SeqCst);
+    plock(&shared.pause.state).closed = true;
+    shared.pause.cv.notify_all();
+    for bell in &shared.doorbells {
+        bell.signal();
+    }
+    for t in shards {
+        let _ = t.join();
+    }
+    // Shards are gone (and with them their clones of the control
+    // queue's sender): nothing is left to park, and dropping the last
+    // sender ends the control loop.
+    shared.engine.clear_runtime_pauser();
+    if let Some((tx, t)) = control {
+        drop(tx);
+        let _ = t.join();
+    }
+}
+
+/// Start the sharded runtime on an already-bound listener with
+/// `cfg.shards` event loops (0 = one per available core). Registers
+/// the runtime pauser with the engine and, once every thread is up,
+/// the shard gauges/counters with its telemetry plane.
 ///
 /// # Errors
 ///
 /// Reactor or thread creation failure; everything started so far is
-/// torn down first.
+/// joined first, and nothing stays registered with the engine.
 pub fn start(
     engine: Arc<Engine>,
     listener: TcpListener,
-    cfg: &RuntimeConfig,
+    cfg: &ServerConfig,
 ) -> io::Result<Runtime> {
     let addr = listener.local_addr()?;
-    let nshards = cfg.shards.max(1);
+    let nshards = match cfg.shards {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    };
 
     let shared = Arc::new(RtShared {
         engine: Arc::clone(&engine),
@@ -409,98 +420,16 @@ pub fn start(
 
     let (control_tx, control_rx) = mpsc::channel::<ControlJob>();
 
-    // Telemetry: per-shard ring-depth gauges, aggregate wakeup/accept
-    // counters, and the queue-depth gauge the legacy path also exports.
-    let telemetry = engine.telemetry();
-    for i in 0..nshards {
-        let w = Arc::downgrade(&shared);
-        telemetry.set_gauge_source(
-            &format!("shard.ring_depth{{shard=\"{i}\"}}"),
-            Box::new(move || {
-                w.upgrade().map_or(0.0, |s| {
-                    s.stats[i].ring_depth.load(Ordering::Relaxed) as f64
-                })
-            }),
-        );
-        let w = Arc::downgrade(&shared);
-        telemetry.set_gauge_source(
-            &format!("shard.queue_depth{{shard=\"{i}\"}}"),
-            Box::new(move || {
-                w.upgrade()
-                    .map_or(0.0, |s| s.stats[i].queued.load(Ordering::Relaxed) as f64)
-            }),
-        );
-        let w = Arc::downgrade(&shared);
-        telemetry.set_counter_source(
-            &format!("shard.wakeups{{shard=\"{i}\"}}"),
-            Box::new(move || {
-                w.upgrade()
-                    .map_or(0, |s| s.stats[i].wakeups.load(Ordering::Relaxed))
-            }),
-        );
-    }
-    let w = Arc::downgrade(&shared);
-    telemetry.set_gauge_source(
-        "queue.depth",
-        Box::new(move || {
-            w.upgrade().map_or(0.0, |s| {
-                s.stats
-                    .iter()
-                    .map(|st| st.queued.load(Ordering::Relaxed))
-                    .sum::<u64>() as f64
-            })
-        }),
-    );
-    let w = Arc::downgrade(&shared);
-    telemetry.set_gauge_source(
-        "server.jobs_inflight",
-        Box::new(move || {
-            w.upgrade()
-                .map_or(0.0, |s| s.jobs_inflight.load(Ordering::Relaxed) as f64)
-        }),
-    );
-    let w = Arc::downgrade(&shared);
-    telemetry.set_counter_source(
-        "shard.wakeups",
-        Box::new(move || {
-            w.upgrade().map_or(0, |s| {
-                s.stats
-                    .iter()
-                    .map(|st| st.wakeups.load(Ordering::Relaxed))
-                    .sum()
-            })
-        }),
-    );
-    let w = Arc::downgrade(&shared);
-    telemetry.set_counter_source(
-        "server.accept_errors",
-        Box::new(move || {
-            w.upgrade()
-                .map_or(0, |s| s.accept_errors.load(Ordering::Relaxed))
-        }),
-    );
-
     // Lifecycle ops (scrub/recover/replace/arm-crash) park every shard
     // thread through this hook before taking their write locks.
+    // Installed before the first shard runs; `stop_threads` removes it
+    // on every failure path below.
     {
         let ps = Arc::clone(&shared);
         engine.set_runtime_pauser(Box::new(move || {
             Box::new(PauseGuard::acquire(&ps)) as Box<dyn std::any::Any + Send>
         }));
     }
-
-    let join_all = |shards: Vec<JoinHandle<()>>, shared: &Arc<RtShared>| {
-        shared.stop.store(true, Ordering::SeqCst);
-        plock(&shared.pause.state).closed = true;
-        shared.pause.cv.notify_all();
-        for bell in &shared.doorbells {
-            bell.signal();
-        }
-        for t in shards {
-            let _ = t.join();
-        }
-        shared.engine.clear_runtime_pauser();
-    };
 
     let mut shard_threads: Vec<JoinHandle<()>> = Vec::with_capacity(nshards);
     for (i, ctl_rx) in ctl_consumers.into_iter().enumerate() {
@@ -510,31 +439,25 @@ pub fn start(
             to.push(producers[i][j].take());
             from.push(consumers[i][j].take());
         }
-        let epoll = match Epoll::new() {
-            Ok(ep) => ep,
-            Err(e) => {
-                join_all(shard_threads, &shared);
-                return Err(e);
-            }
-        };
-        let shard = Shard::new(
-            i,
-            nshards,
-            Arc::clone(&shared),
-            epoll,
-            to,
-            from,
-            ctl_rx,
-            control_tx.clone(),
-            cfg,
-        );
-        let spawned = std::thread::Builder::new()
-            .name(format!("pddl-shard-{i}"))
-            .spawn(move || shard.run());
+        let spawned = Epoll::new().and_then(|epoll| {
+            let shard = Shard::new(
+                i,
+                Arc::clone(&shared),
+                epoll,
+                to,
+                from,
+                ctl_rx,
+                control_tx.clone(),
+                cfg,
+            );
+            std::thread::Builder::new()
+                .name(format!("pddl-shard-{i}"))
+                .spawn(move || shard.run())
+        });
         match spawned {
             Ok(h) => shard_threads.push(h),
             Err(e) => {
-                join_all(shard_threads, &shared);
+                stop_threads(&shared, shard_threads, None);
                 return Err(e);
             }
         }
@@ -549,7 +472,7 @@ pub fn start(
         match spawned {
             Ok(h) => h,
             Err(e) => {
-                join_all(shard_threads, &shared);
+                stop_threads(&shared, shard_threads, None);
                 return Err(e);
             }
         }
@@ -563,20 +486,100 @@ pub fn start(
         match spawned {
             Ok(h) => h,
             Err(e) => {
-                join_all(shard_threads, &shared);
+                stop_threads(&shared, shard_threads, Some((control_tx, control)));
                 return Err(e);
             }
         }
     };
 
+    // Last, now that nothing can fail: a start that errored out above
+    // has left no series behind for a runtime that never ran.
+    register_scrape_sources(&shared);
+
     Ok(Runtime {
         addr,
         shared,
-        accept: Some(accept),
+        accept,
         shards: shard_threads,
-        control: Some(control),
-        control_tx: Some(control_tx),
+        control,
+        control_tx,
     })
+}
+
+/// Register the runtime's scrape-time series with the engine's
+/// telemetry plane: per-shard ring/queue-depth gauges and wakeup
+/// counters, plus the aggregates. The closures hold a `Weak`: the
+/// engine owns the telemetry plane that owns them, and `RtShared` owns
+/// the engine, so a strong reference would be a cycle.
+fn register_scrape_sources(shared: &Arc<RtShared>) {
+    let telemetry = shared.engine.telemetry();
+    for i in 0..shared.stats.len() {
+        let w = Arc::downgrade(shared);
+        telemetry.set_gauge_source(
+            &format!("shard.ring_depth{{shard=\"{i}\"}}"),
+            Box::new(move || {
+                w.upgrade().map_or(0.0, |s| {
+                    s.stats[i].ring_depth.load(Ordering::Relaxed) as f64
+                })
+            }),
+        );
+        let w = Arc::downgrade(shared);
+        telemetry.set_gauge_source(
+            &format!("shard.queue_depth{{shard=\"{i}\"}}"),
+            Box::new(move || {
+                w.upgrade()
+                    .map_or(0.0, |s| s.stats[i].queued.load(Ordering::Relaxed) as f64)
+            }),
+        );
+        let w = Arc::downgrade(shared);
+        telemetry.set_counter_source(
+            &format!("shard.wakeups{{shard=\"{i}\"}}"),
+            Box::new(move || {
+                w.upgrade()
+                    .map_or(0, |s| s.stats[i].wakeups.load(Ordering::Relaxed))
+            }),
+        );
+    }
+    let w = Arc::downgrade(shared);
+    telemetry.set_gauge_source(
+        "queue.depth",
+        Box::new(move || {
+            w.upgrade().map_or(0.0, |s| {
+                s.stats
+                    .iter()
+                    .map(|st| st.queued.load(Ordering::Relaxed))
+                    .sum::<u64>() as f64
+            })
+        }),
+    );
+    let w = Arc::downgrade(shared);
+    telemetry.set_gauge_source(
+        "server.jobs_inflight",
+        Box::new(move || {
+            w.upgrade()
+                .map_or(0.0, |s| s.jobs_inflight.load(Ordering::Relaxed) as f64)
+        }),
+    );
+    let w = Arc::downgrade(shared);
+    telemetry.set_counter_source(
+        "shard.wakeups",
+        Box::new(move || {
+            w.upgrade().map_or(0, |s| {
+                s.stats
+                    .iter()
+                    .map(|st| st.wakeups.load(Ordering::Relaxed))
+                    .sum()
+            })
+        }),
+    );
+    let w = Arc::downgrade(shared);
+    telemetry.set_counter_source(
+        "server.accept_errors",
+        Box::new(move || {
+            w.upgrade()
+                .map_or(0, |s| s.accept_errors.load(Ordering::Relaxed))
+        }),
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -788,15 +791,15 @@ impl Shard {
     #[allow(clippy::too_many_arguments)]
     fn new(
         id: usize,
-        nshards: usize,
         shared: Arc<RtShared>,
         epoll: Epoll,
         to: Vec<Option<Producer<ShardMsg>>>,
         from: Vec<Option<Consumer<ShardMsg>>>,
         ctl_rx: Consumer<CtlDone>,
         ctl_tx: mpsc::Sender<ControlJob>,
-        cfg: &RuntimeConfig,
+        cfg: &ServerConfig,
     ) -> Self {
+        let nshards = shared.stats.len();
         let engine = Arc::clone(&shared.engine);
         let tenants = Arc::clone(engine.tenants());
         let unit = engine.unit_bytes();
@@ -1101,9 +1104,8 @@ impl Shard {
             }
             JobKind::Flush => {
                 // The barriers joined: every shard has drained work
-                // enqueued before this FLUSH. Drain the engine-side
-                // group-commit batch for parity with the legacy path.
-                self.engine.flush_commits();
+                // enqueued before this FLUSH, and every acknowledged
+                // write is already in the array.
                 job.frame.clear();
                 let _ = wire::response_frame_into(&mut job.frame, job.req.id, job.status, 0);
             }

@@ -1,183 +1,80 @@
-//! The TCP serve entry point and its two backends.
+//! The TCP serve entry point.
 //!
-//! [`serve`] picks the backend for the platform:
-//!
-//! * **Sharded runtime** (Linux x86_64/aarch64, the default) — the
-//!   thread-per-core, epoll-driven runtime in [`crate::runtime`]: one
-//!   event loop per shard, stripes partitioned by owner, healthy I/O
-//!   lock-free. `ServerConfig::shards` sets the shard count (0 = one
-//!   per available core).
-//! * **Worker pool** (everywhere; [`serve_threaded`] forces it) — the
-//!   portable blocking backend below: per-connection reader threads, a
-//!   QoS-scheduled admission queue, and a worker pool executing against
-//!   the shared [`Engine`].
-//!
-//! # Worker-pool thread topology
+//! [`serve`] binds the listener and starts the thread-per-core shard
+//! runtime in [`crate::runtime`] on it — the one serving topology, on
+//! every platform:
 //!
 //! ```text
-//! accept loop ──spawns──▶ reader (1 per conn) ──push──▶ QosQueue
-//!                                                           │ pop
-//!                              worker pool (N threads) ◀────┘
-//!                                   │ engine.execute
-//!                                   ▼
-//!                         conn's Arc<Mutex<TcpStream>> ──▶ client
+//! accept thread ──deals──▶ shard event loops (1 per shard) ◀──rings──▶ peers
+//!                               │  decode → admit → execute on the
+//!                               │  stripe-owning shard → respond
+//!                               └──blocking ops──▶ control thread
 //! ```
 //!
-//! Readers classify each decoded frame through [`Engine::admission`]
-//! (which tenant, how many payload bytes) and push it into a
-//! [`pddl_volume::QosQueue`] — token buckets gate admission per tenant
-//! and deficit-weighted round-robin picks which tenant's request a
-//! worker serves next, so one tenant saturating its volume cannot
-//! starve the rest (rebuild I/O schedules as a low-priority tenant on
-//! the same ledger). A tenant at its queue depth blocks its readers,
-//! which stop draining their sockets — backpressure reaches *that
-//! tenant's* remote clients through TCP flow control rather than
-//! unbounded buffering, while other tenants keep flowing. Responses are
-//! written under a per-connection stream mutex, so replies from
-//! different workers interleave at frame granularity only.
+//! Each shard runs a readiness loop over its connections (epoll on
+//! Linux x86_64/aarch64, a sleep-poll stand-in elsewhere — see
+//! [`crate::reactor`]), owns a fixed partition of the stripes, and
+//! commits the fully-local WRITEs it decoded in one tick as a single
+//! array batch. `ServerConfig::shards` sets the shard count (0 = one
+//! per available core).
 //!
 //! # Shutdown
 //!
-//! [`ServerHandle::shutdown`] flips the stop flag, closes the queue
-//! (queued work still completes — close is graceful), pokes the
-//! listener with a wake-up connection to unblock `accept`, and joins
-//! every thread. Readers poll the flag between read-timeout ticks, so
-//! they exit within one tick.
+//! [`ServerHandle::shutdown`] stops the runtime (acceptor, shards,
+//! control thread — every thread is joined), then pauses any
+//! background rebuild and unregisters the runtime's scrape closures
+//! from the engine's telemetry plane.
 
-use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
+use std::time::Duration;
 
-use crate::engine::{CommitConfig, Engine};
-use crate::wire::{self, Request, Response, Status, WireError};
-use pddl_volume::QosQueue;
+use crate::engine::Engine;
+use crate::runtime::{self, Runtime};
 
 /// Tuning knobs for [`serve`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Shard (event-loop) threads for the sharded runtime backend;
-    /// `0` means one per available core. Ignored by the worker-pool
-    /// backend.
+    /// Shard (event-loop) threads; `0` means one per available core.
     pub shards: usize,
-    /// Worker threads executing requests (minimum 1). Worker-pool
-    /// backend only.
-    pub workers: usize,
-    /// Bounded *per-tenant* request-queue depth (minimum 1); the
-    /// backpressure point. Each tenant gets its own lane this deep.
-    pub queue_depth: usize,
-    /// Drop a connection after this long without a complete frame.
+    /// Drop a connection after this long without a complete frame
+    /// (partial-frame progress counts as activity).
     pub idle_timeout: Duration,
-    /// Granularity at which readers notice the shutdown flag.
-    pub poll_interval: Duration,
-    /// Group-commit batch threshold (`serve --commit-batch`); ≤ 1
-    /// keeps the immediate per-write path.
-    pub commit_batch: usize,
-    /// Group-commit age bound (`serve --commit-interval`): the longest
-    /// a deposited WRITE waits for batch-mates before a flush.
-    pub commit_interval: Duration,
-    /// Longest a worker may block writing one response to a slow
+    /// Longest a queued response may make no progress against a slow
     /// consumer before the connection is declared dead and evicted.
-    /// This bounds head-of-line blocking: a reader that stops draining
-    /// its socket can wedge at most `workers` threads for at most this
-    /// long, once, after which its queued jobs are shed without
-    /// executing. A genuinely slow-but-alive client must drain each
-    /// response within this budget or lose the connection.
+    /// A reader that stops draining its socket costs its shard nothing
+    /// but the buffered response; a genuinely slow-but-alive client
+    /// must keep draining within this budget or lose the connection.
     pub write_timeout: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let commit = CommitConfig::default();
         Self {
             shards: 0,
-            workers: 4,
-            queue_depth: 64,
             idle_timeout: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(50),
-            commit_batch: commit.batch,
-            commit_interval: commit.interval,
             write_timeout: Duration::from_secs(10),
         }
     }
 }
 
-/// A connection's write side, shared between its reader and every
-/// worker holding one of its jobs. `dead` flips once a response write
-/// fails or times out; pending jobs for a dead connection are shed
-/// without executing, so one stalled reader cannot serially wedge the
-/// worker pool on a connection that can no longer receive answers.
-struct ConnState {
-    stream: Mutex<TcpStream>,
-    dead: AtomicBool,
-}
-
-/// One queued unit of work: a decoded request plus the connection to
-/// answer on.
-struct Job {
-    client: u32,
-    request: Request,
-    conn: Arc<ConnState>,
-    /// When the reader pushed the job, so the worker can attribute
-    /// queue wait separately from array service time in telemetry.
-    enqueued: Instant,
-}
-
-struct Shared {
-    engine: Arc<Engine>,
-    queue: QosQueue<Job>,
-    stop: AtomicBool,
-    conn_seq: AtomicU32,
-    /// Reader threads park their handles here for the final join.
-    readers: Mutex<Vec<JoinHandle<()>>>,
-    /// Served request count (successful or not), for INFO-style stats.
-    requests: AtomicU64,
-}
-
-/// The serving machinery behind a [`ServerHandle`].
-enum Backend {
-    /// The portable blocking worker-pool backend.
-    Pool {
-        shared: Arc<Shared>,
-        accept_thread: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    /// The thread-per-core sharded runtime ([`crate::runtime`]).
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Sharded(Option<crate::runtime::Runtime>),
-}
-
 /// A running server; dropping the handle does **not** stop it — call
 /// [`ServerHandle::shutdown`].
 pub struct ServerHandle {
-    addr: SocketAddr,
     engine: Arc<Engine>,
-    backend: Backend,
+    runtime: Runtime,
 }
 
 impl ServerHandle {
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.runtime.local_addr()
     }
 
     /// Requests executed so far.
     pub fn requests_served(&self) -> u64 {
-        match &self.backend {
-            Backend::Pool { shared, .. } => shared.requests.load(Ordering::Relaxed),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Sharded(rt) => rt
-                .as_ref()
-                .map_or(0, crate::runtime::Runtime::requests_served),
-        }
+        self.runtime.requests_served()
     }
 
     /// The shared engine (e.g. to snapshot volume info while serving).
@@ -185,74 +82,23 @@ impl ServerHandle {
         &self.engine
     }
 
-    /// Event-loop shards when the sharded runtime backend is serving;
-    /// `None` under the portable worker-pool backend.
-    pub fn runtime_shards(&self) -> Option<usize> {
-        match &self.backend {
-            Backend::Pool { .. } => None,
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Sharded(rt) => rt.as_ref().map(crate::runtime::Runtime::shard_count),
-        }
+    /// Event-loop shards serving this handle.
+    pub fn runtime_shards(&self) -> usize {
+        self.runtime.shard_count()
     }
 
-    /// Stop accepting, let queued requests finish, join every thread.
-    pub fn shutdown(mut self) {
-        match &mut self.backend {
-            Backend::Pool {
-                shared,
-                accept_thread,
-                workers,
-            } => {
-                shared.stop.store(true, Ordering::SeqCst);
-                // Close the queue: blocked readers fail their push and
-                // exit; workers drain what is left, then see None.
-                shared.queue.close();
-                // Release any writers parked in an open group-commit
-                // batch so the worker join below is prompt. A deposit
-                // racing this flush still self-flushes within one
-                // commit interval.
-                shared.engine.flush_commits();
-                // Unblock the accept loop with a throwaway connection.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                let readers = std::mem::take(
-                    &mut *shared
-                        .readers
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                );
-                for t in readers {
-                    let _ = t.join();
-                }
-                for t in workers.drain(..) {
-                    let _ = t.join();
-                }
-            }
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Sharded(rt) => {
-                // Release group-commit parkees first so shard joins
-                // are prompt, then stop the runtime.
-                self.engine.flush_commits();
-                if let Some(rt) = rt.take() {
-                    rt.shutdown();
-                }
-            }
-        }
+    /// Stop accepting, join every serving thread. In-flight responses
+    /// are abandoned (connections see a close); acknowledged writes are
+    /// already durable.
+    pub fn shutdown(self) {
+        self.runtime.shutdown();
         // Serving threads are done, so no new rebuild can start; pause
         // and join any in-flight background rebuild rather than leaking
         // it (its ticket stays resumable — a later REBUILD picks up
         // where it stopped).
         self.engine.stop_rebuild();
         // Drop the scrape closures so the engine (often longer-lived
-        // than any one server) stops reporting a dead backend.
+        // than any one server) stops reporting a dead runtime.
         self.engine.telemetry().clear_gauge_sources();
         self.engine.telemetry().clear_counter_sources();
     }
@@ -262,331 +108,25 @@ impl ServerHandle {
 /// engine. Returns once the listener is bound; serving continues on
 /// background threads until [`ServerHandle::shutdown`].
 ///
-/// On Linux (x86_64/aarch64) this starts the thread-per-core sharded
-/// runtime; elsewhere it falls back to the portable worker pool
-/// ([`serve_threaded`]).
-///
 /// # Errors
 ///
 /// Propagates the bind failure (or runtime setup failure).
 pub fn serve(engine: Arc<Engine>, addr: &str, config: ServerConfig) -> io::Result<ServerHandle> {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        engine.set_commit_config(CommitConfig {
-            batch: config.commit_batch,
-            interval: config.commit_interval,
-        });
-        let shards = if config.shards == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            config.shards
-        };
-        let rt = crate::runtime::start(
-            Arc::clone(&engine),
-            listener,
-            &crate::runtime::RuntimeConfig {
-                shards,
-                idle_timeout: config.idle_timeout,
-                write_timeout: config.write_timeout,
-            },
-        )?;
-        Ok(ServerHandle {
-            addr: local,
-            engine,
-            backend: Backend::Sharded(Some(rt)),
-        })
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        serve_threaded(engine, addr, config)
-    }
-}
-
-/// Bind `addr` and serve with the portable blocking worker-pool
-/// backend, regardless of platform. [`serve`] prefers the sharded
-/// runtime where available; this entry exists for comparison runs and
-/// as the fallback path.
-///
-/// # Errors
-///
-/// Propagates the bind failure.
-pub fn serve_threaded(
-    engine: Arc<Engine>,
-    addr: &str,
-    config: ServerConfig,
-) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    engine.set_commit_config(CommitConfig {
-        batch: config.commit_batch,
-        interval: config.commit_interval,
-    });
-    // The queue schedules against the engine's tenant registry, so
-    // volume creation/retuning changes admission without a restart.
-    let queue = QosQueue::new(Arc::clone(engine.tenants()), config.queue_depth);
-    let shared = Arc::new(Shared {
-        engine,
-        queue,
-        stop: AtomicBool::new(false),
-        conn_seq: AtomicU32::new(0),
-        readers: Mutex::new(Vec::new()),
-        requests: AtomicU64::new(0),
-    });
-
-    // Export the admission-queue depth as a gauge. The closure holds a
-    // Weak: Shared owns the Engine which owns the Telemetry which owns
-    // the gauge closures, so a strong Arc here would be a cycle and the
-    // whole server would leak.
-    let weak = Arc::downgrade(&shared);
-    shared.engine.telemetry().set_gauge_source(
-        "queue.depth",
-        Box::new(move || weak.upgrade().map_or(0.0, |s| s.queue.len() as f64)),
-    );
-
-    // Spawn failures (thread exhaustion) surface as the bind error
-    // would: an io::Error from `serve`, after unwinding what already
-    // started — not a panic with half a server running.
-    let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers.max(1));
-    for i in 0..config.workers.max(1) {
-        let worker_shared = Arc::clone(&shared);
-        let spawned = std::thread::Builder::new()
-            .name(format!("pddl-worker-{i}"))
-            .spawn(move || worker_loop(&worker_shared));
-        match spawned {
-            Ok(handle) => workers.push(handle),
-            Err(e) => {
-                shared.queue.close();
-                for t in workers {
-                    let _ = t.join();
-                }
-                return Err(e);
-            }
-        }
-    }
-
-    let accept_thread = {
-        let accept_shared = Arc::clone(&shared);
-        let config = config.clone();
-        let spawned = std::thread::Builder::new()
-            .name("pddl-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared, &config));
-        match spawned {
-            Ok(handle) => handle,
-            Err(e) => {
-                shared.queue.close();
-                for t in workers {
-                    let _ = t.join();
-                }
-                return Err(e);
-            }
-        }
-    };
-
-    Ok(ServerHandle {
-        addr: local,
-        engine: Arc::clone(&shared.engine),
-        backend: Backend::Pool {
-            shared,
-            accept_thread: Some(accept_thread),
-            workers,
-        },
-    })
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, config: &ServerConfig) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            return; // the wake-up connection, or a raced late client
-        }
-        let client = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-        let shared2 = Arc::clone(shared);
-        let config2 = config.clone();
-        let spawned = std::thread::Builder::new()
-            .name(format!("pddl-conn-{client}"))
-            .spawn(move || reader_loop(stream, client, &shared2, &config2));
-        let Ok(handle) = spawned else {
-            // Thread exhaustion is reachable from the network (enough
-            // concurrent connections); shed this connection and keep
-            // serving the ones that exist instead of crashing them all.
-            continue;
-        };
-        let mut readers = shared
-            .readers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Reap readers whose connections already ended, so a
-        // long-running server holds handles only for live connections
-        // rather than one per connection ever accepted.
-        readers.retain(|h| !h.is_finished());
-        readers.push(handle);
-    }
-}
-
-/// Answer directly on the reader thread — used for failures that must
-/// not go through the queue (shutdown refusal, decode errors).
-fn answer_inline(conn: &Arc<ConnState>, id: u64, status: Status) {
-    let resp = Response {
-        id,
-        status,
-        payload: Vec::new(),
-    };
-    let mut s = conn
-        .stream
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _ = wire::write_response(&mut *s, &resp);
-    let _ = s.flush();
-}
-
-fn reader_loop(stream: TcpStream, client: u32, shared: &Arc<Shared>, config: &ServerConfig) {
-    // Short kernel read timeout = the poll tick; idle tracking on top.
-    let _ = stream.set_read_timeout(Some(config.poll_interval));
-    // Response writes are bounded: a consumer that stops draining its
-    // socket turns worker writes into timeouts instead of wedging the
-    // pool forever (see ServerConfig::write_timeout).
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let write_half = Arc::new(ConnState {
-        stream: Mutex::new(stream),
-        dead: AtomicBool::new(false),
-    });
-    // The incremental reader keeps partial frames across poll ticks, so
-    // a network stall in the middle of a large WRITE only delays the
-    // request instead of desyncing the stream.
-    let mut reader = wire::RequestReader::new();
-    let mut last_activity = Instant::now();
-    let mut buffered = 0usize;
-
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match reader.poll(&mut read_half) {
-            Ok(Some(request)) => {
-                last_activity = Instant::now();
-                buffered = 0;
-                let id = request.id;
-                // Classify before queueing: which tenant pays, and how
-                // many bytes the token bucket should charge.
-                let (tenant, bytes) = shared.engine.admission(&request);
-                // A connection a worker declared dead sheds the rest
-                // of its inflight pipeline here instead of queueing
-                // more work nothing can answer.
-                if write_half.dead.load(Ordering::SeqCst) {
-                    return;
-                }
-                let job = Job {
-                    client,
-                    request,
-                    conn: Arc::clone(&write_half),
-                    enqueued: Instant::now(),
-                };
-                if shared.queue.push(tenant, bytes, job).is_err() {
-                    // Queue closed: the server is shutting down.
-                    answer_inline(&write_half, id, Status::Shutdown);
-                    return;
-                }
-            }
-            Ok(None) => return, // clean EOF
-            Err(WireError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Poll tick; any mid-frame progress counts as activity,
-                // so the idle budget only expires a connection that is
-                // genuinely sending nothing.
-                if reader.buffered() > buffered {
-                    last_activity = Instant::now();
-                }
-                buffered = reader.buffered();
-                if last_activity.elapsed() >= config.idle_timeout {
-                    return;
-                }
-            }
-            Err(_) => {
-                // Malformed frame: the stream is desynced; tell the
-                // client what happened and drop the connection.
-                answer_inline(&write_half, 0, Status::BadRequest);
-                return;
-            }
-        }
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    // One response frame per worker, reused across requests: once it
-    // has grown to the largest response this worker has served (capped
-    // by MAX_PAYLOAD), responses stop paying an allocation + zeroing
-    // pass per request.
-    let mut frame = Vec::new();
-    while let Some(job) = shared.queue.pop() {
-        // Shed without executing: the connection died after this job
-        // was queued (a peer write timed out), so no answer can land
-        // and running the request would only burn array time.
-        if job.conn.dead.load(Ordering::SeqCst) {
-            continue;
-        }
-        // The engine shapes the frame in place; for reads the array
-        // wrote the payload bytes straight into it, so the bytes hit
-        // the socket without an intermediate copy. Frame construction
-        // cannot fail (oversized payloads were refused at request
-        // validation), so the only write error left is I/O.
-        let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
-        shared
-            .engine
-            .execute_queued_frame_into(job.client, &job.request, &mut frame, queue_ns);
-        shared.requests.fetch_add(1, Ordering::Relaxed);
-        // A poisoned stream mutex (a peer worker panicked mid-write)
-        // must not orphan this request id — recover the guard and
-        // answer anyway; at worst the desynced client drops the
-        // connection, which is its recovery path regardless.
-        let mut s = job
-            .conn
-            .stream
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Re-check under the lock: a peer worker may have waited out
-        // its write timeout on this very stream while we parked here.
-        if job.conn.dead.load(Ordering::SeqCst) {
-            continue;
-        }
-        // A transport failure — including a write timeout against a
-        // reader that stopped draining — means the connection can no
-        // longer receive answers: flag it dead (sheds its queued jobs)
-        // and tear the socket down so its reader exits promptly.
-        if wire::write_frame(&mut *s, &frame).is_err() {
-            job.conn.dead.store(true, Ordering::SeqCst);
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
+    let runtime = runtime::start(Arc::clone(&engine), listener, &config)?;
+    Ok(ServerHandle { engine, runtime })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::wire::{self, Status};
     use pddl_array::DeclusteredArray;
     use pddl_core::Pddl;
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::Instant;
 
     fn start() -> ServerHandle {
         let layout = Pddl::new(7, 3).unwrap();
@@ -606,33 +146,9 @@ mod tests {
         handle.shutdown();
     }
 
-    /// The portable worker-pool backend stays functional even where
-    /// [`serve`] prefers the sharded runtime.
-    #[test]
-    fn worker_pool_backend_still_serves() {
-        let layout = Pddl::new(7, 3).unwrap();
-        let array = DeclusteredArray::new(Box::new(layout), 16, 4).unwrap();
-        let handle = serve_threaded(
-            Arc::new(Engine::new(array)),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-        )
-        .unwrap();
-        let mut c = Client::connect(handle.local_addr()).unwrap();
-        let data = vec![0xa5u8; 16];
-        c.write_units(0, &data).unwrap();
-        assert_eq!(c.read_units(0, 1).unwrap(), data);
-        assert!(handle.requests_served() >= 2);
-        handle.shutdown();
-    }
-
     /// Explicit multi-shard runtime: requests that span stripe groups
     /// exercise the cross-shard fan-out/join path, FLUSH exercises the
     /// barrier, and everything must still round-trip exactly.
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
     #[test]
     fn four_shards_serve_cross_shard_requests_and_flush() {
         let layout = Pddl::new(7, 3).unwrap();
@@ -729,42 +245,87 @@ mod tests {
         assert!(t.elapsed() < Duration::from_secs(5));
     }
 
-    /// `serve` with commit batching on: concurrent clients coalesce
-    /// into group commits, every write is acknowledged and readable,
-    /// and shutdown is not held hostage by an open batch.
+    /// The tick batch really batches: single-unit WRITEs fired
+    /// back-to-back on 8 connections of a 1-shard server (one request
+    /// per connection is in flight, so depth comes from connections)
+    /// must, at least once in 200 rounds, be decoded in the same tick
+    /// and commit as one array batch — fewer journal batches than
+    /// writes, and a batch of ≥ 2 ops on record. Submitting each
+    /// pending write on its own in `flush_write_batch` fails this.
     #[test]
-    fn serves_batched_commits_from_concurrent_clients() {
+    fn tick_batch_coalesces_writes_from_concurrent_connections() {
+        const CONNS: usize = 8;
+        const ROUNDS: usize = 200;
         let layout = Pddl::new(7, 3).unwrap();
-        let array = DeclusteredArray::new(Box::new(layout), 16, 4).unwrap();
-        let engine = Arc::new(Engine::new(array));
+        let mut array = DeclusteredArray::new(Box::new(layout), 16, 4).unwrap();
+        let observer = Arc::new(std::sync::Mutex::new(pddl_obs::Observer::new(
+            pddl_obs::ObsConfig::default(),
+        )));
+        array.attach_observer(observer.clone());
         let handle = serve(
-            engine,
+            Arc::new(Engine::new(array)),
             "127.0.0.1:0",
             ServerConfig {
-                commit_batch: 4,
-                commit_interval: Duration::from_millis(2),
+                shards: 1,
                 ..ServerConfig::default()
             },
         )
         .unwrap();
-        let addr = handle.local_addr();
-        let writers: Vec<_> = (0..4u64)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect(addr).unwrap();
-                    for round in 0..8u64 {
-                        let fill = (i * 16 + round) as u8;
-                        c.write_units(i * 4, &[fill; 64]).unwrap();
-                        assert_eq!(c.read_units(i * 4, 4).unwrap(), vec![fill; 64]);
-                    }
-                })
+        let cap = handle.engine().volume_info().capacity_units;
+        let mut socks: Vec<TcpStream> = (0..CONNS)
+            .map(|_| {
+                let s = TcpStream::connect(handle.local_addr()).unwrap();
+                s.set_nodelay(true).unwrap();
+                s
             })
             .collect();
-        for w in writers {
-            w.join().unwrap();
+        let fill = |round: usize, conn: usize| (round * CONNS + conn) as u8 | 1;
+        let mut latest = vec![None; cap as usize];
+        let mut frame = Vec::new();
+        for round in 0..ROUNDS {
+            for (conn, s) in socks.iter_mut().enumerate() {
+                let unit = ((round * CONNS + conn) as u64 * 5) % cap;
+                frame.clear();
+                wire::write_request(
+                    &mut frame,
+                    &wire::Request {
+                        id: round as u64,
+                        op: wire::Op::Write,
+                        volume: 0,
+                        offset: unit,
+                        length: 1,
+                        payload: vec![fill(round, conn); 16],
+                    },
+                )
+                .unwrap();
+                s.write_all(&frame).unwrap();
+                latest[unit as usize] = Some(fill(round, conn));
+            }
+            for s in &mut socks {
+                let resp = wire::read_response(s).unwrap().unwrap();
+                assert_eq!((resp.id, resp.status), (round as u64, Status::Ok));
+            }
+        }
+        let acked = (CONNS * ROUNDS) as u64;
+        let mut c = Client::connect(handle.local_addr()).unwrap();
+        for (unit, byte) in latest.iter().enumerate() {
+            if let Some(b) = byte {
+                assert_eq!(c.read_units(unit as u64, 1).unwrap(), vec![*b; 16]);
+            }
         }
         assert!(handle.engine().outstanding_intents().is_empty());
         assert!(handle.engine().scrub().unwrap().is_empty());
+        {
+            let obs = observer.lock().unwrap();
+            let r = obs.registry();
+            let batches = r.counter("journal.group_commits").unwrap();
+            let max_ops = r.histogram("journal.batch_ops").unwrap().max();
+            assert!(max_ops >= 2, "no tick ever batched two writes");
+            assert!(
+                batches < acked,
+                "{batches} journal batches for {acked} writes: nothing coalesced"
+            );
+        }
         let t = Instant::now();
         handle.shutdown();
         assert!(t.elapsed() < Duration::from_secs(5));

@@ -3,11 +3,11 @@
 //! not inflate a healthy client's tail latency past a bound, and must
 //! not wedge the server.
 //!
-//! This pins two defenses together: the bounded per-tenant admission
-//! queues (PR 2's backpressure) keep the stalled connection's jobs
-//! from monopolizing the worker pool, and the per-connection write
-//! timeout marks the connection dead after one bounded stall so queued
-//! jobs for it are shed instead of serially re-wedging workers.
+//! This pins two defenses together: one request per connection is in
+//! flight (the stalled connection's pipeline stays in its socket
+//! buffer, and its shard never blocks on the write — unsent response
+//! bytes wait in the connection's buffer), and the per-connection write
+//! timeout reaps the connection after one bounded stall.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -31,7 +31,6 @@ fn stalled_reader_does_not_wedge_healthy_clients() {
         engine,
         "127.0.0.1:0",
         ServerConfig {
-            workers: 2,
             write_timeout,
             ..ServerConfig::default()
         },

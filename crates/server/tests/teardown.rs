@@ -115,9 +115,8 @@ fn teardown_during_cross_shard_flush_leaks_no_join_state() {
 }
 
 /// A clean half-close midway through a request header must be answered
-/// with one `BadRequest` (id 0) before the server closes — the same
-/// contract the pool backend keeps. Regression: the sharded runtime
-/// used to lump the reader's `UnexpectedEof` in with transport errors
+/// with one `BadRequest` (id 0) before the server closes, like any
+/// other malformed frame. Regression: the sharded runtime used to lump the reader's `UnexpectedEof` in with transport errors
 /// and close silently.
 #[test]
 fn truncated_header_half_close_gets_bad_request() {

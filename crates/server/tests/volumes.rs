@@ -139,16 +139,7 @@ fn rate_limited_tenant_keeps_fair_share_under_saturation_and_rebuild() {
             rate: 60.0,
         },
     ));
-    let handle = serve(
-        engine,
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 4,
-            queue_depth: 16,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let handle = serve(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = handle.local_addr();
 
     let mut admin = Client::connect(addr).unwrap();

@@ -357,11 +357,14 @@ enum PopOutcome<T> {
 
 /// A bounded, multi-tenant admission queue: per-tenant FIFOs, deficit-
 /// weighted round robin between tenants, token-bucket gating via the
-/// shared [`TenantRegistry`]. Drop-in for the server's `BoundedQueue`
-/// seam: `push` blocks when the *tenant's* queue is full (per-tenant
+/// shared [`TenantRegistry`]. The seam is a blocking bounded queue's:
+/// `push` blocks when the *tenant's* queue is full (per-tenant
 /// backpressure), `pop` blocks until work is admissible, `close` is
 /// graceful (queued work drains, bypassing buckets so shutdown never
-/// waits on a refill).
+/// waits on a refill). The served stack no longer queues — its shard
+/// loops admit each frame with [`TenantRegistry::try_admit`] and park
+/// it on a deadline — so today's callers are the benchmarks that price
+/// the scheduler itself.
 pub struct QosQueue<T> {
     registry: Arc<TenantRegistry>,
     inner: Mutex<QueueInner<T>>,
