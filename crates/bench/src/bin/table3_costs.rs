@@ -3,8 +3,8 @@
 //!
 //! Translation time is measured directly: nanoseconds per
 //! logical-address-to-physical-address translation, averaged over a
-//! large deterministic sweep (the Criterion bench `mapping` gives the
-//! rigorous version).
+//! large deterministic sweep (`stackbench`'s `core.map_ns.*` layer
+//! metrics report the same quantity on every benchmark run).
 //!
 //! ```text
 //! cargo run --release -p pddl-bench --bin table3_costs

@@ -625,6 +625,15 @@ impl RunOutcome {
     }
 }
 
+/// Nearest-rank percentile over an ascending-sorted slice (0 if empty).
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 fn build_engine(spec: &ScenarioSpec) -> Result<Engine, String> {
     let layout = Pddl::new(spec.disks, spec.width)
         .map_err(|e| format!("layout {}x{}: {e:?}", spec.disks, spec.width))?;
@@ -797,6 +806,14 @@ fn run_trace_on(spec: &ScenarioSpec, engine: Engine, trace: OpTrace) -> Result<R
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), 0);
+        let sorted = [10, 20, 30, 40, 100];
+        assert_eq!(percentile(&sorted, 0.50), 30);
+        assert_eq!(percentile(&sorted, 0.99), 100);
+    }
 
     #[test]
     fn defaults_render_and_round_trip() {

@@ -1,6 +1,7 @@
 //! Minimal wall-clock micro-benchmark harness: no external
-//! dependencies, TSV output. Used by the `[[bench]]` targets (gated
-//! behind the off-by-default `bench` feature) in place of a framework.
+//! dependencies, TSV output. Used by the `simulator` `[[bench]]` target
+//! (gated behind the off-by-default `bench` feature) in place of a
+//! framework.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use pddl_array::DeclusteredArray;
-use pddl_bench::scenario::{run_spec, run_trace, RunOutcome, ScenarioSpec};
+use pddl_bench::scenario::{percentile, run_spec, run_trace, RunOutcome, ScenarioSpec};
 use pddl_core::analysis::{check_goals, mean_working_set, reconstruction_reads};
 use pddl_core::layout::Layout;
 use pddl_core::pddl::search::{find_base_permutations_with_spares, SearchBudget};
@@ -1011,9 +1011,9 @@ fn scenario_series(label: &str, mut samples_ns: Vec<u64>) {
     let us = |v: u64| v as f64 / 1e3;
     println!(
         "  {label:<9}: p50 {:>9.1} µs  p95 {:>9.1} µs  p99 {:>9.1} µs  ({} ops)",
-        us(pddl_bench::report::percentile(&samples_ns, 0.50)),
-        us(pddl_bench::report::percentile(&samples_ns, 0.95)),
-        us(pddl_bench::report::percentile(&samples_ns, 0.99)),
+        us(percentile(&samples_ns, 0.50)),
+        us(percentile(&samples_ns, 0.95)),
+        us(percentile(&samples_ns, 0.99)),
         samples_ns.len(),
     );
 }

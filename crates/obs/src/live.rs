@@ -26,7 +26,7 @@
 //! it. Slots are claimed with a `fetch_add` on the ring head so two
 //! threads that happen to share a shard still write distinct slots.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::hist::{self, LogHistogram, BUCKETS};
@@ -410,7 +410,6 @@ type CounterSource = (String, Box<dyn Fn() -> u64 + Send + Sync>);
 /// scrape snapshots, and the flight recorder. Shared as `Arc`.
 pub struct Telemetry {
     shards: Vec<TelemetryShard>,
-    enabled: AtomicBool,
     slow_threshold_ns: AtomicU64,
     /// Scrape-time-only gauge sources (e.g. queue depth); never touched
     /// on the recording path, so the `Mutex` costs nothing per op.
@@ -427,7 +426,6 @@ impl Telemetry {
     pub fn new(shards: usize) -> Self {
         Self {
             shards: (0..shards.max(1)).map(|_| TelemetryShard::new()).collect(),
-            enabled: AtomicBool::new(true),
             slow_threshold_ns: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_NS),
             gauge_sources: Mutex::new(Vec::new()),
             counter_sources: Mutex::new(Vec::new()),
@@ -437,17 +435,6 @@ impl Telemetry {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Turn recording on/off (off = one `Relaxed` load per op, for the
-    /// obs-off side of overhead benchmarks).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Ops with `total_ns` at or above this land in the slow ring too.
@@ -517,9 +504,6 @@ impl Telemetry {
     /// counters, latency + queue-wait histograms, and the flight
     /// recorder. Lock-free and allocation-free.
     pub fn record(&self, rec: &OpRecord) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let shard = self.shard();
         let op = rec.op.index();
         shard.ops[op].fetch_add(1, Ordering::Relaxed);
@@ -872,15 +856,6 @@ mod tests {
         assert_eq!(a.counter("op.trim.count"), Some(0));
         assert_eq!(a.gauge("queue.depth"), Some(3.0));
         assert!(a.hist("latency.read_ns").is_some());
-    }
-
-    #[test]
-    fn disabled_records_nothing() {
-        let t = Telemetry::new(1);
-        t.set_enabled(false);
-        t.record(&rec(OpKind::Read, 100));
-        assert_eq!(t.snapshot().counter("op.read.count"), Some(0));
-        assert!(t.spans().is_empty());
     }
 
     #[test]

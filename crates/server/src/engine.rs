@@ -993,23 +993,16 @@ impl Engine {
     }
 
     /// Execute one request, producing the fully encoded response
-    /// *frame* to send back. Reads are zero-copy: the frame is sized up
-    /// front and the array writes the payload bytes directly into its
-    /// payload region, eliminating the payload-`Vec` → frame copy of
-    /// [`Engine::execute`] + `write_response`. Never panics; every
-    /// failure maps to a status.
-    pub fn execute_frame(&self, client: u32, req: &Request) -> Vec<u8> {
-        let mut frame = Vec::new();
-        self.execute_frame_into(client, req, &mut frame);
-        frame
-    }
-
-    /// [`Engine::execute_frame`] into a caller-owned buffer, which is
-    /// resized and overwritten in place. A caller that keeps one buffer
-    /// per thread stops paying a response-sized allocation + zeroing
-    /// pass per request: once the buffer has grown to the largest
-    /// response seen, the frame costs nothing to produce and a healthy
-    /// READ is a single array-to-frame copy.
+    /// *frame* to send back in a caller-owned buffer, which is resized
+    /// and overwritten in place. Reads are zero-copy: the frame is
+    /// sized up front and the array writes the payload bytes directly
+    /// into its payload region, eliminating the payload-`Vec` → frame
+    /// copy of [`Engine::execute`] + `write_response`. A caller that
+    /// keeps one buffer per thread stops paying a response-sized
+    /// allocation + zeroing pass per request: once the buffer has grown
+    /// to the largest response seen, the frame costs nothing to produce
+    /// and a healthy READ is a single array-to-frame copy. Never
+    /// panics; every failure maps to a status.
     pub fn execute_frame_into(&self, client: u32, req: &Request, frame: &mut Vec<u8>) {
         self.execute_queued_frame_into(client, req, frame, 0);
     }
@@ -1680,6 +1673,13 @@ mod tests {
         }
     }
 
+    /// `execute_frame_into` on a buffer nothing was ever written to.
+    fn fresh_frame(e: &Engine, r: &Request) -> Vec<u8> {
+        let mut frame = Vec::new();
+        e.execute_frame_into(0, r, &mut frame);
+        frame
+    }
+
     /// The zero-copy frame path must emit byte-identical frames to
     /// encoding the `Response` that `execute` produces — across
     /// success, every validation failure, and mode changes.
@@ -1703,8 +1703,7 @@ mod tests {
             let response = e.execute(0, r);
             let mut expect = Vec::new();
             wire::write_response(&mut expect, &response).unwrap();
-            let frame = e.execute_frame(0, r);
-            assert_eq!(frame, expect, "op {:?} len {}", r.op, r.length);
+            assert_eq!(fresh_frame(&e, r), expect, "op {:?} len {}", r.op, r.length);
         }
         // Degraded reads go through reconstruction — still identical.
         assert_eq!(
@@ -1716,7 +1715,7 @@ mod tests {
         assert_eq!(response.status, Status::Ok);
         let mut expect = Vec::new();
         wire::write_response(&mut expect, &response).unwrap();
-        assert_eq!(e.execute_frame(0, &r), expect);
+        assert_eq!(fresh_frame(&e, &r), expect);
     }
 
     /// A reused frame buffer must produce exactly the frames a fresh
@@ -1738,7 +1737,7 @@ mod tests {
             e.execute_frame_into(0, r, &mut frame);
             assert_eq!(
                 frame,
-                e.execute_frame(0, r),
+                fresh_frame(&e, r),
                 "op {:?} offset {} len {}",
                 r.op,
                 r.offset,

@@ -330,4 +330,69 @@ mod tests {
         handle.shutdown();
         assert!(t.elapsed() < Duration::from_secs(5));
     }
+
+    /// Connection fan-in: one thread holds 256 sockets open against 1
+    /// shard and again against 4, puts one single-unit READ on every
+    /// socket before reading any response, then collects them all.
+    /// Socket `i` reads unit `37 * i`: the units walk through ~300
+    /// stripe groups, so with 4 shards every shard owns some and most
+    /// READs hop to a peer. Every request is served with the right
+    /// bytes and no job is left in flight.
+    #[test]
+    fn connection_fan_in_serves_every_socket_on_one_and_four_shards() {
+        const SOCKS: u64 = 256;
+        const STRIDE: u64 = 37;
+        for shards in [1, 4] {
+            let layout = Pddl::new(7, 3).unwrap();
+            let array = DeclusteredArray::new(Box::new(layout), 16, 512).unwrap();
+            let handle = serve(
+                Arc::new(Engine::new(array)),
+                "127.0.0.1:0",
+                ServerConfig {
+                    shards,
+                    ..ServerConfig::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(handle.runtime_shards(), shards);
+            assert!(SOCKS * STRIDE <= handle.engine().volume_info().capacity_units);
+            let mut c = Client::connect(handle.local_addr()).unwrap();
+            for i in 0..SOCKS {
+                c.write_units(i * STRIDE, &[i as u8 | 1; 16]).unwrap();
+            }
+            let served_before = handle.requests_served();
+
+            let mut socks: Vec<TcpStream> = (0..SOCKS)
+                .map(|_| TcpStream::connect(handle.local_addr()).unwrap())
+                .collect();
+            let mut frame = Vec::new();
+            for (i, s) in socks.iter_mut().enumerate() {
+                frame.clear();
+                wire::write_request(
+                    &mut frame,
+                    &wire::Request {
+                        id: i as u64,
+                        op: wire::Op::Read,
+                        volume: 0,
+                        offset: i as u64 * STRIDE,
+                        length: 1,
+                        payload: Vec::new(),
+                    },
+                )
+                .unwrap();
+                s.write_all(&frame).unwrap();
+            }
+            for (i, s) in socks.iter_mut().enumerate() {
+                let resp = wire::read_response(s).unwrap().unwrap();
+                assert_eq!((resp.id, resp.status), (i as u64, Status::Ok));
+                assert_eq!(resp.payload, vec![i as u8 | 1; 16], "{shards} shards");
+            }
+            assert!(handle.requests_served() - served_before >= SOCKS);
+            // A job leaves the gauge before its response is queued, so
+            // with every response read nothing can still be counted.
+            let snap = handle.engine().telemetry().snapshot();
+            assert_eq!(snap.gauge("server.jobs_inflight"), Some(0.0));
+            handle.shutdown();
+        }
+    }
 }

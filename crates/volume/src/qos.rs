@@ -9,9 +9,7 @@
 //!   tenants by deficit round robin — each visit credits the tenant
 //!   `QUANTUM × weight` bytes of deficit, and an op is dispatched only
 //!   when its cost fits the deficit *and* the tenant's token buckets
-//!   (ops/s and bytes/s) admit it. With enforcement off the queue
-//!   degrades to a global-arrival-order FIFO, which is exactly the
-//!   "before" side of the `multi_tenant_skew` benchmark.
+//!   (ops/s and bytes/s) admit it.
 //! - Non-queued actors charge the registry directly:
 //!   [`TenantRegistry::admit`] blocks until the tenant's buckets cover
 //!   the cost. The engine's rebuild worker runs as the reserved
@@ -24,7 +22,7 @@
 //! lost.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -139,7 +137,6 @@ struct TenantState {
 /// [`TenantRegistry::admit`] callers (rebuild).
 pub struct TenantRegistry {
     epoch: Instant,
-    enforce: AtomicBool,
     /// Admissions deferred at least once by a token bucket (telemetry).
     throttled: AtomicU64,
     inner: Mutex<HashMap<u32, TenantState>>,
@@ -152,11 +149,10 @@ impl Default for TenantRegistry {
 }
 
 impl TenantRegistry {
-    /// An empty registry with enforcement on.
+    /// An empty registry.
     pub fn new() -> Self {
         Self {
             epoch: Instant::now(),
-            enforce: AtomicBool::new(true),
             throttled: AtomicU64::new(0),
             inner: Mutex::new(HashMap::new()),
         }
@@ -170,17 +166,6 @@ impl TenantRegistry {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Turn enforcement on/off globally (off = pure FIFO admission;
-    /// used as the baseline side of QoS benchmarks).
-    pub fn set_enforced(&self, on: bool) {
-        self.enforce.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether rate limits and fair queueing apply.
-    pub fn enforced(&self) -> bool {
-        self.enforce.load(Ordering::Relaxed)
     }
 
     /// Admissions that were deferred by a token bucket so far.
@@ -268,9 +253,6 @@ impl TenantRegistry {
     ///
     /// The earliest time (ns from now) at which a retry could succeed.
     pub fn try_admit(&self, tenant: u32, bytes: u64) -> Result<(), u64> {
-        if !self.enforced() {
-            return Ok(());
-        }
         let now = self.now_ns();
         let mut inner = self.lock();
         let Some(state) = inner.get_mut(&tenant) else {
@@ -450,9 +432,9 @@ impl<T> QosQueue<T> {
         if inner.len == 0 {
             return PopOutcome::Empty;
         }
-        // During drain-after-close, and with enforcement off, serve in
-        // global arrival order — a plain FIFO across tenants.
-        if inner.closed || !self.registry.enforced() {
+        // During drain-after-close serve in global arrival order — a
+        // plain FIFO across tenants.
+        if inner.closed {
             let qi = inner
                 .queues
                 .iter()
@@ -624,10 +606,8 @@ mod tests {
         let wait = r.try_admit(7, 100).unwrap_err();
         assert!(wait > 0);
         assert!(r.throttled_total() >= 1);
-        // Unregistered tenants and enforcement-off are unlimited.
+        // Unregistered tenants are unlimited.
         assert!(r.try_admit(99, 1 << 30).is_ok());
-        r.set_enforced(false);
-        assert!(r.try_admit(7, 100).is_ok());
     }
 
     #[test]
@@ -663,19 +643,6 @@ mod tests {
         r.release(5);
         assert!(r.limits(5).is_none());
         assert!(!r.set_limits(5, TenantLimits::default()));
-    }
-
-    #[test]
-    fn enforcement_off_is_global_fifo() {
-        let r = Arc::new(TenantRegistry::new());
-        r.set_enforced(false);
-        let q = QosQueue::new(Arc::clone(&r), 16);
-        q.push(1, 0, "a1").unwrap();
-        q.push(2, 0, "b1").unwrap();
-        q.push(1, 0, "a2").unwrap();
-        q.push(2, 0, "b2").unwrap();
-        let order: Vec<_> = (0..4).map(|_| q.pop().unwrap()).collect();
-        assert_eq!(order, vec!["a1", "b1", "a2", "b2"]);
     }
 
     #[test]
@@ -788,8 +755,10 @@ mod tests {
             },
         );
         let q = QosQueue::new(Arc::clone(&r), 8);
+        // Two tenants interleaved: the drain is a FIFO across tenants,
+        // not per-tenant round robin.
         for i in 0..5u32 {
-            q.push(1, 0, i).unwrap();
+            q.push(1 + i % 2, 0, i).unwrap();
         }
         q.close();
         assert_eq!(q.push(1, 0, 9), Err(9));
