@@ -213,19 +213,22 @@ pub fn run(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<RunResult, String> {
         engine.clone(),
         "127.0.0.1:0",
         ServerConfig {
-            // Pin two event-loop shards so every chaos run exercises
-            // cross-shard routing and fan-out joins, even on the
-            // single-core CI hosts where the auto default would be 1.
-            shards: 2,
+            // The shard count is a function of the seed — 1, 2 or 4
+            // event loops — so a sweep covers the all-local runtime,
+            // cross-shard routing and wider fan-out joins whatever the
+            // host's core count (the auto default would make it 1 on
+            // single-core CI), and `--seed N` still reproduces.
+            shards: [1, 2, 4][(plan.seed % 3) as usize],
             idle_timeout: Duration::from_secs(120),
             // Write batching is on, as it is for every served WRITE:
-            // local WRITEs from different clients that a shard decodes
-            // in one tick commit as one array batch. The checker's
-            // exact per-op oracle survives that because `write_batch`
-            // reports per op and contains a media fault to the stripe
-            // it hit, and same-tick ops come from different clients,
-            // whose blocks are disjoint. The harness test asserts a
-            // sweep sees such a batch (`Counters::max_batch_ops`);
+            // the WRITE chunks a shard takes in during one tick — from
+            // its own connections or routed from a peer — commit as
+            // one array batch. The checker's exact per-op oracle
+            // survives that because `write_batch` reports per op and
+            // contains a media fault to the stripe it hit, and
+            // same-tick ops come from different clients, whose blocks
+            // are disjoint. The harness test asserts a sweep sees such
+            // a batch (`Counters::max_batch_ops`);
             // `FaultEvent::CrashMidCommit` tears one on purpose.
             ..ServerConfig::default()
         },

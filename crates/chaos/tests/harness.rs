@@ -63,9 +63,10 @@ fn sabotage_is_caught_and_shrunk() {
 /// The same sweep proves chaos checks the write path that ships: it
 /// runs with tick batching on, so somewhere in the 20 seeds an array
 /// write batch must have carried two or more client ops. (Which tick
-/// two WRITEs meet in is timing, so single seeds may see none; about
-/// a third of the seeds home two clients' regions on one shard and
-/// coalesce on nearly every run.)
+/// two WRITEs meet in is timing, so single seeds may see none; WRITE
+/// chunks batch on the shard that owns them whichever shard decoded
+/// them, so seeds of every shard count — 1, 2 and 4, by seed —
+/// contribute.)
 #[test]
 fn crash_mid_commit_tears_and_replay_repairs() {
     let cfg = ChaosConfig::default();

@@ -54,7 +54,7 @@ USAGE:
                    export the functional array as a TCP block service;
                    --shards S = thread-per-core event loops (0 = one
                    per core, the default), each committing the WRITEs
-                   it decodes in one tick as one array batch;
+                   that reach it in one tick as one array batch;
                    --stripe-shards L = engine stripe-lock table size;
                    REBUILD runs online in batches of B stripes,
                    throttled to R stripes/sec (0 = unthrottled);

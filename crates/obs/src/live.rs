@@ -20,7 +20,7 @@
 //! sums are a consistent-enough point-in-time view for metrics, and
 //! nothing synchronizes *through* a counter.
 //!
-//! The flight recorder is a per-shard ring of fixed [`SpanSlot`]s, each
+//! The flight recorder is a per-shard ring of fixed `SpanSlot`s, each
 //! guarded by its own seqlock (`seq` odd while a writer is mid-update).
 //! Writers never block; a reader that observes a torn slot simply skips
 //! it. Slots are claimed with a `fetch_add` on the ring head so two

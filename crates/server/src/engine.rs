@@ -58,7 +58,7 @@
 //!
 //! `REBUILD` no longer quiesces the array for the whole reconstruction.
 //! The request validates and creates a resumable
-//! [`RebuildTicket`](pddl_array::RebuildTicket) synchronously (typed
+//! [`RebuildTicket`] synchronously (typed
 //! errors still come back immediately), then a dedicated background
 //! thread steps it in bounded batches. Each batch holds only the array
 //! **read** lock plus the shard locks covering that batch's stripes —
@@ -75,8 +75,9 @@
 //! through the array's batched journal path (a lone `write` is a
 //! `write_batch` of one) and is in the array when the call returns, so
 //! `FLUSH` has nothing engine-side to drain. Coalescing happens one
-//! layer up: the runtime hands every fully-local WRITE a shard decoded
-//! in one tick to [`Engine::shard_write_batch`] as one batch.
+//! layer up: the runtime hands every WRITE chunk a shard took in during
+//! one tick — decoded there or routed from a peer — to
+//! [`Engine::shard_write_batch`] as one batch.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
@@ -86,8 +87,7 @@ use std::time::{Duration, Instant};
 use pddl_array::{ArrayError, ArrayMode, DeclusteredArray, RebuildTicket};
 use pddl_obs::{Actor, Event, OpKind, OpRecord, SyncSharedSink, Telemetry, TelemetrySnapshot};
 use pddl_volume::{
-    Resolved, Segment, TenantLimits, TenantRegistry, VolumeError, VolumeManager, VolumeSpec,
-    REBUILD_TENANT,
+    Resolved, TenantLimits, TenantRegistry, VolumeError, VolumeManager, VolumeSpec, REBUILD_TENANT,
 };
 
 use crate::wire::{
@@ -158,8 +158,9 @@ pub(crate) fn status_of(e: &ArrayError) -> Status {
 /// test instead of silently serializing the runtime.
 static LOCK_ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Engine-layer lock acquisitions since process start (see
-/// [`LOCK_ACQUISITIONS`]). Monotone; meaningful only as a delta.
+/// Engine-layer lock acquisitions since process start: every
+/// acquisition made through the engine's lock helpers bumps it.
+/// Monotone; meaningful only as a delta.
 pub fn lock_acquisitions() -> u64 {
     LOCK_ACQUISITIONS.load(Ordering::Relaxed)
 }
@@ -338,8 +339,9 @@ struct Inner {
     pauser: Mutex<Option<RuntimePauser>>,
 }
 
-/// See [`Inner::pauser`]. The returned guard's `Drop` resumes the
-/// shards.
+/// The hook [`Engine::set_runtime_pauser`] installs: invoking it
+/// parks every shard thread at its loop boundary. The returned guard's
+/// `Drop` resumes the shards.
 pub type RuntimePauser = Box<dyn Fn() -> Box<dyn std::any::Any + Send> + Send + Sync>;
 
 impl Inner {
@@ -828,7 +830,7 @@ impl Engine {
 
     /// Current rebuild progress, served from atomics (no array lock).
     ///
-    /// The `gen` seqlock (see [`RebuildCtl`]) makes the returned
+    /// The rebuild control block's `gen` seqlock makes the returned
     /// snapshot generation-coherent: `repaired ≤ total` always holds,
     /// and a `Done` state is only reported with its final counts.
     pub fn rebuild_status(&self) -> RebuildStatus {
@@ -967,28 +969,16 @@ impl Engine {
     }
 
     /// Execute one request on behalf of `client`, producing the response
-    /// frame to send back. Never panics; every failure maps to a status.
+    /// to send back: [`Engine::execute_frame_into`] with the frame split
+    /// into a [`Response`], so the two cannot diverge. Never panics;
+    /// every failure maps to a status.
     pub fn execute(&self, client: u32, req: &Request) -> Response {
-        let access = self.inner.access_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let start_ns = self.inner.now_ns();
-        let start = Instant::now();
-        self.emit(Event::AccessStart {
-            access,
-            actor: Actor::Client(client),
-            units: req.length,
-            write: matches!(req.op, Op::Write | Op::Trim),
-        });
-        let (status, payload) = self.dispatch(req);
-        let service_ns = start.elapsed().as_nanos() as u64;
-        self.emit(Event::AccessEnd {
-            access,
-            latency_ns: service_ns,
-        });
-        self.record_op(req, status, payload.len(), start_ns, 0, service_ns);
+        let mut frame = Vec::new();
+        self.execute_frame_into(client, req, &mut frame);
         Response {
             id: req.id,
-            status,
-            payload,
+            status: Status::from_code(frame[12]).unwrap_or(Status::Internal),
+            payload: frame.split_off(RESPONSE_HEADER_LEN),
         }
     }
 
@@ -1019,25 +1009,19 @@ impl Engine {
         queue_ns: u64,
     ) {
         let span = self.begin_access(client, req);
-        match req.op {
-            Op::Read => self.do_read_frame_into(req, frame),
-            _ => {
-                let (status, payload) = self.dispatch(req);
-                match wire::response_frame_into(frame, req.id, status, payload.len()) {
-                    Ok(()) => frame[RESPONSE_HEADER_LEN..].copy_from_slice(&payload),
-                    // An oversized non-read payload cannot happen (INFO
-                    // and rebuild-status blocks are tiny), but answer
-                    // Internal rather than panic if it ever does.
-                    Err(_) => set_header_frame(frame, req.id, Status::Internal),
-                }
-            }
-        }
+        let resolved = self.dispatch(req, frame);
         let status = frame
             .get(12)
             .copied()
             .and_then(Status::from_code)
             .unwrap_or(Status::Internal);
         let payload_len = frame.len().saturating_sub(RESPONSE_HEADER_LEN);
+        if let Some(resolved) = resolved {
+            let ok = status == Status::Ok;
+            resolved
+                .stats
+                .record(ok, payload_len as u64, req.payload.len() as u64);
+        }
         self.end_access(span, req, status, payload_len, queue_ns);
     }
 
@@ -1046,7 +1030,7 @@ impl Engine {
     //
     // The runtime splits a data op the way `dispatch` never needs to:
     // validation + volume resolution on the connection's net shard
-    // (`prepare_*`), the unit I/O on the stripe-owning shard(s)
+    // (`prepare`), the unit I/O on the stripe-owning shard(s)
     // (`shard_*`), telemetry bracketing wherever the response is
     // finally written (`begin_access`/`end_access`). The `shard_*`
     // methods take no quiesce lock and — outside a running rebuild —
@@ -1088,59 +1072,54 @@ impl Engine {
         self.inner.pool[array].array.layout().locate(phys).0
     }
 
-    /// Validate a READ and resolve it through the volume table.
-    /// Returns the resolved segments plus the response payload size.
+    /// Validate a data op (READ, WRITE or TRIM) and resolve it through
+    /// the volume table. Returns the resolved segments plus the response
+    /// payload size (a READ's data; 0 for the other two).
     ///
     /// # Errors
     ///
     /// The wire status the caller should answer with.
-    pub fn prepare_read(&self, req: &Request) -> Result<(Resolved, usize), Status> {
-        if !req.payload.is_empty() || req.length == 0 {
-            return Err(Status::BadRequest);
-        }
-        // The response must fit in one frame; refuse up front rather
-        // than reading the data and failing to encode it (the client
-        // would otherwise never get an answer for this id).
+    pub fn prepare(&self, req: &Request) -> Result<(Resolved, usize), Status> {
         let bytes = u64::from(req.length) * self.inner.unit_bytes as u64;
-        if bytes > u64::from(MAX_PAYLOAD) {
+        // A WRITE carries exactly its units, READ and TRIM carry
+        // nothing — and a READ's response must fit in one frame: refuse
+        // up front rather than reading the data and failing to encode it
+        // (the client would otherwise never get an answer for this id).
+        let (well_formed, response) = match req.op {
+            Op::Write => (req.payload.len() as u64 == bytes, 0),
+            Op::Read => (
+                req.payload.is_empty() && bytes <= u64::from(MAX_PAYLOAD),
+                bytes as usize,
+            ),
+            _ => (req.payload.is_empty(), 0),
+        };
+        if req.length == 0 || !well_formed {
             return Err(Status::BadRequest);
         }
         self.inner
             .volumes
             .resolve(req.volume, req.offset, u64::from(req.length))
-            .map(|r| (r, bytes as usize))
+            .map(|r| (r, response))
             .map_err(status_of_volume)
     }
 
-    /// Validate a WRITE and resolve it through the volume table.
+    /// [`Engine::prepare`] for a READ (the name the lock-free READ
+    /// proof in `tests/lockfree_read.rs` calls).
     ///
     /// # Errors
     ///
-    /// The wire status the caller should answer with.
+    /// As [`Engine::prepare`].
+    pub fn prepare_read(&self, req: &Request) -> Result<(Resolved, usize), Status> {
+        self.prepare(req)
+    }
+
+    /// [`Engine::prepare`] for a WRITE, which has no response payload.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::prepare`].
     pub fn prepare_write(&self, req: &Request) -> Result<Resolved, Status> {
-        let expect = u64::from(req.length) * self.inner.unit_bytes as u64;
-        if req.length == 0 || req.payload.len() as u64 != expect {
-            return Err(Status::BadRequest);
-        }
-        self.inner
-            .volumes
-            .resolve(req.volume, req.offset, u64::from(req.length))
-            .map_err(status_of_volume)
-    }
-
-    /// Validate a TRIM and resolve it through the volume table.
-    ///
-    /// # Errors
-    ///
-    /// The wire status the caller should answer with.
-    pub fn prepare_trim(&self, req: &Request) -> Result<Resolved, Status> {
-        if !req.payload.is_empty() || req.length == 0 {
-            return Err(Status::BadRequest);
-        }
-        self.inner
-            .volumes
-            .resolve(req.volume, req.offset, u64::from(req.length))
-            .map_err(status_of_volume)
+        self.prepare(req).map(|(resolved, _)| resolved)
     }
 
     /// Read `out.len()` bytes of resolved physical units on `array`
@@ -1239,46 +1218,64 @@ impl Engine {
         );
     }
 
-    /// Serve one resolved segment of a READ into `out` (lock, read,
-    /// release — never holds two arrays' locks at once).
-    fn read_segment(&self, seg: &Segment, out: &mut [u8]) -> Result<(), ArrayError> {
-        let shard = &self.inner.pool[seg.array as usize];
-        let _q = rdlock(&shard.quiesce);
-        let _guards = stripe_guards(shard, [(seg.phys, seg.units)]);
-        shard.array.read_into(seg.phys, out)
-    }
-
-    /// Serve a READ straight into the response frame's payload region.
-    fn do_read_frame_into(&self, req: &Request, frame: &mut Vec<u8>) {
-        let (resolved, bytes) = match self.prepare_read(req) {
+    /// Serve a READ, WRITE or TRIM on the in-process path, one resolved
+    /// segment at a time (lock, I/O, release — never two arrays' locks
+    /// at once), a READ's data landing straight in the frame's payload
+    /// region. TRIM is a zero-fill write: parity stays consistent and
+    /// later reads of the range return zeros, the strongest discard
+    /// semantic the array can offer. Returns what the op resolved to,
+    /// for the caller to account; `None` when it never resolved.
+    fn do_data_frame_into(&self, req: &Request, frame: &mut Vec<u8>) -> Option<Resolved> {
+        let (resolved, bytes) = match self.prepare(req) {
             Ok(v) => v,
-            Err(status) => return set_header_frame(frame, req.id, status),
+            Err(status) => {
+                set_header_frame(frame, req.id, status);
+                return None;
+            }
         };
         if wire::response_frame_into(frame, req.id, Status::Ok, bytes).is_err() {
-            return set_header_frame(frame, req.id, Status::Internal);
+            set_header_frame(frame, req.id, Status::Internal);
+            return None;
         }
-        let unit = self.inner.unit_bytes as u64;
-        let mut at = RESPONSE_HEADER_LEN;
+        // Zero-fill in bounded chunks: a volume-sized trim must not
+        // allocate a volume-sized buffer.
+        const TRIM_CHUNK_UNITS: u64 = 1024;
+        let unit = self.inner.unit_bytes;
+        let zeros = match req.op {
+            Op::Trim => vec![0u8; TRIM_CHUNK_UNITS.min(u64::from(req.length)) as usize * unit],
+            _ => Vec::new(),
+        };
+        let mut at = 0usize;
         for seg in &resolved.segments {
-            let len = (seg.units * unit) as usize;
-            if let Err(e) = self.read_segment(seg, &mut frame[at..at + len]) {
-                resolved.stats.errors.fetch_add(1, Ordering::Relaxed);
-                return wire::demote_frame(frame, status_of(&e));
+            let len = seg.units as usize * unit;
+            let shard = &self.inner.pool[seg.array as usize];
+            let _q = rdlock(&shard.quiesce);
+            // The guards span the whole segment, so it reads, writes or
+            // clears atomically with respect to colliding writes.
+            let _guards = stripe_guards(shard, [(seg.phys, seg.units)]);
+            let done = match req.op {
+                Op::Read => {
+                    let out = &mut frame[RESPONSE_HEADER_LEN + at..][..len];
+                    shard.array.read_into(seg.phys, out)
+                }
+                Op::Write => shard.array.write(seg.phys, &req.payload[at..at + len]),
+                _ => zero_fill(&shard.array, seg.phys, seg.units, &zeros, unit),
+            };
+            if let Err(e) = done {
+                wire::demote_frame(frame, status_of(&e));
+                break;
             }
             at += len;
         }
-        resolved.stats.reads.fetch_add(1, Ordering::Relaxed);
-        resolved
-            .stats
-            .bytes_read
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        Some(resolved)
     }
 
-    fn dispatch(&self, req: &Request) -> (Status, Vec<u8>) {
-        match req.op {
-            Op::Read => self.do_read(req),
-            Op::Write => self.do_write(req),
-            Op::Trim => self.do_trim(req),
+    /// Run `req` and leave its response in `frame`. A data op also
+    /// hands back what it resolved to (see
+    /// [`Engine::do_data_frame_into`]).
+    fn dispatch(&self, req: &Request, frame: &mut Vec<u8>) -> Option<Resolved> {
+        let (status, payload) = match req.op {
+            Op::Read | Op::Write | Op::Trim => return self.do_data_frame_into(req, frame),
             // Writes are synchronous (acknowledged only once they are
             // in the array) and the in-memory devices have no volatile
             // cache, so there is nothing left for FLUSH to push.
@@ -1294,7 +1291,15 @@ impl Engine {
             Op::VolumeResize => self.do_volume_resize(req),
             Op::VolumeList => self.do_volume_list(req),
             Op::PoolInfo => self.do_pool_info(req),
+        };
+        match wire::response_frame_into(frame, req.id, status, payload.len()) {
+            Ok(()) => frame[RESPONSE_HEADER_LEN..].copy_from_slice(&payload),
+            // An oversized non-read payload cannot happen (INFO and
+            // rebuild-status blocks are tiny), but answer Internal
+            // rather than panic if it ever does.
+            Err(_) => set_header_frame(frame, req.id, Status::Internal),
         }
+        None
     }
 
     /// INFO is volume-scoped: the flags byte picks the volume, the
@@ -1443,78 +1448,6 @@ impl Engine {
             Status::Ok,
             wire::encode_spans(&self.inner.telemetry.spans()),
         )
-    }
-
-    /// READ for the `Response`-shaped path: delegates to
-    /// [`Engine::do_read_frame_into`] and splits the frame, so both
-    /// paths share one implementation (and one set of validations).
-    fn do_read(&self, req: &Request) -> (Status, Vec<u8>) {
-        let mut frame = Vec::new();
-        self.do_read_frame_into(req, &mut frame);
-        let status = Status::from_code(frame[12]).unwrap_or(Status::Internal);
-        (status, frame.split_off(RESPONSE_HEADER_LEN))
-    }
-
-    /// Serve one resolved segment of a WRITE from `data` (lock, write,
-    /// release — never holds two arrays' locks at once).
-    fn write_segment(&self, seg: &Segment, data: &[u8]) -> Result<(), ArrayError> {
-        let shard = &self.inner.pool[seg.array as usize];
-        let _q = rdlock(&shard.quiesce);
-        let _guards = stripe_guards(shard, [(seg.phys, seg.units)]);
-        shard.array.write(seg.phys, data)
-    }
-
-    fn do_write(&self, req: &Request) -> (Status, Vec<u8>) {
-        let unit = self.inner.unit_bytes as u64;
-        let expect = u64::from(req.length) * unit;
-        let resolved = match self.prepare_write(req) {
-            Ok(r) => r,
-            Err(status) => return (status, Vec::new()),
-        };
-        let mut at = 0usize;
-        for seg in &resolved.segments {
-            let len = (seg.units * unit) as usize;
-            if let Err(e) = self.write_segment(seg, &req.payload[at..at + len]) {
-                resolved.stats.errors.fetch_add(1, Ordering::Relaxed);
-                return (status_of(&e), Vec::new());
-            }
-            at += len;
-        }
-        resolved.stats.writes.fetch_add(1, Ordering::Relaxed);
-        resolved
-            .stats
-            .bytes_written
-            .fetch_add(expect, Ordering::Relaxed);
-        (Status::Ok, Vec::new())
-    }
-
-    /// TRIM is served as a zero-fill write: parity stays consistent and
-    /// subsequent reads of the range return zeros, which is the
-    /// strongest discard semantic the array can offer.
-    fn do_trim(&self, req: &Request) -> (Status, Vec<u8>) {
-        let resolved = match self.prepare_trim(req) {
-            Ok(r) => r,
-            Err(status) => return (status, Vec::new()),
-        };
-        // Zero-fill in bounded chunks: a volume-sized trim must not
-        // allocate a volume-sized buffer.
-        const TRIM_CHUNK_UNITS: u64 = 1024;
-        let unit = self.inner.unit_bytes;
-        let chunk = TRIM_CHUNK_UNITS.min(u64::from(req.length));
-        let zeros = vec![0u8; chunk as usize * unit];
-        for seg in &resolved.segments {
-            let shard = &self.inner.pool[seg.array as usize];
-            let _q = rdlock(&shard.quiesce);
-            // The shard guards span this segment's whole loop, so the
-            // segment still clears atomically with respect to colliding
-            // writes.
-            let _guards = stripe_guards(shard, [(seg.phys, seg.units)]);
-            if let Err(e) = zero_fill(&shard.array, seg.phys, seg.units, &zeros, unit) {
-                resolved.stats.errors.fetch_add(1, Ordering::Relaxed);
-                return (status_of(&e), Vec::new());
-            }
-        }
-        (Status::Ok, Vec::new())
     }
 
     fn do_fail_disk(&self, req: &Request) -> (Status, Vec<u8>) {

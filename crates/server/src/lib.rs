@@ -17,7 +17,7 @@
 //! | [`workload`] | seeded access-distribution + arrival-process generators for scenario workloads |
 //! | [`trace`]  | op-trace record/replay format with typed parse errors and FNV digests |
 //!
-//! plus an in-crate blocking [`client`] and a closed-loop [`bench`]
+//! plus an in-crate blocking [`client`] and a closed-loop [`mod@bench`]
 //! load generator, so the protocol's two ends live (and are tested)
 //! together.
 //!

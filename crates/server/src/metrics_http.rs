@@ -9,7 +9,7 @@
 //!    thousands per second) and read only the lock-free telemetry
 //!    snapshot; they take no lock a worker ever holds.
 //! 2. **Hostile input is fine.** The request parser reads at most
-//!    [`MAX_REQUEST_BYTES`], enforces a read timeout, and answers 404 /
+//!    `MAX_REQUEST_BYTES` (8 KiB), enforces a read timeout, and answers 404 /
 //!    400 to anything that is not `GET /metrics`. A stuck client can
 //!    stall only its own scrape, never the next one past the timeout.
 //! 3. **No HTTP library.** The response is HTTP/1.0 with

@@ -2,23 +2,33 @@
 //!
 //! One OS thread per shard, each running its own edge-triggered epoll
 //! loop over the connections an acceptor thread dealt to it. Stripes
-//! are partitioned across shards by stripe-group ([`owner_of`]), and a
-//! decoded frame executes on the shard that owns its stripes:
+//! are partitioned across shards by stripe-group ([`owner_of`]).
 //!
-//! * **All stripes owned by the receiving shard** — the healthy fast
-//!   path. The request executes inline through the engine's shard-exec
-//!   API ([`crate::engine`]): no queue hop, no stripe lock, no
-//!   allocation once buffers are warm. Fully-local WRITEs decoded in
-//!   one reactor tick coalesce into a single
-//!   [`Engine::shard_write_batch`] submission (one intent append).
-//! * **Stripes owned elsewhere** — the frame is split into owner
-//!   chunks, each pushed over a bounded SPSC [`ring`](crate::ring) to
-//!   its owning shard, executed there, and joined back on the
-//!   originating shard, which finalizes the response.
+//! **A job is chunks; a chunk runs on its owner.** Every READ, WRITE
+//! or TRIM becomes one job on the shard that decoded it, cut into
+//! owner chunks — maximal runs of units whose stripes one shard owns.
+//! One function executes a chunk, wherever it came from:
+//!
+//! * a chunk this shard owns runs at once, a chunk owned elsewhere
+//!   crosses a bounded SPSC [`ring`](crate::ring) and runs there — the
+//!   same code, reached from the ring drain instead of the decode;
+//! * a READ chunk fills its slice of the job's response frame (in
+//!   place when local: no queue hop, no stripe lock, and once buffers
+//!   are warm no allocation and no copy but array to frame); a TRIM
+//!   chunk zero-fills; a WRITE chunk, local or a peer's, joins the
+//!   owner's *tick batch*, and the end of the tick submits the whole
+//!   batch as one [`Engine::shard_write_batch`] per array (one intent
+//!   append) — the only route from a served WRITE to the array;
+//! * each chunk's result is folded into its job, directly or back over
+//!   the ring, and the last one finalizes it: volume counters, the
+//!   access span, the gauges and delivery happen once, in one tail.
+//!
+//! Two kinds of request are not chunks:
+//!
 //! * **Cross-shard barriers** (`FLUSH`) — fan out a barrier message to
-//!   every peer ring and join: because rings are FIFO, the joined
-//!   barrier proves every shard has drained all work enqueued before
-//!   it.
+//!   every peer ring and join: rings are FIFO and a peer submits its
+//!   tick batch before it answers, so the joined barrier proves every
+//!   shard has submitted all work enqueued before it.
 //! * **Blocking ops** (volume lifecycle, `REBUILD`, `STATS`, ...) —
 //!   handed to a dedicated control thread so a shard's event loop
 //!   never blocks; the response rides a control→shard ring home.
@@ -51,6 +61,7 @@
 //! messages in a local outbox and retry next tick — shards never block
 //! on each other.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -114,6 +125,15 @@ pub fn accept_should_backoff(e: &io::Error) -> bool {
 // Messages
 // ---------------------------------------------------------------------
 
+/// Where a WRITE chunk's bytes wait until the tick batch submits them.
+enum WriteData {
+    /// A peer's chunk: the bytes crossed the ring as a copy.
+    Copied(Vec<u8>),
+    /// A local chunk: `len` bytes at `at` of its job's request payload,
+    /// borrowed from the job waiting in this shard's `jobs`.
+    InJob { at: usize, len: usize },
+}
+
 /// One owner-chunk of a data op, executed on the owning shard.
 enum SubKind {
     Read {
@@ -124,15 +144,15 @@ enum SubKind {
     Write {
         array: usize,
         phys: u64,
-        data: Vec<u8>,
+        data: WriteData,
     },
     Trim {
         array: usize,
         phys: u64,
         units: u64,
     },
-    /// FLUSH fence: answering proves this ring drained past everything
-    /// enqueued before the barrier.
+    /// FLUSH fence: answering proves this shard submitted everything
+    /// enqueued on this ring before the barrier.
     Barrier,
 }
 
@@ -449,7 +469,7 @@ pub fn start(
                 ctl_rx,
                 control_tx.clone(),
                 cfg,
-            );
+            )?;
             std::thread::Builder::new()
                 .name(format!("pddl-shard-{i}"))
                 .spawn(move || shard.run())
@@ -674,8 +694,8 @@ struct Conn {
     /// Residual read readiness: edge-triggered epoll only reports
     /// transitions, so this stays set until a read hits `WouldBlock`.
     readable: bool,
-    /// One-in-flight: a decoded frame is executing (inline, batched,
-    /// cross-shard join, control thread, or QoS-parked).
+    /// One-in-flight: a decoded frame is a job not yet completed, or
+    /// QoS-parked.
     inflight: bool,
     parked: Option<Parked>,
     outbuf: Vec<u8>,
@@ -703,32 +723,25 @@ struct Parked {
     decoded_at: Instant,
 }
 
-/// A fully-local WRITE decoded this tick, awaiting the end-of-tick
-/// batch submission.
-struct PendingWrite {
-    slot: usize,
-    gen: u64,
-    req: Request,
-    resolved: Resolved,
-    span: AccessSpan,
-    queue_ns: u64,
+/// A WRITE chunk in the tick batch: taken in this tick from a local job
+/// or a peer's ring, submitted (and answered to `origin`) by
+/// `flush_write_batch`.
+struct TickWrite {
+    origin: usize,
+    job: u64,
+    array: usize,
+    phys: u64,
+    data: WriteData,
 }
 
-enum JobKind {
-    Read,
-    Write,
-    Trim,
-    Flush,
-    Control,
-}
-
-/// A request whose completion is asynchronous to the decode tick:
-/// cross-shard chunks, a FLUSH barrier, or a control-thread op.
+/// A request in flight on the shard that decoded it: a data op's
+/// chunks, a FLUSH barrier, or a control-thread op. `req.op` says
+/// which.
 struct Job {
     slot: usize,
     gen: u64,
-    kind: JobKind,
     req: Request,
+    /// `None` for control-thread ops: the engine brackets those itself.
     span: Option<AccessSpan>,
     queue_ns: u64,
     /// Response under construction (reads: pre-sized, chunk data lands
@@ -740,6 +753,28 @@ struct Job {
     status: Status,
     /// Pins the volume mapping until every chunk lands.
     resolved: Option<Resolved>,
+}
+
+impl Job {
+    /// Fold one chunk's result into the job; `true` when it was the
+    /// last one outstanding.
+    fn apply_done(&mut self, done: Done) -> bool {
+        match done.payload {
+            Ok(buf) => {
+                let end = done.frame_off + buf.len();
+                if self.req.op == Op::Read && self.status == Status::Ok && end <= self.frame.len() {
+                    self.frame[done.frame_off..end].copy_from_slice(&buf);
+                }
+            }
+            Err(status) => {
+                if self.status == Status::Ok {
+                    self.status = status;
+                }
+            }
+        }
+        self.remaining -= 1;
+        self.remaining == 0
+    }
 }
 
 /// One owner-chunk of a resolved data op.
@@ -774,10 +809,12 @@ struct Shard {
     jobs: HashMap<u64, Job>,
     next_job: u64,
     gen_seq: u64,
-    wbatch: Vec<PendingWrite>,
+    /// The tick batch: empty at the end of every tick.
+    wbatch: Vec<TickWrite>,
     /// Scratch: per-request chunk list (reused; allocation-free warm).
     chunks: Vec<Chunk>,
-    /// Scratch: response frame for inline ops (reused).
+    /// Scratch: the next job's response frame. `dispatch_data` takes
+    /// it, `complete` puts back whatever buffer delivery left over.
     scratch: Vec<u8>,
     /// Scratch: zero block for TRIM.
     zeros: Vec<u8>,
@@ -798,7 +835,7 @@ impl Shard {
         ctl_rx: Consumer<CtlDone>,
         ctl_tx: mpsc::Sender<ControlJob>,
         cfg: &ServerConfig,
-    ) -> Self {
+    ) -> io::Result<Self> {
         let nshards = shared.stats.len();
         let engine = Arc::clone(&shared.engine);
         let tenants = Arc::clone(engine.tenants());
@@ -807,8 +844,10 @@ impl Shard {
         // huge unit size doesn't pin a huge block per shard.
         let zero_units = (256 * 1024 / unit).clamp(1, 1024);
         let bell = Arc::clone(&shared.doorbells[id]);
-        let _ = epoll.add(bell.raw_fd(), EPOLLIN | EPOLLET, DOORBELL);
-        Self {
+        // Without its doorbell a shard never wakes for ring traffic and
+        // cross-shard jobs hang silently: fail the start instead.
+        epoll.add(bell.raw_fd(), EPOLLIN | EPOLLET, DOORBELL)?;
+        Ok(Self {
             id,
             nshards,
             engine,
@@ -835,7 +874,7 @@ impl Shard {
             idle_timeout: cfg.idle_timeout,
             write_timeout: cfg.write_timeout,
             shared,
-        }
+        })
     }
 
     fn run(mut self) {
@@ -876,6 +915,10 @@ impl Shard {
             self.drain_mailbox();
             self.drain_rings();
             self.service_conns();
+            // Every WRITE chunk taken in above — from the rings or from
+            // this shard's own connections — commits here, so the tick
+            // batch is empty at the end of every tick, hence whenever
+            // the shard parks (see `park`).
             self.flush_write_batch();
             self.flush_outboxes();
             self.ring_doorbells();
@@ -893,7 +936,7 @@ impl Shard {
     /// retries are pending, else bounded by the nearest parked-request
     /// deadline and the idle-sweep granularity.
     fn tick_timeout(&self) -> i32 {
-        if self.outbox.iter().any(|q| !q.is_empty()) || !self.wbatch.is_empty() {
+        if self.outbox.iter().any(|q| !q.is_empty()) {
             return 0;
         }
         let mut timeout = IDLE_TICK_MS;
@@ -915,6 +958,10 @@ impl Shard {
     }
 
     fn park(&self) {
+        // Parking happens between ticks, and a tick ends with its batch
+        // submitted: a lifecycle op never finds a taken-in WRITE that is
+        // not yet in the array.
+        debug_assert!(self.wbatch.is_empty(), "parked with a tick batch");
         let mut st = plock(&self.shared.pause.state);
         if st.want == 0 || st.closed {
             return;
@@ -980,8 +1027,8 @@ impl Shard {
         for peer in 0..self.nshards {
             while let Some(msg) = self.from[peer].as_ref().and_then(Consumer::pop) {
                 match msg {
-                    ShardMsg::Sub(sub) => self.execute_sub(sub),
-                    ShardMsg::Done(done) => self.apply_done(done),
+                    ShardMsg::Sub(sub) => self.execute_chunk(sub, None),
+                    ShardMsg::Done(done) => self.join_done(done),
                 }
             }
         }
@@ -990,71 +1037,80 @@ impl Shard {
         }
     }
 
-    /// Execute an owner-chunk for a peer and answer on its ring.
-    fn execute_sub(&mut self, sub: Sub) {
-        let payload = match sub.kind {
+    /// Execute one owner chunk: the one place a served READ or TRIM
+    /// meets the engine's shard-exec API and a served WRITE enters the
+    /// tick batch, whether this shard cut `sub` itself (`home` is its
+    /// job, still being dispatched) or a peer's ring delivered it.
+    fn execute_chunk(&mut self, sub: Sub, mut home: Option<&mut Job>) {
+        let Sub {
+            origin,
+            job,
+            frame_off,
+            kind,
+        } = sub;
+        let result = match kind {
             SubKind::Read { array, phys, bytes } => {
-                let mut buf = vec![0u8; bytes];
-                match self.engine.shard_read(array, phys, &mut buf) {
-                    Ok(()) => Ok(buf),
-                    Err(e) => Err(status_of(&e)),
-                }
+                // A local chunk lands in its slice of the job's
+                // response frame; a peer's in a buffer that rides the
+                // ring home.
+                let mut buf = Vec::new();
+                let out = match home.as_deref_mut() {
+                    Some(job) => &mut job.frame[frame_off..frame_off + bytes],
+                    None => {
+                        buf.resize(bytes, 0);
+                        &mut buf[..]
+                    }
+                };
+                self.engine.shard_read(array, phys, out).map(|()| buf)
             }
-            SubKind::Write {
-                array,
-                phys,
-                ref data,
-            } => match self
+            SubKind::Write { array, phys, data } => {
+                // Answered by `flush_write_batch`, with the rest of the
+                // tick's WRITE chunks.
+                self.wbatch.push(TickWrite {
+                    origin,
+                    job,
+                    array,
+                    phys,
+                    data,
+                });
+                return;
+            }
+            SubKind::Trim { array, phys, units } => self
                 .engine
-                .shard_write_batch(array, &[(phys, data.as_slice())])
-                .pop()
-            {
-                Some(Err(e)) => Err(status_of(&e)),
-                _ => Ok(Vec::new()),
-            },
-            SubKind::Trim { array, phys, units } => {
-                match self.engine.shard_trim(array, phys, units, &self.zeros) {
-                    Ok(()) => Ok(Vec::new()),
-                    Err(e) => Err(status_of(&e)),
-                }
+                .shard_trim(array, phys, units, &self.zeros)
+                .map(|()| Vec::new()),
+            SubKind::Barrier => {
+                // A barrier is answered only after every WRITE chunk
+                // that arrived before it on its ring has been submitted:
+                // those sit in the tick batch, so submit it first. (Their
+                // `Done`s then precede the barrier's on the way back.)
+                self.flush_write_batch();
+                debug_assert!(self.wbatch.is_empty(), "barrier passed a batched WRITE");
+                Ok(Vec::new())
             }
-            SubKind::Barrier => Ok(Vec::new()),
         };
-        self.send(
-            sub.origin,
-            ShardMsg::Done(Done {
-                job: sub.job,
-                frame_off: sub.frame_off,
-                payload,
-            }),
-        );
+        let done = Done {
+            job,
+            frame_off,
+            payload: result.map_err(|e| status_of(&e)),
+        };
+        match home {
+            // `dispatch_data` finalizes once it has cut the last chunk.
+            Some(job) => {
+                job.apply_done(done);
+            }
+            None => self.send(origin, ShardMsg::Done(done)),
+        }
     }
 
-    fn apply_done(&mut self, done: Done) {
-        let finished = {
-            let Some(job) = self.jobs.get_mut(&done.job) else {
-                return;
-            };
-            match done.payload {
-                Ok(buf) => {
-                    if matches!(job.kind, JobKind::Read) && job.status == Status::Ok {
-                        let end = done.frame_off + buf.len();
-                        if end <= job.frame.len() {
-                            job.frame[done.frame_off..end].copy_from_slice(&buf);
-                        }
-                    }
-                }
-                Err(status) => {
-                    if job.status == Status::Ok {
-                        job.status = status;
-                    }
-                }
+    /// A chunk result for a job waiting in `jobs`: fold it in, and
+    /// finalize the job if that was its last.
+    fn join_done(&mut self, done: Done) {
+        if let Entry::Occupied(mut waiting) = self.jobs.entry(done.job) {
+            if waiting.get_mut().apply_done(done) {
+                let job = waiting.remove();
+                self.finalize_job(job);
             }
-            job.remaining -= 1;
-            job.remaining == 0
-        };
-        if finished {
-            self.finalize_job(done.job);
         }
     }
 
@@ -1066,56 +1122,33 @@ impl Shard {
         self.complete(job);
     }
 
-    fn finalize_job(&mut self, id: u64) {
-        let Some(mut job) = self.jobs.remove(&id) else {
-            return;
-        };
+    /// Every chunk (or barrier) has reported: account the op against
+    /// its volume and settle the response frame. A served READ's frame
+    /// already holds its data; everything else answers a bare header —
+    /// for a joined FLUSH that header says every shard has submitted the
+    /// work enqueued before it, and every acknowledged write is already
+    /// in the array.
+    fn finalize_job(&mut self, mut job: Job) {
         let ok = job.status == Status::Ok;
-        let stats = job.resolved.as_ref().map(|r| Arc::clone(&r.stats));
-        match job.kind {
-            JobKind::Read => {
-                if ok {
-                    if let Some(stats) = &stats {
-                        stats.reads.fetch_add(1, Ordering::Relaxed);
-                        stats
-                            .bytes_read
-                            .fetch_add(job.payload_bytes as u64, Ordering::Relaxed);
-                    }
-                } else {
-                    if let Some(stats) = &stats {
-                        stats.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    wire::demote_frame(&mut job.frame, job.status);
-                }
+        if let Some(resolved) = &job.resolved {
+            resolved
+                .stats
+                .record(ok, job.payload_bytes as u64, job.req.payload.len() as u64);
+        }
+        if !(ok && job.req.op == Op::Read) {
+            if job.frame.capacity() == 0 {
+                // Borrowed only now, so a job waiting on its chunks
+                // does not sit on the buffer the next READ wants.
+                job.frame = std::mem::take(&mut self.scratch);
             }
-            JobKind::Write | JobKind::Trim => {
-                if ok {
-                    if let (JobKind::Write, Some(stats)) = (&job.kind, &stats) {
-                        stats.writes.fetch_add(1, Ordering::Relaxed);
-                        stats
-                            .bytes_written
-                            .fetch_add(job.req.payload.len() as u64, Ordering::Relaxed);
-                    }
-                } else if let Some(stats) = &stats {
-                    stats.errors.fetch_add(1, Ordering::Relaxed);
-                }
-                job.frame.clear();
-                let _ = wire::response_frame_into(&mut job.frame, job.req.id, job.status, 0);
-            }
-            JobKind::Flush => {
-                // The barriers joined: every shard has drained work
-                // enqueued before this FLUSH, and every acknowledged
-                // write is already in the array.
-                job.frame.clear();
-                let _ = wire::response_frame_into(&mut job.frame, job.req.id, job.status, 0);
-            }
-            JobKind::Control => {}
+            let _ = wire::response_frame_into(&mut job.frame, job.req.id, job.status, 0);
         }
         self.complete(job);
     }
 
-    /// Account a finished job and deliver its frame if the connection
-    /// is still the one that asked.
+    /// The one completion tail: close the access span, count the
+    /// request, release the volume pin, and deliver the frame if the
+    /// connection is still the one that asked.
     fn complete(&mut self, job: Job) {
         if let Some(span) = job.span {
             let payload = if job.status == Status::Ok {
@@ -1130,24 +1163,33 @@ impl Shard {
         self.shared.jobs_inflight.fetch_sub(1, Ordering::Relaxed);
         // `resolved` (the volume pin) drops with the job here.
         let Job {
-            slot, gen, frame, ..
+            slot,
+            gen,
+            mut frame,
+            ..
         } = job;
-        let live = matches!(
-            self.conns.get(slot),
-            Some(Some(c)) if c.gen == gen && !c.dead
-        );
-        if !live {
-            // The connection died mid-flight (e.g. teardown during a
-            // cross-shard FLUSH): the join state was reclaimed above;
-            // there is just nobody left to answer.
-            return;
-        }
+        // A job whose connection died mid-flight (e.g. teardown during
+        // a cross-shard FLUSH) still ran everything above — the span is
+        // closed and `server.jobs_inflight` is back down; there is just
+        // nobody left to answer, so only delivery is skipped.
         if let Some(Some(conn)) = self.conns.get_mut(slot) {
-            conn.outbuf.extend_from_slice(&frame);
-            conn.inflight = false;
-            conn.last_activity = Instant::now();
+            if conn.gen == gen && !conn.dead {
+                if conn.outbuf.is_empty() {
+                    // Hand the frame over instead of copying it; the
+                    // drained buffer it displaces is recycled below.
+                    std::mem::swap(&mut conn.outbuf, &mut frame);
+                } else {
+                    conn.outbuf.extend_from_slice(&frame);
+                }
+                conn.inflight = false;
+                conn.last_activity = Instant::now();
+                self.try_flush_conn(slot);
+            }
         }
-        self.try_flush_conn(slot);
+        if frame.capacity() > self.scratch.capacity() {
+            frame.clear();
+            self.scratch = frame;
+        }
     }
 
     // -- connection servicing -----------------------------------------
@@ -1302,9 +1344,7 @@ impl Shard {
 
     fn dispatch(&mut self, slot: usize, req: Request, queue_ns: u64) {
         match req.op {
-            Op::Read => self.dispatch_read(slot, req, queue_ns),
-            Op::Write => self.dispatch_write(slot, req, queue_ns),
-            Op::Trim => self.dispatch_trim(slot, req, queue_ns),
+            Op::Read | Op::Write | Op::Trim => self.dispatch_data(slot, req, queue_ns),
             Op::Flush => self.dispatch_flush(slot, req, queue_ns),
             // Everything else may block (volume-table writes, rebuild
             // admission, snapshot encoding): hand it to the control
@@ -1313,12 +1353,10 @@ impl Shard {
         }
     }
 
-    /// Split `resolved` into owner chunks in `self.chunks`. Returns
-    /// `true` when every chunk is owned by this shard.
-    fn chunk_resolved(&mut self, resolved: &Resolved) -> bool {
+    /// Split `resolved` into owner chunks in `self.chunks`.
+    fn chunk_resolved(&mut self, resolved: &Resolved) {
         let unit = self.engine.unit_bytes();
         self.chunks.clear();
-        let mut all_local = true;
         let mut seg_base = 0usize;
         for seg in resolved.segments.iter() {
             let array = seg.array as usize;
@@ -1338,7 +1376,6 @@ impl Shard {
                         units: u - start,
                         byte_off: seg_base + start as usize * unit,
                     });
-                    all_local &= owner == self.id;
                     start = u;
                     owner = o;
                 }
@@ -1350,30 +1387,8 @@ impl Shard {
                 units: seg.units - start,
                 byte_off: seg_base + start as usize * unit,
             });
-            all_local &= owner == self.id;
             seg_base += seg.units as usize * unit;
         }
-        all_local
-    }
-
-    fn respond_error(&mut self, slot: usize, req: &Request, status: Status, queue_ns: u64) {
-        let span = self.engine.begin_access(self.client_of(slot), req);
-        self.engine.end_access(span, req, status, 0, queue_ns);
-        self.scratch.clear();
-        let _ = wire::response_frame_into(&mut self.scratch, req.id, status, 0);
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        self.deliver_scratch(slot);
-    }
-
-    /// Queue `self.scratch` as the response on `slot` and clear the
-    /// in-flight flag.
-    fn deliver_scratch(&mut self, slot: usize) {
-        if let Some(Some(conn)) = self.conns.get_mut(slot) {
-            conn.outbuf.extend_from_slice(&self.scratch);
-            conn.inflight = false;
-            conn.last_activity = Instant::now();
-        }
-        self.try_flush_conn(slot);
     }
 
     fn client_of(&self, slot: usize) -> u32 {
@@ -1383,262 +1398,122 @@ impl Shard {
             .map_or(0, |c| c.client)
     }
 
-    fn dispatch_read(&mut self, slot: usize, req: Request, queue_ns: u64) {
-        let (resolved, bytes) = match self.engine.prepare_read(&req) {
-            Ok(v) => v,
-            Err(status) => return self.respond_error(slot, &req, status, queue_ns),
-        };
-        let span = self.engine.begin_access(self.client_of(slot), &req);
-        if self.chunk_resolved(&resolved) {
-            // The healthy fast path: data lands straight in the
-            // response frame; no locks, no allocation once warm.
-            let unit = self.engine.unit_bytes();
-            let _ = wire::response_frame_into(&mut self.scratch, req.id, Status::Ok, bytes);
-            let mut status = Status::Ok;
-            for i in 0..self.chunks.len() {
-                let c = self.chunks[i];
-                let at = RESPONSE_HEADER_LEN + c.byte_off;
-                let len = c.units as usize * unit;
-                if let Err(e) =
-                    self.engine
-                        .shard_read(c.array, c.phys, &mut self.scratch[at..at + len])
-                {
-                    status = status_of(&e);
-                    break;
-                }
-            }
-            if status == Status::Ok {
-                resolved.stats.reads.fetch_add(1, Ordering::Relaxed);
-                resolved
-                    .stats
-                    .bytes_read
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
-            } else {
-                resolved.stats.errors.fetch_add(1, Ordering::Relaxed);
-                wire::demote_frame(&mut self.scratch, status);
-            }
-            let payload = if status == Status::Ok { bytes } else { 0 };
-            self.engine
-                .end_access(span, &req, status, payload, queue_ns);
-            drop(resolved);
-            self.shared.requests.fetch_add(1, Ordering::Relaxed);
-            self.deliver_scratch(slot);
-            return;
-        }
-        // Cross-shard: pre-size the frame, fan the chunks out to their
-        // owners, join on the last Done.
-        let mut frame = Vec::with_capacity(RESPONSE_HEADER_LEN + bytes);
-        let _ = wire::response_frame_into(&mut frame, req.id, Status::Ok, bytes);
-        self.submit_chunked(
-            slot,
-            req,
-            span,
-            queue_ns,
-            frame,
-            bytes,
-            resolved,
-            JobKind::Read,
-        );
-    }
-
-    fn dispatch_write(&mut self, slot: usize, req: Request, queue_ns: u64) {
-        let resolved = match self.engine.prepare_write(&req) {
-            Ok(r) => r,
-            Err(status) => return self.respond_error(slot, &req, status, queue_ns),
-        };
-        let span = self.engine.begin_access(self.client_of(slot), &req);
-        if self.chunk_resolved(&resolved) {
-            // Fully local: join this tick's batch — one journal append
-            // covers every local WRITE decoded in the same tick.
-            if let Some(Some(conn)) = self.conns.get(slot).and_then(|c| c.as_ref().map(Some)) {
-                let gen = conn.gen;
-                self.wbatch.push(PendingWrite {
-                    slot,
-                    gen,
-                    req,
-                    resolved,
-                    span,
-                    queue_ns,
-                });
-            } else {
-                self.engine
-                    .end_access(span, &req, Status::Internal, 0, queue_ns);
-            }
-            return;
-        }
-        self.submit_chunked(
-            slot,
-            req,
-            span,
-            queue_ns,
-            Vec::new(),
-            0,
-            resolved,
-            JobKind::Write,
-        );
-    }
-
-    fn dispatch_trim(&mut self, slot: usize, req: Request, queue_ns: u64) {
-        let resolved = match self.engine.prepare_trim(&req) {
-            Ok(r) => r,
-            Err(status) => return self.respond_error(slot, &req, status, queue_ns),
-        };
-        let span = self.engine.begin_access(self.client_of(slot), &req);
-        if self.chunk_resolved(&resolved) {
-            let mut status = Status::Ok;
-            for i in 0..self.chunks.len() {
-                let c = self.chunks[i];
-                if let Err(e) = self
-                    .engine
-                    .shard_trim(c.array, c.phys, c.units, &self.zeros)
-                {
-                    status = status_of(&e);
-                    break;
-                }
-            }
-            if status != Status::Ok {
-                resolved.stats.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            self.engine.end_access(span, &req, status, 0, queue_ns);
-            self.scratch.clear();
-            let _ = wire::response_frame_into(&mut self.scratch, req.id, status, 0);
-            drop(resolved);
-            self.shared.requests.fetch_add(1, Ordering::Relaxed);
-            self.deliver_scratch(slot);
-            return;
-        }
-        self.submit_chunked(
-            slot,
-            req,
-            span,
-            queue_ns,
-            Vec::new(),
-            0,
-            resolved,
-            JobKind::Trim,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn submit_chunked(
+    /// A fresh job for `req` from the connection in `slot`, counted in
+    /// `server.jobs_inflight` until `complete`.
+    fn new_job(
         &mut self,
         slot: usize,
         req: Request,
-        span: AccessSpan,
+        span: Option<AccessSpan>,
         queue_ns: u64,
-        frame: Vec<u8>,
-        payload_bytes: usize,
-        resolved: Resolved,
-        kind: JobKind,
-    ) {
+    ) -> (u64, Job) {
         let gen = match self.conns.get(slot) {
             Some(Some(c)) => c.gen,
             _ => 0,
         };
         let id = self.next_job;
         self.next_job += 1;
-        let mut job = Job {
+        self.shared.jobs_inflight.fetch_add(1, Ordering::Relaxed);
+        let job = Job {
             slot,
             gen,
-            kind,
             req,
-            span: Some(span),
+            span,
             queue_ns,
-            frame,
-            payload_bytes,
+            frame: Vec::new(),
+            payload_bytes: 0,
             remaining: 0,
             status: Status::Ok,
             resolved: None,
         };
-        // Local chunks execute inline; remote chunks ride the rings.
-        let unit = self.engine.unit_bytes();
-        let chunks = std::mem::take(&mut self.chunks);
-        for c in &chunks {
-            if c.owner == self.id {
-                if let Err(s) = self.run_local_chunk(c, &mut job, unit) {
-                    if job.status == Status::Ok {
-                        job.status = s;
-                    }
-                }
-            } else {
-                let sub_kind = match job.kind {
-                    JobKind::Read => SubKind::Read {
-                        array: c.array,
-                        phys: c.phys,
-                        bytes: c.units as usize * unit,
-                    },
-                    JobKind::Write => SubKind::Write {
-                        array: c.array,
-                        phys: c.phys,
-                        data: job.req.payload[c.byte_off..c.byte_off + c.units as usize * unit]
-                            .to_vec(),
-                    },
-                    JobKind::Trim => SubKind::Trim {
-                        array: c.array,
-                        phys: c.phys,
-                        units: c.units,
-                    },
-                    JobKind::Flush | JobKind::Control => unreachable!("data kinds only"),
-                };
-                self.send(
-                    c.owner,
-                    ShardMsg::Sub(Sub {
-                        origin: self.id,
-                        job: id,
-                        frame_off: RESPONSE_HEADER_LEN + c.byte_off,
-                        kind: sub_kind,
-                    }),
-                );
-                job.remaining += 1;
-            }
-        }
-        self.chunks = chunks;
-        job.resolved = Some(resolved);
-        self.shared.jobs_inflight.fetch_add(1, Ordering::Relaxed);
-        let all_local_after_all = job.remaining == 0;
-        self.jobs.insert(id, job);
-        if all_local_after_all {
-            self.finalize_job(id);
+        (id, job)
+    }
+
+    /// Park `job` in `jobs` until its outstanding results arrive — or,
+    /// with none outstanding, finish it now: a job that completes
+    /// inside its dispatch never enters the map.
+    fn join_or_finalize(&mut self, id: u64, job: Job) {
+        if job.remaining == 0 {
+            self.finalize_job(job);
+        } else {
+            self.jobs.insert(id, job);
         }
     }
 
-    fn run_local_chunk(&self, c: &Chunk, job: &mut Job, unit: usize) -> Result<(), Status> {
-        match job.kind {
-            JobKind::Read => {
-                let at = RESPONSE_HEADER_LEN + c.byte_off;
-                let len = c.units as usize * unit;
-                self.engine
-                    .shard_read(c.array, c.phys, &mut job.frame[at..at + len])
-                    .map_err(|e| status_of(&e))
+    /// Every READ, WRITE and TRIM: resolve, cut into owner chunks, run
+    /// the local ones here and ship the rest to their owners.
+    fn dispatch_data(&mut self, slot: usize, req: Request, queue_ns: u64) {
+        let prepared = self.engine.prepare(&req);
+        let span = self.engine.begin_access(self.client_of(slot), &req);
+        let (id, mut job) = self.new_job(slot, req, Some(span), queue_ns);
+        let (resolved, bytes) = match prepared {
+            Ok(v) => v,
+            Err(status) => {
+                job.status = status;
+                return self.finalize_job(job);
             }
-            JobKind::Write => {
-                let data = &job.req.payload[c.byte_off..c.byte_off + c.units as usize * unit];
-                match self
-                    .engine
-                    .shard_write_batch(c.array, &[(c.phys, data)])
-                    .pop()
-                {
-                    Some(Err(e)) => Err(status_of(&e)),
-                    _ => Ok(()),
-                }
-            }
-            JobKind::Trim => self
-                .engine
-                .shard_trim(c.array, c.phys, c.units, &self.zeros)
-                .map_err(|e| status_of(&e)),
-            JobKind::Flush | JobKind::Control => Ok(()),
+        };
+        self.chunk_resolved(&resolved);
+        job.resolved = Some(resolved);
+        if job.req.op == Op::Read {
+            // A READ's frame is the shard's recycled scratch buffer:
+            // chunks land in it in place, `complete` hands it to the
+            // connection and takes the connection's drained one back,
+            // so a warm all-local READ allocates nothing and copies its
+            // payload once, array to frame.
+            job.frame = std::mem::take(&mut self.scratch);
+            let _ = wire::response_frame_into(&mut job.frame, job.req.id, Status::Ok, bytes);
+            job.payload_bytes = bytes;
         }
+        let unit = self.engine.unit_bytes();
+        let chunks = std::mem::take(&mut self.chunks);
+        job.remaining = chunks.len();
+        for c in &chunks {
+            let local = c.owner == self.id;
+            let (array, phys, len) = (c.array, c.phys, c.units as usize * unit);
+            let kind = match job.req.op {
+                Op::Read => SubKind::Read {
+                    array,
+                    phys,
+                    bytes: len,
+                },
+                Op::Write => SubKind::Write {
+                    array,
+                    phys,
+                    data: if local {
+                        WriteData::InJob {
+                            at: c.byte_off,
+                            len,
+                        }
+                    } else {
+                        WriteData::Copied(job.req.payload[c.byte_off..c.byte_off + len].to_vec())
+                    },
+                },
+                _ => SubKind::Trim {
+                    array,
+                    phys,
+                    units: c.units,
+                },
+            };
+            let sub = Sub {
+                origin: self.id,
+                job: id,
+                frame_off: RESPONSE_HEADER_LEN + c.byte_off,
+                kind,
+            };
+            if local {
+                self.execute_chunk(sub, Some(&mut job));
+            } else {
+                self.send(c.owner, ShardMsg::Sub(sub));
+            }
+        }
+        self.chunks = chunks;
+        self.join_or_finalize(id, job);
     }
 
     fn dispatch_flush(&mut self, slot: usize, req: Request, queue_ns: u64) {
         let span = self.engine.begin_access(self.client_of(slot), &req);
-        let gen = match self.conns.get(slot) {
-            Some(Some(c)) => c.gen,
-            _ => 0,
-        };
-        let id = self.next_job;
-        self.next_job += 1;
-        let mut remaining = 0;
+        let (id, mut job) = self.new_job(slot, req, Some(span), queue_ns);
         for peer in 0..self.nshards {
             if peer == self.id {
                 continue;
@@ -1652,139 +1527,92 @@ impl Shard {
                     kind: SubKind::Barrier,
                 }),
             );
-            remaining += 1;
+            job.remaining += 1;
         }
-        self.jobs.insert(
-            id,
-            Job {
-                slot,
-                gen,
-                kind: JobKind::Flush,
-                req,
-                span: Some(span),
-                queue_ns,
-                frame: Vec::new(),
-                payload_bytes: 0,
-                remaining,
-                status: Status::Ok,
-                resolved: None,
-            },
-        );
-        self.shared.jobs_inflight.fetch_add(1, Ordering::Relaxed);
-        if remaining == 0 {
-            self.finalize_job(id);
-        }
+        self.join_or_finalize(id, job);
     }
 
     fn dispatch_control(&mut self, slot: usize, req: Request, queue_ns: u64) {
-        let (gen, client) = match self.conns.get(slot) {
-            Some(Some(c)) => (c.gen, c.client),
-            _ => (0, 0),
+        let client = self.client_of(slot);
+        // The payload travels with the control thread's copy; the job
+        // keeps the header for delivery.
+        let header = Request {
+            id: req.id,
+            op: req.op,
+            volume: req.volume,
+            offset: req.offset,
+            length: req.length,
+            payload: Vec::new(),
         };
-        let id = self.next_job;
-        self.next_job += 1;
-        self.jobs.insert(
-            id,
-            Job {
-                slot,
-                gen,
-                kind: JobKind::Control,
-                req: Request {
-                    id: req.id,
-                    op: req.op,
-                    volume: req.volume,
-                    offset: req.offset,
-                    length: req.length,
-                    payload: Vec::new(),
-                },
-                span: None,
-                queue_ns,
-                frame: Vec::new(),
-                payload_bytes: 0,
-                remaining: 1,
-                status: Status::Ok,
-                resolved: None,
-            },
-        );
-        self.shared.jobs_inflight.fetch_add(1, Ordering::Relaxed);
-        let sent = self
-            .ctl_tx
-            .send(ControlJob {
-                origin: self.id,
-                job: id,
-                client,
-                queue_ns,
-                req,
-            })
-            .is_ok();
-        if !sent {
+        let (id, mut job) = self.new_job(slot, header, None, queue_ns);
+        let ctl = ControlJob {
+            origin: self.id,
+            job: id,
+            client,
+            queue_ns,
+            req,
+        };
+        if self.ctl_tx.send(ctl).is_ok() {
+            job.remaining = 1;
+        } else {
             // Control thread gone (shutdown): answer what we can.
-            if let Some(mut job) = self.jobs.remove(&id) {
-                job.status = Status::Shutdown;
-                let _ = wire::response_frame_into(&mut job.frame, job.req.id, Status::Shutdown, 0);
-                self.complete(job);
-            }
+            job.status = Status::Shutdown;
         }
+        self.join_or_finalize(id, job);
     }
 
-    // -- batched local writes -----------------------------------------
+    // -- the tick batch -----------------------------------------------
 
+    /// Submit the tick batch — every WRITE chunk this shard took in
+    /// since the last flush, decoded here or delivered by a ring — as
+    /// one `shard_write_batch` per array, then answer each chunk's
+    /// origin. The only route from a served WRITE to the array.
     fn flush_write_batch(&mut self) {
         if self.wbatch.is_empty() {
             return;
         }
-        let unit = self.engine.unit_bytes();
         let wbatch = std::mem::take(&mut self.wbatch);
-        let mut statuses = vec![Status::Ok; wbatch.len()];
-        // One submission per array: (phys, payload-slice) pairs across
-        // every pending write, in decode order.
+        let mut payloads: Vec<Result<Vec<u8>, Status>> =
+            wbatch.iter().map(|_| Ok(Vec::new())).collect();
         for array in 0..self.engine.array_count() {
+            // (phys, bytes) pairs across the batch, in arrival order.
             let mut ops: Vec<(u64, &[u8])> = Vec::new();
-            let mut owners: Vec<usize> = Vec::new();
-            for (i, pw) in wbatch.iter().enumerate() {
-                let mut at = 0usize;
-                for seg in pw.resolved.segments.iter() {
-                    let len = seg.units as usize * unit;
-                    if seg.array as usize == array {
-                        ops.push((seg.phys, &pw.req.payload[at..at + len]));
-                        owners.push(i);
-                    }
-                    at += len;
+            let mut idx: Vec<usize> = Vec::new();
+            for (i, w) in wbatch.iter().enumerate() {
+                if w.array != array {
+                    continue;
                 }
+                let data = match &w.data {
+                    WriteData::Copied(bytes) => &bytes[..],
+                    WriteData::InJob { at, len } => {
+                        let job = self.jobs.get(&w.job);
+                        let job = job.expect("a job with a chunk pending stays in `jobs`");
+                        &job.req.payload[*at..*at + *len]
+                    }
+                };
+                ops.push((w.phys, data));
+                idx.push(i);
             }
             if ops.is_empty() {
                 continue;
             }
             let results = self.engine.shard_write_batch(array, &ops);
-            for (idx, res) in owners.iter().zip(results) {
+            for (i, res) in idx.into_iter().zip(results) {
                 if let Err(e) = res {
-                    if statuses[*idx] == Status::Ok {
-                        statuses[*idx] = status_of(&e);
-                    }
+                    payloads[i] = Err(status_of(&e));
                 }
             }
         }
-        for (pw, status) in wbatch.into_iter().zip(statuses) {
-            if status == Status::Ok {
-                pw.resolved.stats.writes.fetch_add(1, Ordering::Relaxed);
-                pw.resolved
-                    .stats
-                    .bytes_written
-                    .fetch_add(pw.req.payload.len() as u64, Ordering::Relaxed);
+        for (w, payload) in wbatch.into_iter().zip(payloads) {
+            let done = Done {
+                job: w.job,
+                frame_off: 0,
+                payload,
+            };
+            if w.origin == self.id {
+                self.join_done(done);
             } else {
-                pw.resolved.stats.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            self.engine
-                .end_access(pw.span, &pw.req, status, 0, pw.queue_ns);
-            self.scratch.clear();
-            let _ = wire::response_frame_into(&mut self.scratch, pw.req.id, status, 0);
-            self.shared.requests.fetch_add(1, Ordering::Relaxed);
-            let live = matches!(
-                self.conns.get(pw.slot),
-                Some(Some(c)) if c.gen == pw.gen && !c.dead
-            );
-            if live {
-                self.deliver_scratch(pw.slot);
+                self.send(w.origin, ShardMsg::Done(done));
             }
         }
     }

@@ -14,9 +14,10 @@
 //! Each shard runs a readiness loop over its connections (epoll on
 //! Linux x86_64/aarch64, a sleep-poll stand-in elsewhere — see
 //! [`crate::reactor`]), owns a fixed partition of the stripes, and
-//! commits the fully-local WRITEs it decoded in one tick as a single
-//! array batch. `ServerConfig::shards` sets the shard count (0 = one
-//! per available core).
+//! commits the WRITE chunks that reached it in one tick — from its own
+//! connections or from a peer's ring — as a single array batch.
+//! `ServerConfig::shards` sets the shard count (0 = one per available
+//! core).
 //!
 //! # Shutdown
 //!
@@ -146,9 +147,10 @@ mod tests {
         handle.shutdown();
     }
 
-    /// Explicit multi-shard runtime: requests that span stripe groups
-    /// exercise the cross-shard fan-out/join path, FLUSH exercises the
-    /// barrier, and everything must still round-trip exactly.
+    /// Explicit multi-shard runtime: WRITEs, READs and a TRIM that span
+    /// stripe groups send chunks of all three kinds to peer shards and
+    /// join them, FLUSH exercises the barrier, and everything must
+    /// still round-trip exactly.
     #[test]
     fn four_shards_serve_cross_shard_requests_and_flush() {
         let layout = Pddl::new(7, 3).unwrap();
@@ -180,13 +182,20 @@ mod tests {
                         c.flush().unwrap();
                         assert_eq!(c.read_units(base + round * 512, 512).unwrap(), data);
                     }
+                    // A TRIM over everything just written spans owners
+                    // like the WRITEs did, and reads back as zeros.
+                    c.trim(base, 4 * 512).unwrap();
+                    assert_eq!(
+                        c.read_units(base, 4 * 512).unwrap(),
+                        vec![0u8; 4 * 512 * 16]
+                    );
                 })
             })
             .collect();
         for c in clients {
             c.join().unwrap();
         }
-        assert!(handle.requests_served() >= 4 * 4 * 3);
+        assert!(handle.requests_served() >= 4 * (4 * 3 + 2));
         handle.shutdown();
     }
 
@@ -245,15 +254,16 @@ mod tests {
         assert!(t.elapsed() < Duration::from_secs(5));
     }
 
-    /// The tick batch really batches: single-unit WRITEs fired
-    /// back-to-back on 8 connections of a 1-shard server (one request
-    /// per connection is in flight, so depth comes from connections)
-    /// must, at least once in 200 rounds, be decoded in the same tick
-    /// and commit as one array batch — fewer journal batches than
-    /// writes, and a batch of ≥ 2 ops on record. Submitting each
-    /// pending write on its own in `flush_write_batch` fails this.
-    #[test]
-    fn tick_batch_coalesces_writes_from_concurrent_connections() {
+    /// Fire single-unit WRITEs back-to-back from 8 connections for 200
+    /// rounds (one request per connection is in flight, so depth comes
+    /// from connections) and require that the owner's tick batch
+    /// coalesced some of them: a `journal.batch_ops` sample of ≥ 2 and
+    /// fewer journal batches than acknowledged writes, with every unit
+    /// reading back its last write. The acceptor deals sockets to
+    /// shards round-robin, so using every `shards`-th of the first
+    /// sockets opened homes all 8 on shard 0; `owner` picks which
+    /// shard's units they write.
+    fn assert_tick_batch_coalesces(shards: usize, owner: usize) {
         const CONNS: usize = 8;
         const ROUNDS: usize = 200;
         let layout = Pddl::new(7, 3).unwrap();
@@ -266,13 +276,19 @@ mod tests {
             Arc::new(Engine::new(array)),
             "127.0.0.1:0",
             ServerConfig {
-                shards: 1,
+                shards,
                 ..ServerConfig::default()
             },
         )
         .unwrap();
-        let cap = handle.engine().volume_info().capacity_units;
-        let mut socks: Vec<TcpStream> = (0..CONNS)
+        let engine = handle.engine();
+        let cap = engine.volume_info().capacity_units;
+        // Volume 0 maps a unit to the same physical unit of array 0.
+        let units: Vec<u64> = (0..cap)
+            .filter(|&u| runtime::owner_of(0, engine.stripe_of(0, u), shards) == owner)
+            .collect();
+        assert!(units.len() >= CONNS, "shard {owner} owns too few units");
+        let mut socks: Vec<TcpStream> = (0..CONNS * shards)
             .map(|_| {
                 let s = TcpStream::connect(handle.local_addr()).unwrap();
                 s.set_nodelay(true).unwrap();
@@ -283,8 +299,8 @@ mod tests {
         let mut latest = vec![None; cap as usize];
         let mut frame = Vec::new();
         for round in 0..ROUNDS {
-            for (conn, s) in socks.iter_mut().enumerate() {
-                let unit = ((round * CONNS + conn) as u64 * 5) % cap;
+            for (conn, s) in socks.iter_mut().step_by(shards).enumerate() {
+                let unit = units[((round * CONNS + conn) * 5) % units.len()];
                 frame.clear();
                 wire::write_request(
                     &mut frame,
@@ -301,7 +317,7 @@ mod tests {
                 s.write_all(&frame).unwrap();
                 latest[unit as usize] = Some(fill(round, conn));
             }
-            for s in &mut socks {
+            for s in socks.iter_mut().step_by(shards) {
                 let resp = wire::read_response(s).unwrap().unwrap();
                 assert_eq!((resp.id, resp.status), (round as u64, Status::Ok));
             }
@@ -329,6 +345,24 @@ mod tests {
         let t = Instant::now();
         handle.shutdown();
         assert!(t.elapsed() < Duration::from_secs(5));
+    }
+
+    /// The tick batch really batches: on one shard, WRITEs decoded in
+    /// the same tick commit as one array batch. Submitting each chunk
+    /// on its own in `flush_write_batch` fails this.
+    #[test]
+    fn tick_batch_coalesces_writes_from_concurrent_connections() {
+        assert_tick_batch_coalesces(1, 0);
+    }
+
+    /// ...and it batches whoever cut the chunk: connections homed on
+    /// shard 0 write units shard 1 owns, so every WRITE chunk reaches
+    /// its owner over the ring, and those that arrive in one tick must
+    /// still commit together. Submitting a peer's chunk on arrival, one
+    /// `shard_write_batch` each, fails this.
+    #[test]
+    fn tick_batch_coalesces_writes_routed_from_a_peer_shard() {
+        assert_tick_batch_coalesces(2, 1);
     }
 
     /// Connection fan-in: one thread holds 256 sockets open against 1

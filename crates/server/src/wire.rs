@@ -573,30 +573,17 @@ impl RequestReader {
 ///
 /// As [`write_request`].
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<(), WireError> {
-    let mut frame = response_frame(resp.id, resp.status, resp.payload.len())?;
+    let mut frame = Vec::new();
+    response_frame_into(&mut frame, resp.id, resp.status, resp.payload.len())?;
     frame[RESPONSE_HEADER_LEN..].copy_from_slice(&resp.payload);
-    write_frame(w, &frame)
+    w.write_all(&frame)?;
+    w.flush()?;
+    Ok(())
 }
 
 /// Byte length of a response frame header
 /// (magic u32 + id u64 + status u8 + payload length u32).
 pub const RESPONSE_HEADER_LEN: usize = 17;
-
-/// Allocate a response frame with a zeroed payload region of
-/// `payload_len` bytes; the header is fully written. The caller fills
-/// `frame[RESPONSE_HEADER_LEN..]` in place — this is how the engine's
-/// zero-copy read path writes array data directly into the outgoing
-/// frame instead of through an intermediate payload `Vec`.
-///
-/// # Errors
-///
-/// [`WireError::PayloadTooLarge`] when `payload_len` exceeds
-/// [`MAX_PAYLOAD`].
-pub fn response_frame(id: u64, status: Status, payload_len: usize) -> Result<Vec<u8>, WireError> {
-    let mut frame = Vec::new();
-    response_frame_into(&mut frame, id, status, payload_len)?;
-    Ok(frame)
-}
 
 /// Shape a caller-owned buffer into a response frame: resize to
 /// `RESPONSE_HEADER_LEN + payload_len` and write the header. Reusing
@@ -604,7 +591,9 @@ pub fn response_frame(id: u64, status: Status, payload_len: usize) -> Result<Vec
 /// path allocation-free once the buffer has grown to its steady-state
 /// size. The payload region's contents are **unspecified** (stale bytes
 /// from a previous response survive a reuse); the caller must overwrite
-/// all of `frame[RESPONSE_HEADER_LEN..]` before sending.
+/// all of `frame[RESPONSE_HEADER_LEN..]` before sending — this is how
+/// the zero-copy read paths land array data directly in the outgoing
+/// frame instead of going through an intermediate payload `Vec`.
 ///
 /// # Errors
 ///
@@ -629,7 +618,7 @@ pub fn response_frame_into(
     Ok(())
 }
 
-/// Rewrite a frame built by [`response_frame`] into a payload-less
+/// Rewrite a frame built by [`response_frame_into`] into a payload-less
 /// answer with `status` for the same request id: truncate to the header
 /// and patch the status and length fields. Used when a zero-copy read
 /// fails after the frame was already sized for the data.
@@ -637,17 +626,6 @@ pub fn demote_frame(frame: &mut Vec<u8>, status: Status) {
     frame.truncate(RESPONSE_HEADER_LEN);
     frame[12] = status.code();
     frame[13..17].copy_from_slice(&0u32.to_be_bytes());
-}
-
-/// Send a prebuilt response frame (see [`response_frame`]).
-///
-/// # Errors
-///
-/// [`WireError::Io`] on transport failure.
-pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> Result<(), WireError> {
-    w.write_all(frame)?;
-    w.flush()?;
-    Ok(())
 }
 
 /// Read one response frame; `Ok(None)` on clean EOF at a frame boundary.

@@ -41,7 +41,7 @@ pub struct Segment {
 const INLINE_SEGMENTS: usize = 2;
 
 /// A short list of [`Segment`]s with small-vector storage: up to
-/// [`INLINE_SEGMENTS`] entries live inline, longer resolutions spill
+/// `INLINE_SEGMENTS` (2) entries live inline, longer resolutions spill
 /// to the heap. Dereferences to `[Segment]`, so callers index and
 /// iterate it like a slice.
 #[derive(Debug, Clone)]

@@ -4,7 +4,7 @@
 //! table, per-volume telemetry counters — and never touches devices.
 //! The server engine owns the actual `DeclusteredArray`s and asks the
 //! manager to translate `(volume, offset, units)` into physical
-//! [`Segment`]s before doing any I/O.
+//! [`Segment`](crate::Segment)s before doing any I/O.
 //!
 //! Allocation is eager and first-fit: a volume's whole capacity is
 //! mapped at create/resize time (no thin provisioning), walking the
@@ -132,6 +132,26 @@ pub struct VolumeStats {
 }
 
 impl VolumeStats {
+    /// Account one finished data op that resolved against this volume:
+    /// a failure counts as an error and nothing else; a success counts
+    /// as a read and/or a write by the payload bytes it returned
+    /// (`read`) and ingested (`written`) — a TRIM moves neither, so it
+    /// only ever shows up here when it fails.
+    pub fn record(&self, ok: bool, read: u64, written: u64) {
+        if !ok {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        if read > 0 {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.bytes_read.fetch_add(read, Ordering::Relaxed);
+        }
+        if written > 0 {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+            self.bytes_written.fetch_add(written, Ordering::Relaxed);
+        }
+    }
+
     /// Point-in-time `(reads, writes, bytes_read, bytes_written,
     /// errors)`.
     pub fn load(&self) -> (u64, u64, u64, u64, u64) {
