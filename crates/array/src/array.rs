@@ -40,6 +40,7 @@ use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use pddl_core::addr::{PhysAddr, Role};
 use pddl_core::layout::Layout;
+use pddl_core::plan::{plan_stripe_write, StripeWrite, Unit, WriteMethod, WritePolicy};
 use pddl_disk::fault::{AccessKind, FaultHook};
 use pddl_gf::kernels;
 use pddl_gf::rs::{CodecError, ReedSolomon};
@@ -233,6 +234,13 @@ impl RebuildTicket {
         &self.stripes[self.cursor..]
     }
 }
+
+/// One stripe's share of a write batch: the newest bytes per data-unit
+/// index, iterated in index order.
+type Updates<'a> = BTreeMap<usize, &'a [u8]>;
+
+/// Check units about to be stored, as `(index, bytes)` in index order.
+type NewChecks = Vec<(usize, Vec<u8>)>;
 
 /// A functional declustered RAID array over RAM-backed disks.
 ///
@@ -483,6 +491,40 @@ impl DeclusteredArray {
         }
     }
 
+    /// Where `addr`'s contents live right now (its spare redirect, else
+    /// its home), or `None` while the unit awaits copy-back. The unit is
+    /// readable iff this names a disk that has not failed.
+    fn live_target(&self, addr: PhysAddr) -> Option<PhysAddr> {
+        {
+            // Empty-set fast path for the same reason as in `resolve`:
+            // no copy-back in progress means no hash per unit read.
+            let restoring = rlock(&self.restoring);
+            if !restoring.is_empty() && restoring.contains(&addr) {
+                return None;
+            }
+        }
+        Some(self.resolve(addr))
+    }
+
+    /// The units of `stripe` [`Self::read_phys_into`] would refuse *now*:
+    /// on a failed disk with no live redirect, or awaiting copy-back. A
+    /// healthy array pays one emptiness check and allocates nothing.
+    fn unreadable_units(&self, stripe: u64) -> Vec<Unit> {
+        if rlock(&self.failed).is_empty() {
+            return Vec::new();
+        }
+        let lost = |addr| {
+            self.live_target(addr)
+                .is_none_or(|at| lock(&self.disks[at.disk]).is_failed())
+        };
+        let units = self.layout.stripe_units(stripe);
+        units
+            .iter()
+            .filter(|u| lost(u.addr))
+            .map(Unit::from)
+            .collect()
+    }
+
     /// Read one stripe unit, following redirects; `None` when the unit
     /// is on a failed, un-rebuilt disk or awaiting copy-back onto a
     /// replacement (its value is implied by parity). The failed-check
@@ -499,15 +541,9 @@ impl DeclusteredArray {
     /// reconstructed through parity; allocates nothing on the healthy
     /// path.
     fn read_phys_into(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<bool, ArrayError> {
-        {
-            // Empty-set fast path for the same reason as in `resolve`:
-            // no copy-back in progress means no hash per unit read.
-            let restoring = rlock(&self.restoring);
-            if !restoring.is_empty() && restoring.contains(&addr) {
-                return Ok(false);
-            }
-        }
-        let addr = self.resolve(addr);
+        let Some(addr) = self.live_target(addr) else {
+            return Ok(false);
+        };
         // An injected read media error makes the unit unreadable for
         // this access; the caller reconstructs through parity exactly
         // as for a failed disk.
@@ -560,16 +596,23 @@ impl DeclusteredArray {
         Ok(())
     }
 
-    /// Fetch all shards of a stripe (data then checks), reconstructing
-    /// any units lost to failed disks.
-    fn stripe_shards(&self, stripe: u64) -> Result<Vec<Vec<u8>>, ArrayError> {
-        let d = self.layout.data_per_stripe();
-        let c = self.layout.check_per_stripe();
-        let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(d + c);
-        for i in 0..d {
-            shards.push(self.read_phys(self.layout.data_unit(stripe, i))?);
-        }
-        for i in 0..c {
+    /// The data units of `stripe`: those the caller already has in
+    /// memory (`held`, by index) are copied, the rest read once each;
+    /// `None` marks an unreadable one.
+    fn data_row(&self, stripe: u64, held: &Updates) -> Result<Vec<Option<Vec<u8>>>, ArrayError> {
+        (0..self.layout.data_per_stripe())
+            .map(|i| match held.get(&i) {
+                Some(bytes) => Ok(Some(bytes.to_vec())),
+                None => self.read_phys(self.layout.data_unit(stripe, i)),
+            })
+            .collect()
+    }
+
+    /// Fetch all shards of a stripe (data then checks; `held` as for
+    /// [`Self::data_row`]), reconstructing any unreadable units.
+    fn stripe_shards(&self, stripe: u64, held: &Updates) -> Result<Vec<Vec<u8>>, ArrayError> {
+        let mut shards = self.data_row(stripe, held)?;
+        for i in 0..self.layout.check_per_stripe() {
             shards.push(self.read_phys(self.layout.check_unit(stripe, i))?);
         }
         if shards.iter().any(Option::is_none) {
@@ -583,6 +626,16 @@ impl DeclusteredArray {
             .collect())
     }
 
+    /// The unit count of a `len`-byte access at logical unit `start`;
+    /// `None` unless `len` is a non-zero whole number of units and the
+    /// range lies inside the client data space.
+    fn span(&self, start: u64, len: usize) -> Option<u64> {
+        let units = (len / self.unit_bytes) as u64;
+        let whole = len > 0 && len.is_multiple_of(self.unit_bytes);
+        let end = start.checked_add(units)?;
+        (whole && end <= self.capacity_units()).then_some(units)
+    }
+
     /// Read `units` data units starting at logical unit `start`.
     ///
     /// Works in every mode: fault-free reads go straight to the disks,
@@ -594,11 +647,8 @@ impl DeclusteredArray {
     /// [`ArrayError::BadAddress`] outside capacity;
     /// [`ArrayError::Unrecoverable`] when too many disks are gone.
     pub fn read(&self, start: u64, units: u64) -> Result<Vec<u8>, ArrayError> {
-        if units == 0
-            || start
-                .checked_add(units)
-                .is_none_or(|end| end > self.capacity_units())
-        {
+        // Bounds the allocation; `read_into` validates the range.
+        if units > self.capacity_units() {
             return Err(ArrayError::BadAddress);
         }
         let mut out = vec![0u8; (units as usize) * self.unit_bytes];
@@ -614,10 +664,12 @@ impl DeclusteredArray {
     /// buffer — this is how the server fills response frames without an
     /// intermediate payload copy.
     ///
-    /// Degraded stripes reconstruct once and serve every consecutive
-    /// unit of that stripe from the reconstruction, so a degraded
-    /// sequential scan costs `O(d + c)` disk reads per stripe instead
-    /// of `O(d·(d + c))`.
+    /// A stripe with an unreadable unit reconstructs once — from the
+    /// units of it this access already holds plus one read of each
+    /// other survivor — and serves the rest of its run from that, so no
+    /// unit is read twice and a degraded sequential scan costs
+    /// `d + c − 1` disk reads per stripe: exactly the read set
+    /// [`pddl_core::plan::plan_access`] plans.
     ///
     /// # Errors
     ///
@@ -625,33 +677,29 @@ impl DeclusteredArray {
     /// range outside capacity; [`ArrayError::Unrecoverable`] when too
     /// many disks are gone.
     pub fn read_into(&self, start: u64, buf: &mut [u8]) -> Result<(), ArrayError> {
-        if buf.is_empty() || !buf.len().is_multiple_of(self.unit_bytes) {
-            return Err(ArrayError::BadAddress);
-        }
-        let units = (buf.len() / self.unit_bytes) as u64;
-        if start
-            .checked_add(units)
-            .is_none_or(|end| end > self.capacity_units())
-        {
-            return Err(ArrayError::BadAddress);
-        }
-        // One reconstructed stripe is kept across loop iterations so a
-        // degraded sequential scan does not re-read the surviving
-        // shards for every unit of the same stripe.
-        let mut cached: Option<(u64, Vec<Vec<u8>>)> = None;
-        for (i, chunk) in buf.chunks_exact_mut(self.unit_bytes).enumerate() {
-            let (stripe, index) = self.layout.locate(start + i as u64);
-            if let Some((s, shards)) = &cached {
-                if *s == stripe {
-                    chunk.copy_from_slice(&shards[index]);
-                    continue;
-                }
+        let units = self.span(start, buf.len()).ok_or(ArrayError::BadAddress)? as usize;
+        let ub = self.unit_bytes;
+        let locate = |pos: usize| self.layout.locate(start + pos as u64);
+        let mut pos = 0;
+        while pos < units {
+            let (stripe, index) = locate(pos);
+            let chunk = &mut buf[pos * ub..(pos + 1) * ub];
+            if self.read_phys_into(self.layout.data_unit(stripe, index), chunk)? {
+                pos += 1;
+                continue;
             }
-            if !self.read_phys_into(self.layout.data_unit(stripe, index), chunk)? {
-                self.degraded_reads.fetch_add(1, Ordering::Relaxed);
-                let shards = self.stripe_shards(stripe)?;
-                chunk.copy_from_slice(&shards[index]);
-                cached = Some((stripe, shards));
+            self.degraded_reads.fetch_add(1, Ordering::Relaxed);
+            // A stripe's data units are logically consecutive: the ones
+            // just before `pos` are already in `buf`, the ones after it
+            // come out of the same reconstruction.
+            let run = (0..pos).rev().take_while(|&p| locate(p).0 == stripe);
+            let held: Updates = run
+                .map(|p| (locate(p).1, &buf[p * ub..(p + 1) * ub]))
+                .collect();
+            let shards = self.stripe_shards(stripe, &held)?;
+            while pos < units && locate(pos).0 == stripe {
+                buf[pos * ub..(pos + 1) * ub].copy_from_slice(&shards[locate(pos).1]);
+                pos += 1;
             }
         }
         Ok(())
@@ -681,9 +729,8 @@ impl DeclusteredArray {
     /// by run adjacency, because PDDL's permuted layout makes
     /// consecutive logical units revisit a stripe non-adjacently — so N
     /// small writes landing on one stripe merge into a single parity
-    /// read-modify-write. When a batch covers every data unit of a
-    /// healthy stripe it promotes to a full-stripe re-encode: the check
-    /// units are computed from the new data and nothing is read at all.
+    /// update, carried out the way [`plan_stripe_write`] decides for the
+    /// merged set (a batch covering a whole row reads nothing at all).
     /// The whole batch costs one journal append and one retire (the
     /// group commit) instead of one of each per stripe per op.
     ///
@@ -706,21 +753,13 @@ impl DeclusteredArray {
         let mut results: Vec<Result<(), ArrayError>> = vec![Ok(()); ops.len()];
         struct StripeBatch<'a> {
             /// Newest chunk per data-unit index (deposit order wins).
-            updates: BTreeMap<usize, &'a [u8]>,
+            updates: Updates<'a>,
             /// Ops contributing to this stripe, for error attribution.
             ops: Vec<usize>,
         }
         let mut by_stripe: BTreeMap<u64, StripeBatch> = BTreeMap::new();
         for (op_idx, &(start, data)) in ops.iter().enumerate() {
-            if data.is_empty() || !data.len().is_multiple_of(self.unit_bytes) {
-                results[op_idx] = Err(ArrayError::BadAddress);
-                continue;
-            }
-            let units = (data.len() / self.unit_bytes) as u64;
-            if start
-                .checked_add(units)
-                .is_none_or(|end| end > self.capacity_units())
-            {
+            if self.span(start, data.len()).is_none() {
                 results[op_idx] = Err(ArrayError::BadAddress);
                 continue;
             }
@@ -745,74 +784,32 @@ impl DeclusteredArray {
         // anywhere in between leaves each unfinished stripe marked for
         // parity repair at recovery.
         lock(&self.intents).extend(by_stripe.keys().copied());
-        let d = self.layout.data_per_stripe();
         let mut retired: Vec<u64> = Vec::with_capacity(by_stripe.len());
         let mut abort: Option<ArrayError> = None;
         for (&stripe, batch) in &by_stripe {
-            if let Some(e) = &abort {
-                for &op in &batch.ops {
-                    if results[op].is_ok() {
-                        results[op] = Err(e.clone());
-                    }
-                }
-                continue;
-            }
-            let updates: Vec<(usize, &[u8])> = batch
-                .updates
-                .iter()
-                .map(|(&i, &chunk)| (i, chunk))
-                .collect();
-            // Full-stripe batches on a healthy array re-encode from the
-            // new data alone. Small updates on healthy stripes use the
-            // delta path: read old data + old checks, fold the
-            // XOR-delta into each check (read-modify-write, like a real
-            // controller). Everything else falls back to whole-stripe
-            // read/re-encode. Promotion and the delta path require a
-            // fault-free array: a degraded stripe must go through the
-            // reconstructing path so no acknowledged unit is silently
-            // dropped on a failed disk.
-            let healthy = rlock(&self.failed).is_empty();
-            let outcome = if healthy && updates.len() == d {
-                self.full_stripe_write(stripe, &updates)
-            } else if healthy && 2 * updates.len() <= d && updates.len() < d {
-                // The delta path declines (without erroring) when a
-                // unit it must read is unreadable — e.g. an injected
-                // media error — and we fall back to the reconstructing
-                // path.
-                match self.small_write(stripe, &updates) {
-                    Ok(true) => Ok(()),
-                    Ok(false) => self.rmw_stripe(stripe, &updates),
-                    Err(e) => Err(e),
-                }
-            } else {
-                self.rmw_stripe(stripe, &updates)
+            let outcome = match &abort {
+                Some(e) => Err(e.clone()),
+                None => self.write_stripe(stripe, &batch.updates),
             };
-            match outcome {
-                Ok(()) => {
-                    retired.push(stripe);
-                    self.emit(ObsEvent::JournalCommit { stripe });
+            let Err(e) = outcome else {
+                retired.push(stripe);
+                self.emit(ObsEvent::JournalCommit { stripe });
+                continue;
+            };
+            for &op in &batch.ops {
+                if results[op].is_ok() {
+                    results[op] = Err(e.clone());
                 }
-                Err(e @ (ArrayError::MediaError { .. } | ArrayError::Unrecoverable { .. })) => {
-                    // Contained to this stripe: its intent stays
-                    // journaled, the rest of the batch proceeds.
-                    for &op in &batch.ops {
-                        if results[op].is_ok() {
-                            results[op] = Err(e.clone());
-                        }
-                    }
-                }
-                Err(e) => {
-                    // A crash (or device/codec bug) stops the
-                    // controller: nothing after this stripe reaches
-                    // disk, and every unfinished intent stays for
-                    // recovery.
-                    for &op in &batch.ops {
-                        if results[op].is_ok() {
-                            results[op] = Err(e.clone());
-                        }
-                    }
-                    abort = Some(e);
-                }
+            }
+            // A media error or an unrecoverable stripe is contained: its
+            // intent stays journaled, the rest of the batch proceeds. A
+            // crash (or device/codec bug) stops the controller: no later
+            // stripe reaches disk, every unfinished intent stays.
+            if !matches!(
+                e,
+                ArrayError::MediaError { .. } | ArrayError::Unrecoverable { .. }
+            ) {
+                abort = Some(e);
             }
         }
         self.retire_intents(&retired);
@@ -821,6 +818,45 @@ impl DeclusteredArray {
             ops: ops.len() as u64,
         });
         results
+    }
+
+    /// Update one stripe the way the planner decides from the units that
+    /// are unreadable now; the array only executes. More units lost
+    /// than checks: nothing is written, so the intent stays journaled.
+    fn write_stripe(&self, stripe: u64, updates: &Updates) -> Result<(), ArrayError> {
+        let written: Vec<usize> = updates.keys().copied().collect();
+        let lost = self.unreadable_units(stripe);
+        let d = self.layout.data_per_stripe();
+        let c = self.layout.check_per_stripe();
+        let plan = plan_stripe_write(d, c, &written, &lost, WritePolicy::Adaptive)
+            .map_err(|_| ArrayError::Unrecoverable { stripe })?;
+        // Every pre-read happens here, before the first write. `None`:
+        // one found its unit unreadable after all (injected media error,
+        // disk failing under it) and the whole-stripe reconstruct takes
+        // over — on a stripe still untouched (half-updated, with `c ≥ 2`
+        // it could rebuild an unrelated unreadable unit through checks
+        // that no longer match the data).
+        let checks = match plan.method {
+            WriteMethod::ReconstructWrite => self.encode_row(stripe, updates)?,
+            WriteMethod::ReadModifyWrite => self.small_write(stripe, updates, &plan)?,
+            WriteMethod::DataOnly => Some(Vec::new()),
+            WriteMethod::ReconstructAll => None,
+        };
+        let checks = match checks {
+            Some(checks) => checks,
+            None => self.rmw_stripe(stripe, updates)?,
+        };
+        // The one write phase: updated data units in index order, then
+        // checks — the device order crash recovery's old-or-new reasoning
+        // and the chaos torn-write model are calibrated on. `write_phys`
+        // skips a failed, un-spared disk, validates a unit in copy-back.
+        for (&index, chunk) in updates {
+            self.write_phys(self.layout.data_unit(stripe, index), chunk)?;
+        }
+        for (index, check) in &checks {
+            self.write_phys(self.layout.check_unit(stripe, *index), check)?;
+        }
+        Ok(())
     }
 
     /// Retire the journal entries for `stripes` in one append-side lock
@@ -836,87 +872,61 @@ impl DeclusteredArray {
         }
     }
 
-    /// Full-stripe write on a healthy array: every data unit is being
-    /// replaced, so the check units are encoded from the new data and
-    /// no old contents are read at all (the paper's large-write
-    /// optimization, applied when a batch happens to cover a row).
-    fn full_stripe_write(&self, stripe: u64, updates: &[(usize, &[u8])]) -> Result<(), ArrayError> {
-        debug_assert_eq!(updates.len(), self.layout.data_per_stripe());
-        let data: Vec<Vec<u8>> = updates.iter().map(|&(_, chunk)| chunk.to_vec()).collect();
+    /// The checks of `stripe`'s data row with `held` laid over it, or
+    /// `None` when a unit not held is unreadable. Reconstruct-write (the
+    /// paper's large write): only the data units that do not change are
+    /// pre-read — no old check, no overwritten unit, nothing for a full row.
+    fn encode_row(&self, stripe: u64, held: &Updates) -> Result<Option<NewChecks>, ArrayError> {
+        let row = self.data_row(stripe, held)?;
+        let Some(data) = row.into_iter().collect::<Option<Vec<_>>>() else {
+            return Ok(None);
+        };
         let checks = self.rs.encode(&data)?;
-        for &(index, chunk) in updates {
-            self.write_phys(self.layout.data_unit(stripe, index), chunk)?;
-        }
-        for (i, check) in checks.iter().enumerate() {
-            self.write_phys(self.layout.check_unit(stripe, i), check)?;
-        }
-        Ok(())
+        Ok(Some(checks.into_iter().enumerate().collect()))
     }
 
-    /// Read-modify-write a whole stripe: fetch current data
-    /// (reconstructing if degraded), apply updates, re-encode.
-    fn rmw_stripe(&self, stripe: u64, updates: &[(usize, &[u8])]) -> Result<(), ArrayError> {
-        let mut shards = self.stripe_shards(stripe)?;
-        for &(index, chunk) in updates {
-            shards[index] = chunk.to_vec();
+    /// Reconstruct-everything: fetch the whole stripe (decoding what is
+    /// unreadable), apply the updates, re-encode. Also where the two
+    /// cheaper methods fall back to.
+    fn rmw_stripe(&self, stripe: u64, updates: &Updates) -> Result<NewChecks, ArrayError> {
+        let mut data = self.stripe_shards(stripe, &Updates::new())?;
+        data.truncate(self.layout.data_per_stripe());
+        for (&index, chunk) in updates {
+            data[index] = chunk.to_vec();
         }
-        let d = self.layout.data_per_stripe();
-        let checks = self.rs.encode(&shards[..d])?;
-        // Only the updated data units changed on disk; rewriting the
-        // others would burn `d - w` redundant I/Os per stripe.
-        for &(index, _) in updates {
-            self.write_phys(self.layout.data_unit(stripe, index), &shards[index])?;
-        }
-        for (i, check) in checks.iter().enumerate() {
-            self.write_phys(self.layout.check_unit(stripe, i), check)?;
-        }
-        Ok(())
+        Ok(self.rs.encode(&data)?.into_iter().enumerate().collect())
     }
 
-    /// Delta small write: touch only the updated data units and the
-    /// check units (`2(w + c)` I/Os instead of `d + c + w`).
-    ///
-    /// Returns `Ok(false)` when a unit it must *read* turns out to be
-    /// unreadable (an injected media error on an otherwise healthy
-    /// stripe); the caller falls back to [`Self::rmw_stripe`], which
-    /// reconstructs the unreadable unit through parity. All reads
-    /// happen before any write, so a decline leaves the stripe
-    /// untouched — the fallback's reconstruction never runs against a
-    /// half-applied delta (with `c ≥ 2` it could otherwise reconstruct
-    /// an unrelated unreadable unit through check units that no longer
-    /// match the data, silently corrupting it).
-    fn small_write(&self, stripe: u64, updates: &[(usize, &[u8])]) -> Result<bool, ArrayError> {
+    /// Delta small write: pre-read only the updated data units and the
+    /// checks `plan` names — the surviving ones — and fold the change
+    /// into each (`2(w + c)` I/Os instead of `d + c + w`).
+    fn small_write(
+        &self,
+        stripe: u64,
+        updates: &Updates,
+        plan: &StripeWrite,
+    ) -> Result<Option<NewChecks>, ArrayError> {
         let c = self.layout.check_per_stripe();
-        let mut checks: Vec<Vec<u8>> = Vec::with_capacity(c);
-        for i in 0..c {
+        let mut checks: NewChecks = Vec::with_capacity(c);
+        for i in (0..c).filter(|&i| plan.reads(Unit::Check(i))) {
             match self.read_phys(self.layout.check_unit(stripe, i))? {
-                Some(check) => checks.push(check),
-                None => return Ok(false),
+                Some(check) => checks.push((i, check)),
+                None => return Ok(None),
             }
         }
-        // Read phase: fold each unit's XOR-delta (old contents vs new
-        // bytes) into every check. One scratch buffer serves all
-        // updates.
+        // Fold each unit's XOR-delta (old contents vs new bytes) into
+        // every check. One scratch buffer serves all updates.
         let mut delta = vec![0u8; self.unit_bytes];
-        for &(index, chunk) in updates {
+        for (&index, chunk) in updates {
             if !self.read_phys_into(self.layout.data_unit(stripe, index), &mut delta)? {
-                return Ok(false);
+                return Ok(None);
             }
             kernels::xor_into(&mut delta, chunk);
-            for (i, check) in checks.iter_mut().enumerate() {
-                self.rs.apply_delta(i, index, &delta, check);
+            for (i, check) in &mut checks {
+                self.rs.apply_delta(*i, index, &delta, check);
             }
         }
-        // Write phase: data units in index order, then checks — the
-        // same device order as every other write path, which is what
-        // crash recovery's old-or-new reasoning is calibrated against.
-        for &(index, chunk) in updates {
-            self.write_phys(self.layout.data_unit(stripe, index), chunk)?;
-        }
-        for (i, check) in checks.iter().enumerate() {
-            self.write_phys(self.layout.check_unit(stripe, i), check)?;
-        }
-        Ok(true)
+        Ok(Some(checks))
     }
 
     /// Fault injection: make the array "crash" (error with
@@ -985,24 +995,17 @@ impl DeclusteredArray {
                 continue;
             }
             repaired += 1;
-            let d = self.layout.data_per_stripe();
-            let mut data = Vec::with_capacity(d);
-            for i in 0..d {
-                let addr = self.layout.data_unit(stripe, i);
-                // No disks are failed (checked by the caller), so an
-                // unreadable unit here is an injected media error.
-                // Surface it typed — the journal entries are restored so
-                // a later retry can finish the replay.
-                let Some(unit) = self.read_phys(addr)? else {
-                    return Err(ArrayError::MediaError {
-                        disk: addr.disk,
-                        offset: addr.offset,
-                    });
-                };
-                data.push(unit);
+            let row = self.data_row(stripe, &Updates::new())?;
+            // No disks are failed (checked by the caller), so an
+            // unreadable unit here is an injected media error. Surface
+            // it typed — the journal entries are restored so a later
+            // retry can finish the replay.
+            if let Some(i) = row.iter().position(Option::is_none) {
+                let PhysAddr { disk, offset } = self.layout.data_unit(stripe, i);
+                return Err(ArrayError::MediaError { disk, offset });
             }
-            let checks = self.rs.encode(&data)?;
-            for (i, check) in checks.iter().enumerate() {
+            let data: Vec<Vec<u8>> = row.into_iter().flatten().collect();
+            for (i, check) in self.rs.encode(&data)?.iter().enumerate() {
                 self.write_phys(self.layout.check_unit(stripe, i), check)?;
             }
         }
@@ -1268,7 +1271,7 @@ impl DeclusteredArray {
         if lock(&self.disks[spare.disk]).is_failed() {
             return Err(ArrayError::SpareUnavailable);
         }
-        let shards = self.stripe_shards(stripe)?;
+        let shards = self.stripe_shards(stripe, &Updates::new())?;
         let content = match lost.role {
             Role::Data => &shards[lost.index],
             Role::Check => &shards[self.layout.data_per_stripe() + lost.index],
@@ -1294,7 +1297,7 @@ impl DeclusteredArray {
         } else if rlock(&self.restoring).contains(&lost.addr) {
             // read_phys treats restoring units as failed, so the normal
             // reconstruction path recovers the content from survivors.
-            let shards = self.stripe_shards(stripe)?;
+            let shards = self.stripe_shards(stripe, &Updates::new())?;
             let content = match lost.role {
                 Role::Data => &shards[lost.index],
                 Role::Check => &shards[self.layout.data_per_stripe() + lost.index],
@@ -1342,20 +1345,13 @@ impl DeclusteredArray {
     /// returns the stripe numbers whose stored checks do not match the
     /// re-encoded data. Stripes with unreadable units are skipped.
     pub fn scrub(&self) -> Result<Vec<u64>, ArrayError> {
-        let d = self.layout.data_per_stripe();
-        let c = self.layout.check_per_stripe();
         let mut bad = Vec::new();
         'stripes: for stripe in 0..self.periods * self.layout.stripes_per_period() {
-            let mut data = Vec::with_capacity(d);
-            for i in 0..d {
-                match self.read_phys(self.layout.data_unit(stripe, i))? {
-                    Some(v) => data.push(v),
-                    None => continue 'stripes,
-                }
-            }
-            let expected = self.rs.encode(&data)?;
-            for (i, want) in expected.iter().enumerate().take(c) {
-                match self.read_phys(self.layout.check_unit(stripe, i))? {
+            let Some(expected) = self.encode_row(stripe, &Updates::new())? else {
+                continue;
+            };
+            for (i, want) in &expected {
+                match self.read_phys(self.layout.check_unit(stripe, *i))? {
                     Some(stored) if &stored == want => {}
                     Some(_) => {
                         bad.push(stripe);
@@ -1600,6 +1596,29 @@ mod tests {
             matches!(result, Err(ArrayError::Unrecoverable { .. })),
             "{result:?}"
         );
+    }
+
+    #[test]
+    fn write_to_an_unrecoverable_stripe_is_typed_and_writes_nothing() {
+        let a = small_array();
+        a.write(0, &pattern(16 * 8, 8)).unwrap();
+        a.fail_disk(0).unwrap();
+        a.fail_disk(1).unwrap();
+        // A stripe with units on both failed disks has lost more than its
+        // one check: the planner's answer is a value, and the array turns
+        // it into an error before touching a device.
+        let unit = (0..a.capacity_units())
+            .find(|&u| {
+                let units = a.layout().stripe_units(a.layout().locate(u).0);
+                units.iter().filter(|s| s.addr.disk <= 1).count() == 2
+            })
+            .expect("k = 3 of 7: some stripe spans disks 0 and 1");
+        let stripe = a.layout().locate(unit).0;
+        let before = a.io_counts();
+        let result = a.write(unit, &pattern(16, 9));
+        assert_eq!(result, Err(ArrayError::Unrecoverable { stripe }));
+        assert_eq!(a.io_counts(), before, "nothing read, nothing written");
+        assert_eq!(a.outstanding_intents(), vec![stripe]);
     }
 
     #[test]
@@ -2279,14 +2298,31 @@ mod write_hole_tests {
             .collect()
     }
 
-    fn fresh() -> DeclusteredArray {
-        let a = DeclusteredArray::new(Box::new(Pddl::new(7, 3).unwrap()), 8, 2).unwrap();
+    fn fresh_on(disks: usize, width: usize) -> DeclusteredArray {
+        let layout = Pddl::new(disks, width).unwrap();
+        let a = DeclusteredArray::new(Box::new(layout), 8, 2).unwrap();
         a.write(0, &pattern(8 * 20, 1)).unwrap();
         a
     }
 
+    fn fresh() -> DeclusteredArray {
+        fresh_on(7, 3)
+    }
+
     #[test]
     fn crash_at_every_point_recovers_to_consistent_parity() {
+        // `d = 2`: every stripe of the write is a small or a full-stripe
+        // write. `d = 3`: units 4..10 cover 2 of 3, 3 of 3 and 1 of 3
+        // units of three stripes, so the first is a reconstruct-write.
+        crash_at_every_point(7, 3);
+        let a = fresh_on(13, 4);
+        let first = (4..10u64).filter(|&u| a.layout.locate(u).0 == a.layout.locate(4).0);
+        assert_eq!((first.count(), a.layout.data_per_stripe()), (2, 3));
+        crash_at_every_point(13, 4);
+    }
+
+    fn crash_at_every_point(disks: usize, width: usize) {
+        let fresh = || fresh_on(disks, width);
         // What units 4..10 held before: the matching slice of the
         // original pattern written at logical 0.
         let old_block = pattern(8 * 20, 1)[4 * 8..10 * 8].to_vec();

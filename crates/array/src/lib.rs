@@ -16,6 +16,17 @@
 //! matching the paper's reconstruction / post-reconstruction operating
 //! modes (Figure 18) and its distributed-sparing story (goal #7).
 //!
+//! The array has no access policy of its own. How a stripe is written —
+//! reconstruct-write, read-modify-write, reconstruct-everything or
+//! data-only — is [`pddl_core::plan::plan_stripe_write`]'s decision,
+//! given the units of that stripe that are unreadable at that moment;
+//! the array pre-reads what the decision names, computes the checks
+//! and writes, falling back to reconstruct-everything only when a
+//! pre-read hits a media error. Its device I/O therefore equals
+//! [`pddl_core::plan::plan_access`]'s lists unit for unit
+//! (`tests/plan_equiv.rs`), so the simulator's figures describe the
+//! controller these bytes run through.
+//!
 //! ```
 //! use pddl_array::DeclusteredArray;
 //! use pddl_core::Pddl;

@@ -57,22 +57,21 @@ fn cases(base: usize) -> usize {
     }
 }
 
-#[test]
-fn array_matches_flat_model() {
+/// Random op sequences against `make()`'s array and a flat byte vector,
+/// with at most `max_failures` disks failed and not yet replaced — the
+/// driver only injects a failure the layout's check units can absorb.
+fn assert_matches_flat_model(make: fn() -> Pddl, max_failures: usize, seed: u64) {
     let unit = 8usize;
-    let capacity = 4 * 7 * 2u64; // data units for 2 periods
-    let mut rng = Xoshiro256pp::seed_from_u64(0xa88a1);
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
     for case in 0..cases(48) {
-        let layout = Pddl::new(7, 3).unwrap();
-        let array = DeclusteredArray::new(Box::new(layout), unit, 2).unwrap();
+        let array = DeclusteredArray::new(Box::new(make()), unit, 2).unwrap();
+        let (capacity, disks) = (array.capacity_units(), array.layout().disks());
         let mut model = vec![0u8; capacity as usize * unit];
-        // At most one un-rebuilt failure at a time (single-check layout);
-        // the driver only injects a failure when the array is healthy.
-        let mut live_failure: Option<usize> = None;
+        let mut live_failures: Vec<usize> = Vec::new();
 
         let n_ops = 1 + rng.below(59);
         for _ in 0..n_ops {
-            match random_op(&mut rng, capacity, 7) {
+            match random_op(&mut rng, capacity, disks) {
                 Op::Write { start, len, seed } => {
                     let bytes: Vec<u8> = (0..len as usize * unit)
                         .map(|i| seed.wrapping_add(i as u8))
@@ -91,22 +90,21 @@ fn array_matches_flat_model() {
                     );
                 }
                 Op::Fail { disk } => {
-                    if live_failure.is_none() {
+                    if live_failures.len() < max_failures && !live_failures.contains(&disk) {
                         array.fail_disk(disk).unwrap();
-                        live_failure = Some(disk);
+                        live_failures.push(disk);
                     }
                 }
                 Op::RebuildSpare { disk } => match array.rebuild_to_spare(disk) {
                     Ok(_) => {}
                     Err(ArrayError::WrongDiskState | ArrayError::NoSpareSpace) => {}
+                    // A spare cell on the other failed disk (two live
+                    // failures only): the rebuild halts, typed.
+                    Err(ArrayError::SpareUnavailable) if live_failures.len() > 1 => {}
                     Err(e) => panic!("case {case}: rebuild: {e}"),
                 },
                 Op::Replace { disk } => match array.replace_and_rebuild(disk) {
-                    Ok(_) => {
-                        if live_failure == Some(disk) {
-                            live_failure = None;
-                        }
-                    }
+                    Ok(_) => live_failures.retain(|&d| d != disk),
                     Err(ArrayError::WrongDiskState) => {}
                     Err(e) => panic!("case {case}: replace: {e}"),
                 },
@@ -119,6 +117,21 @@ fn array_matches_flat_model() {
         let full = array.read(0, capacity).unwrap();
         assert_eq!(full, model, "case {case}");
     }
+}
+
+#[test]
+fn array_matches_flat_model() {
+    assert_matches_flat_model(|| Pddl::new(7, 3).unwrap(), 1, 0xa88a1);
+}
+
+/// Two check units (`d = 2`) and up to two disks down at once: stripes
+/// that lost a written unit, an unwritten one, both, or a check drive
+/// the reconstruct-write-over-survivors, small-write-over-surviving-checks,
+/// reconstruct-everything and data-only methods with real bytes.
+#[test]
+fn two_check_array_matches_flat_model() {
+    let make = || Pddl::new(13, 4).unwrap().with_check_units(2).unwrap();
+    assert_matches_flat_model(make, 2, 0xdd2);
 }
 
 /// Lifecycle stage of the single fault the driver keeps in flight.

@@ -196,25 +196,20 @@ impl Model {
                     continue;
                 }
             }
-            // Success path. Read-fault touch bookkeeping: the promoted
-            // full-stripe re-encode reads nothing; the delta path reads
-            // the check units and the updated units' old contents; the
-            // reconstructing path reads the whole stripe.
-            let w = updates.len();
-            let promoted = matches!(ctx.phase, Phase::Healthy) && w == d;
-            let small = matches!(ctx.phase, Phase::Healthy) && 2 * w <= d && w < d;
+            // Success path. Read-fault touch bookkeeping (cells are armed
+            // in the Healthy phase only, one per stripe): a small write
+            // (`2w ≤ d`) reads the check units and the updated units'
+            // old contents; a reconstruct-write reads the *unmodified*
+            // data units only — not the checks, not the updated units —
+            // and a full-stripe write is the one that has none to read.
+            // (A read that hits the armed cell then falls back to the
+            // whole stripe, but the cell has been touched by then.)
+            let small = 2 * updates.len() <= d;
             if let Some(cell) = ctx.armed.iter().find(|c| !c.write && c.stripe == stripe) {
-                let touches = if promoted {
-                    false
-                } else {
-                    match cell.block {
-                        // Check cells are read by both non-promoted
-                        // write paths.
-                        None => true,
-                        // A data cell is read when updated (old value
-                        // for the delta), or by the whole-stripe fetch.
-                        Some(b) => !small || updates.iter().any(|&(_, _, ub)| ub == b),
-                    }
+                let updated = |b| updates.iter().any(|&(_, _, ub)| ub == b);
+                let touches = match cell.block {
+                    None => small,
+                    Some(b) => small == updated(b),
                 };
                 if touches {
                     self.read_fault_touched = true;

@@ -1,23 +1,29 @@
 //! Translate logical accesses into physical I/O plans.
 //!
-//! This is the array-controller logic of RAIDframe, reimplemented as a
-//! pure function so that both the disk working-set analysis (Figure 3)
-//! and the discrete-event simulator execute *exactly* the same physical
-//! accesses:
+//! This is the array-controller logic of RAIDframe, reimplemented as
+//! pure functions so that the disk working-set analysis (Figure 3), the
+//! discrete-event simulator *and* the byte-level array execute exactly
+//! the same physical accesses:
 //!
 //! * fault-free reads touch only the requested data units;
-//! * fault-free writes pick, per stripe, the cheapest of full-stripe /
-//!   read-modify-write ("small") / reconstruct-write ("large");
 //! * degraded reads rebuild lost units from the whole surviving stripe;
-//! * degraded writes switch to large writes when the failed disk holds
-//!   modified data (§4.2 of the paper), and skip parity maintenance when
-//!   the failed disk holds the parity;
+//! * every write is decided stripe by stripe by [`plan_stripe_write`]:
+//!   fault-free it picks the cheapest of full-stripe / read-modify-write
+//!   ("small") / reconstruct-write ("large"); degraded it switches to
+//!   large writes when the failed disk holds modified data (§4.2 of the
+//!   paper), and skips parity maintenance when it holds the parity;
 //! * post-reconstruction accesses redirect the failed disk's units to the
 //!   distributed spare space (PDDL only).
+//!
+//! The per-stripe decision names units by role ([`Unit`]), not by
+//! address, and has two executors: [`plan_access`] maps its answer
+//! through the layout into an [`AccessPlan`] for a [`Mode`], and
+//! `pddl_array::DeclusteredArray` performs it on real bytes against the
+//! units that are unreadable at that moment.
 
 use std::collections::BTreeSet;
 
-use crate::addr::{PhysAddr, Role};
+use crate::addr::{PhysAddr, Role, StripeUnit};
 use crate::layout::Layout;
 
 /// Logical access type.
@@ -196,18 +202,150 @@ fn resolve(layout: &dyn Layout, mode: Mode, stripe: u64, addr: PhysAddr) -> Phys
     addr
 }
 
+/// A stripe unit named by its role in the stripe, not by where it lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Unit {
+    /// Data unit `i` of the stripe.
+    Data(usize),
+    /// Check unit `j` of the stripe.
+    Check(usize),
+}
+
+impl From<&StripeUnit> for Unit {
+    fn from(unit: &StripeUnit) -> Self {
+        match unit.role {
+            Role::Check => Unit::Check(unit.index),
+            _ => Unit::Data(unit.index),
+        }
+    }
+}
+
+/// How one stripe's share of a write is carried out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum WriteMethod {
+    /// Reconstruct-write ("large"): pre-read the data units that do not
+    /// change, encode every check from the new row, write the new data
+    /// and the checks. A full-stripe write is its zero-read case.
+    ReconstructWrite,
+    /// Read-modify-write ("small"): pre-read the old contents of the
+    /// written data units and of the surviving checks, fold the delta
+    /// into each check, write them back.
+    ReadModifyWrite,
+    /// Pre-read every surviving unit, decode the lost ones, apply the
+    /// update, re-encode; write the new data and the checks.
+    ReconstructAll,
+    /// No check unit survives: write the data and nothing else.
+    DataOnly,
+}
+
+/// A stripe has lost more units than it has check units.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Unrecoverable;
+
+/// [`plan_stripe_write`]'s answer for one stripe.
+#[derive(Debug, Clone, Copy)]
+pub struct StripeWrite<'a> {
+    /// How the stripe is updated.
+    pub method: WriteMethod,
+    written: &'a [usize],
+    lost: &'a [Unit],
+}
+
+impl StripeWrite<'_> {
+    fn is_written(&self, unit: Unit) -> bool {
+        matches!(unit, Unit::Data(i) if self.written.contains(&i))
+    }
+
+    /// Is `unit` read before anything is written? Never a lost unit.
+    pub fn reads(&self, unit: Unit) -> bool {
+        !self.lost.contains(&unit)
+            && match self.method {
+                WriteMethod::ReconstructWrite => {
+                    matches!(unit, Unit::Data(_)) && !self.is_written(unit)
+                }
+                WriteMethod::ReadModifyWrite => {
+                    matches!(unit, Unit::Check(_)) || self.is_written(unit)
+                }
+                WriteMethod::ReconstructAll => true,
+                WriteMethod::DataOnly => false,
+            }
+    }
+
+    /// Is `unit` written? Every surviving written data unit and every
+    /// surviving check; a lost unit's new value is implied by the checks.
+    pub fn writes(&self, unit: Unit) -> bool {
+        !self.lost.contains(&unit) && (matches!(unit, Unit::Check(_)) || self.is_written(unit))
+    }
+}
+
+/// Decide how a write to the distinct data indices `written` of one
+/// stripe of `d` data and `c` check units is carried out while the units
+/// in `lost` are unreadable. Pure and allocation-free; the one place the
+/// small-vs-large rule is written.
+///
+/// A lost data unit being written forbids read-modify-write (its old
+/// value is unreadable); a lost data unit *not* being written forbids
+/// reconstruct-write (its current value is unreadable); with both kinds
+/// lost only reconstruct-everything is left; and with no surviving check
+/// there is no parity to maintain. A lost check forbids neither — each
+/// surviving check is maintained on its own — and the controller then
+/// stays with read-modify-write. Only a stripe with nothing lost is
+/// free to choose: full-stripe when every data unit is written, else by
+/// `policy`.
+///
+/// # Errors
+///
+/// [`Unrecoverable`] when `lost` holds more units than the stripe has
+/// checks.
+pub fn plan_stripe_write<'a>(
+    d: usize,
+    c: usize,
+    written: &'a [usize],
+    lost: &'a [Unit],
+    policy: WritePolicy,
+) -> Result<StripeWrite<'a>, Unrecoverable> {
+    if lost.len() > c {
+        return Err(Unrecoverable);
+    }
+    let lost_data = |is_written: bool| {
+        lost.iter()
+            .any(|u| matches!(u, Unit::Data(i) if written.contains(i) == is_written))
+    };
+    let method = if lost.iter().filter(|u| matches!(u, Unit::Check(_))).count() == c {
+        WriteMethod::DataOnly
+    } else {
+        match (lost_data(true), lost_data(false)) {
+            (true, true) => WriteMethod::ReconstructAll,
+            (true, false) => WriteMethod::ReconstructWrite,
+            (false, true) => WriteMethod::ReadModifyWrite,
+            (false, false) if !lost.is_empty() => WriteMethod::ReadModifyWrite,
+            (false, false) if written.len() == d => WriteMethod::ReconstructWrite,
+            (false, false) => match policy {
+                WritePolicy::Adaptive if 2 * written.len() <= d => WriteMethod::ReadModifyWrite,
+                WritePolicy::Adaptive | WritePolicy::AlwaysLarge => WriteMethod::ReconstructWrite,
+                WritePolicy::AlwaysSmall => WriteMethod::ReadModifyWrite,
+            },
+        }
+    };
+    Ok(StripeWrite {
+        method,
+        written,
+        lost,
+    })
+}
+
 #[allow(clippy::too_many_arguments)]
 fn plan_stripe(
     layout: &dyn Layout,
     mode: Mode,
     op: Op,
     stripe: u64,
-    written_or_read: &[usize],
+    touched: &[usize],
     policy: WritePolicy,
     reads: &mut BTreeSet<PhysAddr>,
     writes: &mut BTreeSet<PhysAddr>,
 ) {
-    let d = layout.data_per_stripe();
+    let (d, c) = (layout.data_per_stripe(), layout.check_per_stripe());
     let failed: Vec<usize> = match mode {
         Mode::FaultFree => Vec::new(),
         Mode::Degraded { failed } => vec![failed],
@@ -219,253 +357,38 @@ fn plan_stripe(
         Mode::PostReconstruction { .. } => Vec::new(),
     };
     let units = layout.stripe_units(stripe);
-    let failed_units: Vec<&crate::addr::StripeUnit> = units
-        .iter()
-        .filter(|u| failed.contains(&u.addr.disk))
-        .collect();
+    let on_failed = units.iter().filter(|u| failed.contains(&u.addr.disk));
+    let lost: Vec<Unit> = on_failed.map(Unit::from).collect();
     assert!(
-        failed_units.len() <= layout.check_per_stripe(),
-        "stripe {stripe} lost {} units but only has {} check units",
-        failed_units.len(),
-        layout.check_per_stripe()
+        lost.len() <= c,
+        "stripe {stripe} lost {} units but only has {c} check units",
+        lost.len()
     );
-
     match op {
         Op::Read => {
-            for &i in written_or_read {
-                let addr = layout.data_unit(stripe, i);
-                if failed.contains(&addr.disk) {
+            for &i in touched {
+                if lost.contains(&Unit::Data(i)) {
                     // Rebuild on the fly: read every surviving unit.
-                    for u in &units {
-                        if !failed.contains(&u.addr.disk) {
-                            reads.insert(u.addr);
-                        }
-                    }
+                    let surviving = units.iter().filter(|u| !lost.contains(&Unit::from(*u)));
+                    reads.extend(surviving.map(|u| u.addr));
                 } else {
-                    reads.insert(resolve(layout, mode, stripe, addr));
+                    reads.insert(resolve(layout, mode, stripe, units[i].addr));
                 }
             }
         }
         Op::Write => {
-            let w: BTreeSet<usize> = written_or_read.iter().copied().collect();
-            if failed_units.len() > 1 {
-                plan_multi_failure_write(layout, stripe, &failed, &w, reads, writes);
-                return;
-            }
-            let failed_unit = failed_units.first().map(|u| **u);
-
-            match failed_unit {
-                None => {
-                    // Fault-free logic (possibly with spare redirection).
-                    let full = w.len() == d;
-                    let small = !full
-                        && match policy {
-                            WritePolicy::Adaptive => 2 * w.len() <= d,
-                            WritePolicy::AlwaysSmall => true,
-                            WritePolicy::AlwaysLarge => false,
-                        };
-                    if full {
-                        // Full-stripe write: no pre-reads.
-                        for &i in &w {
-                            writes.insert(resolve(
-                                layout,
-                                mode,
-                                stripe,
-                                layout.data_unit(stripe, i),
-                            ));
-                        }
-                        for c in 0..layout.check_per_stripe() {
-                            writes.insert(resolve(
-                                layout,
-                                mode,
-                                stripe,
-                                layout.check_unit(stripe, c),
-                            ));
-                        }
-                    } else if small {
-                        // Read-modify-write: old data + old parity.
-                        for &i in &w {
-                            let a = resolve(layout, mode, stripe, layout.data_unit(stripe, i));
-                            reads.insert(a);
-                            writes.insert(a);
-                        }
-                        for c in 0..layout.check_per_stripe() {
-                            let a = resolve(layout, mode, stripe, layout.check_unit(stripe, c));
-                            reads.insert(a);
-                            writes.insert(a);
-                        }
-                    } else {
-                        // Reconstruct-write: read the units that will NOT
-                        // change, write the new data + parity.
-                        for i in 0..d {
-                            let a = resolve(layout, mode, stripe, layout.data_unit(stripe, i));
-                            if w.contains(&i) {
-                                writes.insert(a);
-                            } else {
-                                reads.insert(a);
-                            }
-                        }
-                        for c in 0..layout.check_per_stripe() {
-                            writes.insert(resolve(
-                                layout,
-                                mode,
-                                stripe,
-                                layout.check_unit(stripe, c),
-                            ));
-                        }
-                    }
+            let plan = plan_stripe_write(d, c, touched, &lost, policy)
+                .expect("the lost units were counted against the checks above");
+            for unit in &units {
+                // Spare redirection is the identity whenever a unit is lost.
+                let addr = resolve(layout, mode, stripe, unit.addr);
+                if plan.reads(unit.into()) {
+                    reads.insert(addr);
                 }
-                Some(unit) if unit.role == Role::Check => {
-                    // The (single) parity is lost: just write the data.
-                    // With multiple check units the surviving ones still
-                    // need maintenance — use a small write excluding the
-                    // failed check.
-                    if layout.check_per_stripe() == 1 {
-                        for &i in &w {
-                            writes.insert(layout.data_unit(stripe, i));
-                        }
-                    } else {
-                        for &i in &w {
-                            let a = layout.data_unit(stripe, i);
-                            reads.insert(a);
-                            writes.insert(a);
-                        }
-                        for c in 0..layout.check_per_stripe() {
-                            let a = layout.check_unit(stripe, c);
-                            if a.disk != unit.addr.disk {
-                                reads.insert(a);
-                                writes.insert(a);
-                            }
-                        }
-                    }
-                }
-                Some(unit) if unit.role == Role::Data && w.contains(&unit.index) => {
-                    // Writing the lost data unit: forced large write —
-                    // read the unmodified survivors, write modified
-                    // survivors + parity (the lost unit's new value is
-                    // implied by the parity).
-                    for i in 0..d {
-                        let a = layout.data_unit(stripe, i);
-                        if a.disk == unit.addr.disk {
-                            continue;
-                        }
-                        if w.contains(&i) {
-                            writes.insert(a);
-                        } else {
-                            reads.insert(a);
-                        }
-                    }
-                    for c in 0..layout.check_per_stripe() {
-                        writes.insert(layout.check_unit(stripe, c));
-                    }
-                }
-                Some(_) => {
-                    // A data unit is lost but not being written: a small
-                    // write never touches it, and a large write would
-                    // need its (unreadable) value — so always small.
-                    for &i in &w {
-                        let a = layout.data_unit(stripe, i);
-                        reads.insert(a);
-                        writes.insert(a);
-                    }
-                    for c in 0..layout.check_per_stripe() {
-                        let a = layout.check_unit(stripe, c);
-                        reads.insert(a);
-                        writes.insert(a);
-                    }
+                if plan.writes(unit.into()) {
+                    writes.insert(addr);
                 }
             }
-        }
-    }
-}
-
-/// Write planning when a stripe has lost two or more units (multi-check
-/// layouts under [`Mode::DoubleDegraded`]). Rules, from the same
-/// readability constraints as the single-failure cases:
-///
-/// * a lost data unit being *written* forbids small writes (its old
-///   value is unreadable);
-/// * a lost data unit *not* written forbids large writes (its current
-///   value is unreadable);
-/// * when both kinds are lost, fall back to reconstruct-everything:
-///   read every surviving unit, decode, then write the touched
-///   survivors and surviving checks.
-fn plan_multi_failure_write(
-    layout: &dyn Layout,
-    stripe: u64,
-    failed: &[usize],
-    w: &BTreeSet<usize>,
-    reads: &mut BTreeSet<PhysAddr>,
-    writes: &mut BTreeSet<PhysAddr>,
-) {
-    let d = layout.data_per_stripe();
-    let surviving_checks: Vec<PhysAddr> = (0..layout.check_per_stripe())
-        .map(|c| layout.check_unit(stripe, c))
-        .filter(|a| !failed.contains(&a.disk))
-        .collect();
-    let lost_written = (0..d).any(|i| {
-        let a = layout.data_unit(stripe, i);
-        failed.contains(&a.disk) && w.contains(&i)
-    });
-    let lost_unwritten = (0..d).any(|i| {
-        let a = layout.data_unit(stripe, i);
-        failed.contains(&a.disk) && !w.contains(&i)
-    });
-    if surviving_checks.is_empty() {
-        // All redundancy lost: just write the surviving touched data.
-        for &i in w {
-            let a = layout.data_unit(stripe, i);
-            if !failed.contains(&a.disk) {
-                writes.insert(a);
-            }
-        }
-        return;
-    }
-    if lost_written && lost_unwritten {
-        // Reconstruct-everything fallback.
-        for u in layout.stripe_units(stripe) {
-            if !failed.contains(&u.addr.disk) {
-                reads.insert(u.addr);
-            }
-        }
-        for &i in w {
-            let a = layout.data_unit(stripe, i);
-            if !failed.contains(&a.disk) {
-                writes.insert(a);
-            }
-        }
-        for &a in &surviving_checks {
-            writes.insert(a);
-        }
-    } else if lost_written {
-        // Forced large write over the survivors.
-        for i in 0..d {
-            let a = layout.data_unit(stripe, i);
-            if failed.contains(&a.disk) {
-                continue;
-            }
-            if w.contains(&i) {
-                writes.insert(a);
-            } else {
-                reads.insert(a);
-            }
-        }
-        for &a in &surviving_checks {
-            writes.insert(a);
-        }
-    } else {
-        // Forced (or plain) small write: touched data + surviving checks.
-        for &i in w {
-            let a = layout.data_unit(stripe, i);
-            if failed.contains(&a.disk) {
-                continue;
-            }
-            reads.insert(a);
-            writes.insert(a);
-        }
-        for &a in &surviving_checks {
-            reads.insert(a);
-            writes.insert(a);
         }
     }
 }
@@ -761,6 +684,44 @@ mod tests {
     fn duplicate_failed_disks_rejected() {
         let l = Pddl::new(13, 4).unwrap().with_check_units(2).unwrap();
         let _ = plan_access(&l, Mode::DoubleDegraded { failed: [3, 3] }, Op::Read, 0, 1);
+    }
+
+    #[test]
+    fn stripe_write_decision_follows_the_lost_units() {
+        use Unit::{Check, Data};
+        use WriteMethod::{DataOnly, ReadModifyWrite, ReconstructAll, ReconstructWrite};
+        let method = |d, c, written: &[usize], lost: &[Unit]| {
+            plan_stripe_write(d, c, written, lost, WritePolicy::Adaptive).map(|p| p.method)
+        };
+        // Nothing lost: the cheaper of small and large, full when it fits.
+        assert_eq!(method(3, 1, &[1], &[]), Ok(ReadModifyWrite));
+        assert_eq!(method(3, 1, &[0, 1], &[]), Ok(ReconstructWrite));
+        assert_eq!(method(3, 1, &[0, 1, 2], &[]), Ok(ReconstructWrite));
+        // A lost unit being written forbids the small write, a lost unit
+        // not being written forbids the large one, both leave one way.
+        assert_eq!(method(3, 1, &[1], &[Data(1)]), Ok(ReconstructWrite));
+        assert_eq!(method(3, 1, &[0, 1], &[Data(2)]), Ok(ReadModifyWrite));
+        assert_eq!(method(2, 2, &[0], &[Data(0), Data(1)]), Ok(ReconstructAll));
+        // Checks: none left → data only; some left → small over those.
+        assert_eq!(method(3, 1, &[0, 1], &[Check(0)]), Ok(DataOnly));
+        assert_eq!(method(2, 2, &[0], &[Check(0), Check(1)]), Ok(DataOnly));
+        assert_eq!(method(2, 2, &[0, 1], &[Check(1)]), Ok(ReadModifyWrite));
+        assert_eq!(
+            method(2, 2, &[0], &[Check(0), Data(0)]),
+            Ok(ReconstructWrite)
+        );
+        // More lost than checks is a value, not a panic.
+        assert_eq!(method(3, 1, &[0], &[Data(1), Check(0)]), Err(Unrecoverable));
+
+        // The units each method touches, on d = 3, c = 2 writing {0, 1}.
+        let lost = [Data(0), Check(1)];
+        let plan = plan_stripe_write(3, 2, &[0, 1], &lost, WritePolicy::Adaptive).unwrap();
+        assert_eq!(plan.method, ReconstructWrite);
+        let all = [Data(0), Data(1), Data(2), Check(0), Check(1)];
+        let reads: Vec<Unit> = all.into_iter().filter(|&u| plan.reads(u)).collect();
+        let writes: Vec<Unit> = all.into_iter().filter(|&u| plan.writes(u)).collect();
+        assert_eq!(reads, [Data(2)]);
+        assert_eq!(writes, [Data(1), Check(0)]);
     }
 
     #[test]
