@@ -49,17 +49,53 @@
 //! would wait for its own park), which is why every such op routes to
 //! the control thread.
 //!
+//! # Pipelining
+//!
+//! A connection may have several decoded frames in flight: a shard
+//! keeps decoding a connection's queued frames in the same tick while
+//! it can, so a client's pipelined WRITEs join the owner's tick batch
+//! together and their acks leave in one send. Four rules, each also a
+//! comment at its site:
+//!
+//! 1. **Only data ops pipeline.** READ, WRITE and TRIM do. Any other op
+//!    waits until the connection has drained, and nothing behind it is
+//!    decoded until it is answered — so `FLUSH` still means "every
+//!    earlier WRITE on this connection is in the array".
+//! 2. **Per-connection program order on every owner.** Every chunk
+//!    carries its connection's `client` id, and a READ or TRIM chunk
+//!    submits the owner's tick batch first if the batch holds a WRITE
+//!    chunk of the same connection (other connections' chunks keep
+//!    priority over the batch). Rings are FIFO and `write_batch` is
+//!    last-deposit-wins in arrival order, so one connection's
+//!    overlapping ops take effect in request order on every owner.
+//! 3. **WRITE acks are coalesced.** Completions produced while the tick
+//!    batch is answered are appended to their connections' outbufs, and
+//!    each touched connection is sent once, after the batch. Every other
+//!    completion, READ responses included, is sent at once.
+//! 4. **One decode predicate** (`Conn::can_decode`) gates both the
+//!    decoding and the reactor's zero timeout. It stops at a cap of
+//!    in-flight frames, at [`wire::MAX_PAYLOAD`] in-flight payload bytes
+//!    (WRITE data plus READ responses), while a request is QoS-parked,
+//!    while a non-data op is in flight, and while the connection's
+//!    response bytes are stalled — so a connection at its cap never
+//!    spins the loop, and one holds about 2 × `MAX_PAYLOAD` at most
+//!    however many frames it sends. A connection also yields the tick
+//!    after as many frames as the cap, so a client that refills as
+//!    fast as its READs are answered cannot hold the shard.
+//!
+//! There is no timer and no threshold: a lone request is a batch of one,
+//! answered in its own tick. Responses to data ops may leave out of
+//! request order; clients match them by id.
+//!
 //! # Backpressure
 //!
-//! One request per connection is in flight at a time; further
-//! pipelined frames stay in the socket buffer until the response is
-//! queued, so TCP flow control is the backpressure path. Per-tenant
-//! QoS is enforced at admission: a frame that exceeds its tenant's
-//! token bucket parks with a deadline ([`TenantRegistry::try_admit`]'s
-//! wait hint) instead of blocking the loop, and the reactor's wait
-//! timeout shrinks to the nearest deadline. Ring-full conditions park
-//! messages in a local outbox and retry next tick — shards never block
-//! on each other.
+//! Frames past rule 4's stops stay in the socket buffer, so TCP flow
+//! control is the backpressure path. Per-tenant QoS is enforced at
+//! admission: a frame that exceeds its tenant's token bucket parks with
+//! a deadline ([`TenantRegistry::try_admit`]'s wait hint) instead of
+//! blocking the loop, and the reactor's wait timeout shrinks to the
+//! nearest deadline. Ring-full conditions park messages in a local
+//! outbox and retry next tick — shards never block on each other.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -103,6 +139,12 @@ const IDLE_TICK_MS: i32 = 100;
 /// Longest a QoS-parked request sleeps before re-probing its bucket —
 /// bounds shutdown latency and keeps stale wait hints honest.
 const MAX_PARK: Duration = Duration::from_millis(100);
+
+/// Most decoded frames one connection may have in flight, and most it
+/// gets decoded in one tick (rule 4): a depth-16 client's whole window
+/// decodes in one tick, and a deeper pipeliner's backlog waits in its
+/// socket.
+const MAX_PIPELINE: u32 = 32;
 
 /// The shard that owns `stripe` of `array`: contiguous
 /// [`STRIPE_GROUP`]-stripe runs rotate round-robin, offset by the
@@ -158,6 +200,8 @@ enum SubKind {
 
 struct Sub {
     origin: usize,
+    /// The connection that sent the op (`Conn::client`), for rule 2.
+    client: u32,
     job: u64,
     /// Byte offset of this chunk's data within the response frame
     /// (reads) — echoed back so the origin can place the bytes.
@@ -694,9 +738,13 @@ struct Conn {
     /// Residual read readiness: edge-triggered epoll only reports
     /// transitions, so this stays set until a read hits `WouldBlock`.
     readable: bool,
-    /// One-in-flight: a decoded frame is a job not yet completed, or
-    /// QoS-parked.
-    inflight: bool,
+    /// Decoded frames not yet answered: jobs in flight plus a parked
+    /// request. `complete` takes one off for its own `(slot, gen)` only.
+    inflight: u32,
+    /// Bytes those frames pin ([`pinned_bytes`]).
+    inflight_bytes: usize,
+    /// A non-data op is decoded and not yet answered (rule 1).
+    barrier: bool,
     parked: Option<Parked>,
     outbuf: Vec<u8>,
     out_pos: usize,
@@ -714,7 +762,54 @@ struct Conn {
     dead: bool,
 }
 
-/// A QoS-deferred request: re-probes its token bucket at `deadline`.
+impl Conn {
+    /// Rule 4, the one decode predicate: whether another frame may be
+    /// taken off this connection now. `service_reads` decodes while it
+    /// holds and `tick_timeout` skips the reactor sleep only if it
+    /// holds, so a connection stopped here never spins the loop.
+    fn can_decode(&self) -> bool {
+        self.readable
+            && !self.dead
+            && !self.close_after_flush
+            && self.inflight < MAX_PIPELINE
+            && self.inflight_bytes < wire::MAX_PAYLOAD as usize
+            && self.parked.is_none()
+            && !self.barrier
+            && !self.want_write
+    }
+
+    /// When the parked request may next be retried: its QoS deadline —
+    /// or `None` while it is a non-data op still waiting for the frames
+    /// before it to be answered (rule 1), which a completion ends, not
+    /// a clock.
+    fn parked_due(&self) -> Option<Instant> {
+        let p = self.parked.as_ref()?;
+        (pipelines(p.req.op) || self.inflight == 1).then_some(p.deadline)
+    }
+}
+
+/// Whether `op` pipelines (rule 1): READ, WRITE and TRIM may overlap on
+/// one connection; every other op is a per-connection barrier.
+fn pipelines(op: Op) -> bool {
+    matches!(op, Op::Read | Op::Write | Op::Trim)
+}
+
+/// Bytes a frame pins on its connection until it is answered: a
+/// WRITE's payload or a READ's response data (rule 4's byte stop). No
+/// response exceeds `MAX_PAYLOAD` (a larger READ fails), so neither
+/// does this, and a connection's sum cannot overflow.
+fn pinned_bytes(req: &Request, unit: usize) -> usize {
+    match req.op {
+        Op::Write => req.payload.len(),
+        Op::Read => (req.length as usize)
+            .saturating_mul(unit)
+            .min(wire::MAX_PAYLOAD as usize),
+        _ => 0,
+    }
+}
+
+/// A decoded request not yet dispatched: it probes its token bucket at
+/// `deadline` — a non-data op only once its connection has drained.
 struct Parked {
     req: Request,
     tenant: u32,
@@ -728,6 +823,7 @@ struct Parked {
 /// `flush_write_batch`.
 struct TickWrite {
     origin: usize,
+    client: u32,
     job: u64,
     array: usize,
     phys: u64,
@@ -811,6 +907,11 @@ struct Shard {
     gen_seq: u64,
     /// The tick batch: empty at the end of every tick.
     wbatch: Vec<TickWrite>,
+    /// Set while `flush_write_batch` answers its chunks: `complete`
+    /// then queues a response in its outbuf and the connection's slot
+    /// here, and the batch sends each slot once (rule 3).
+    defer_acks: bool,
+    acked: Vec<usize>,
     /// Scratch: per-request chunk list (reused; allocation-free warm).
     chunks: Vec<Chunk>,
     /// Scratch: the next job's response frame. `dispatch_data` takes
@@ -866,6 +967,8 @@ impl Shard {
             next_job: 0,
             gen_seq: 0,
             wbatch: Vec::new(),
+            defer_acks: false,
+            acked: Vec::new(),
             chunks: Vec::new(),
             scratch: Vec::new(),
             zeros: vec![0u8; zero_units * unit],
@@ -932,9 +1035,9 @@ impl Shard {
 
     // -- tick plumbing -------------------------------------------------
 
-    /// How long the reactor may sleep: zero when decodable input or
-    /// retries are pending, else bounded by the nearest parked-request
-    /// deadline and the idle-sweep granularity.
+    /// How long the reactor may sleep: zero when decodable input, a due
+    /// parked request or retries are pending, else bounded by the
+    /// nearest parked-request deadline and the idle-sweep granularity.
     fn tick_timeout(&self) -> i32 {
         if self.outbox.iter().any(|q| !q.is_empty()) {
             return 0;
@@ -942,15 +1045,15 @@ impl Shard {
         let mut timeout = IDLE_TICK_MS;
         let now = Instant::now();
         for conn in self.conns.iter().flatten() {
-            if conn.dead || (conn.readable && !conn.inflight && !conn.close_after_flush) {
+            if conn.dead || conn.can_decode() {
                 return 0;
             }
-            if let Some(p) = &conn.parked {
-                let ms = p
-                    .deadline
-                    .saturating_duration_since(now)
-                    .as_millis()
-                    .min(i32::MAX as u128) as i32;
+            if let Some(due) = conn.parked_due() {
+                let wait = due.saturating_duration_since(now);
+                if wait.is_zero() {
+                    return 0;
+                }
+                let ms = wait.as_millis().min(i32::MAX as u128) as i32;
                 timeout = timeout.min(ms.max(1));
             }
         }
@@ -1008,7 +1111,9 @@ impl Shard {
                 client: self.shared.conn_seq.fetch_add(1, Ordering::Relaxed),
                 reader: wire::RequestReader::new(),
                 readable: true,
-                inflight: false,
+                inflight: 0,
+                inflight_bytes: 0,
+                barrier: false,
                 parked: None,
                 outbuf: Vec::new(),
                 out_pos: 0,
@@ -1044,10 +1149,20 @@ impl Shard {
     fn execute_chunk(&mut self, sub: Sub, mut home: Option<&mut Job>) {
         let Sub {
             origin,
+            client,
             job,
             frame_off,
             kind,
         } = sub;
+        // Rule 2: a READ or TRIM chunk takes effect after every WRITE
+        // chunk its own connection sent this owner before it, so submit
+        // the batch first if it holds one. Other connections' chunks
+        // keep priority over the batch. (A scan: no lock, no allocation.)
+        if matches!(kind, SubKind::Read { .. } | SubKind::Trim { .. })
+            && self.wbatch.iter().any(|w| w.client == client)
+        {
+            self.flush_write_batch();
+        }
         let result = match kind {
             SubKind::Read { array, phys, bytes } => {
                 // A local chunk lands in its slice of the job's
@@ -1068,6 +1183,7 @@ impl Shard {
                 // tick's WRITE chunks.
                 self.wbatch.push(TickWrite {
                     origin,
+                    client,
                     job,
                     array,
                     phys,
@@ -1165,15 +1281,31 @@ impl Shard {
         let Job {
             slot,
             gen,
+            req,
             mut frame,
             ..
         } = job;
+        let pinned = pinned_bytes(&req, self.engine.unit_bytes());
         // A job whose connection died mid-flight (e.g. teardown during
         // a cross-shard FLUSH) still ran everything above — the span is
         // closed and `server.jobs_inflight` is back down; there is just
         // nobody left to answer, so only delivery is skipped.
-        if let Some(Some(conn)) = self.conns.get_mut(slot) {
-            if conn.gen == gen && !conn.dead {
+        if let Some(conn) = self
+            .conns
+            .get_mut(slot)
+            .and_then(Option::as_mut)
+            .filter(|c| c.gen == gen)
+        {
+            debug_assert!(
+                conn.inflight > 0 && conn.inflight_bytes >= pinned,
+                "in-flight count underflow on slot {slot}"
+            );
+            conn.inflight -= 1;
+            conn.inflight_bytes -= pinned;
+            if !pipelines(req.op) {
+                conn.barrier = false;
+            }
+            if !conn.dead {
                 if conn.outbuf.is_empty() {
                     // Hand the frame over instead of copying it; the
                     // drained buffer it displaces is recycled below.
@@ -1181,9 +1313,14 @@ impl Shard {
                 } else {
                     conn.outbuf.extend_from_slice(&frame);
                 }
-                conn.inflight = false;
                 conn.last_activity = Instant::now();
-                self.try_flush_conn(slot);
+                // Rule 3: inside the tick batch's answers, queue only;
+                // `flush_write_batch` sends each connection once.
+                if self.defer_acks {
+                    self.acked.push(slot);
+                } else {
+                    self.try_flush_conn(slot);
+                }
             }
         }
         if frame.capacity() > self.scratch.capacity() {
@@ -1213,7 +1350,7 @@ impl Shard {
             let Some(Some(conn)) = self.conns.get_mut(slot) else {
                 return;
             };
-            matches!(&conn.parked, Some(p) if !conn.dead && Instant::now() >= p.deadline)
+            !conn.dead && conn.parked_due().is_some_and(|d| Instant::now() >= d)
         };
         if !due {
             return;
@@ -1250,7 +1387,6 @@ impl Shard {
     ) {
         let wait = Duration::from_nanos(wait_ns.max(1_000)).min(MAX_PARK);
         if let Some(Some(conn)) = self.conns.get_mut(slot) {
-            conn.inflight = true;
             conn.parked = Some(Parked {
                 req,
                 tenant,
@@ -1262,13 +1398,20 @@ impl Shard {
         }
     }
 
+    /// Decode and dispatch this connection's queued frames for as long
+    /// as rule 4's predicate allows, and at most [`MAX_PIPELINE`] of
+    /// them per tick: a READ answered in place frees its slot at once,
+    /// so a client that keeps refilling would otherwise hold the tick —
+    /// and every other connection, the rings and a pending park — for
+    /// as long as it keeps up.
     fn service_reads(&mut self, slot: usize) {
-        loop {
+        let unit = self.engine.unit_bytes();
+        for _ in 0..MAX_PIPELINE {
             let polled = {
                 let Some(Some(conn)) = self.conns.get_mut(slot) else {
                     return;
                 };
-                if conn.dead || conn.inflight || conn.close_after_flush || !conn.readable {
+                if !conn.can_decode() {
                     return;
                 }
                 let Conn { reader, stream, .. } = conn;
@@ -1277,12 +1420,23 @@ impl Shard {
             match polled {
                 Ok(Some(req)) => {
                     let decoded_at = Instant::now();
+                    let mut drained = false;
                     if let Some(Some(conn)) = self.conns.get_mut(slot) {
                         conn.last_activity = decoded_at;
                         conn.buffered_prev = 0;
-                        conn.inflight = true;
+                        drained = conn.inflight == 0;
+                        conn.inflight += 1;
+                        conn.inflight_bytes += pinned_bytes(&req, unit);
+                        conn.barrier = !pipelines(req.op);
                     }
                     let (tenant, bytes) = self.engine.admission(&req);
+                    if !pipelines(req.op) && !drained {
+                        // Rule 1: a non-data op waits, parked, until
+                        // every frame before it is answered; `barrier`
+                        // stops decoding behind it until it is too.
+                        self.park_request(slot, req, tenant, bytes, 0, decoded_at);
+                        return;
+                    }
                     match self.tenants.try_admit(tenant, bytes) {
                         Ok(()) => self.dispatch(slot, req, 0),
                         Err(wait_ns) => {
@@ -1294,7 +1448,7 @@ impl Shard {
                     if let Some(Some(conn)) = self.conns.get_mut(slot) {
                         conn.eof = true;
                         conn.readable = false;
-                        if conn.outbuf.is_empty() && !conn.inflight {
+                        if conn.outbuf.is_empty() && conn.inflight == 0 {
                             conn.dead = true;
                         }
                     }
@@ -1444,7 +1598,8 @@ impl Shard {
     /// the local ones here and ship the rest to their owners.
     fn dispatch_data(&mut self, slot: usize, req: Request, queue_ns: u64) {
         let prepared = self.engine.prepare(&req);
-        let span = self.engine.begin_access(self.client_of(slot), &req);
+        let client = self.client_of(slot);
+        let span = self.engine.begin_access(client, &req);
         let (id, mut job) = self.new_job(slot, req, Some(span), queue_ns);
         let (resolved, bytes) = match prepared {
             Ok(v) => v,
@@ -1497,6 +1652,7 @@ impl Shard {
             };
             let sub = Sub {
                 origin: self.id,
+                client,
                 job: id,
                 frame_off: RESPONSE_HEADER_LEN + c.byte_off,
                 kind,
@@ -1512,7 +1668,8 @@ impl Shard {
     }
 
     fn dispatch_flush(&mut self, slot: usize, req: Request, queue_ns: u64) {
-        let span = self.engine.begin_access(self.client_of(slot), &req);
+        let client = self.client_of(slot);
+        let span = self.engine.begin_access(client, &req);
         let (id, mut job) = self.new_job(slot, req, Some(span), queue_ns);
         for peer in 0..self.nshards {
             if peer == self.id {
@@ -1522,6 +1679,7 @@ impl Shard {
                 peer,
                 ShardMsg::Sub(Sub {
                     origin: self.id,
+                    client,
                     job: id,
                     frame_off: 0,
                     kind: SubKind::Barrier,
@@ -1603,6 +1761,9 @@ impl Shard {
                 }
             }
         }
+        // Rule 3: the acks this batch completes are queued, then each
+        // touched connection is sent once.
+        self.defer_acks = true;
         for (w, payload) in wbatch.into_iter().zip(payloads) {
             let done = Done {
                 job: w.job,
@@ -1615,6 +1776,15 @@ impl Shard {
                 self.send(w.origin, ShardMsg::Done(done));
             }
         }
+        self.defer_acks = false;
+        let mut acked = std::mem::take(&mut self.acked);
+        acked.sort_unstable();
+        acked.dedup();
+        for &slot in &acked {
+            self.try_flush_conn(slot);
+        }
+        acked.clear();
+        self.acked = acked;
     }
 
     // -- ring plumbing ------------------------------------------------
@@ -1710,7 +1880,7 @@ impl Shard {
                 slot as u64,
             );
         }
-        if (conn.close_after_flush || conn.eof) && !conn.inflight {
+        if (conn.close_after_flush || conn.eof) && conn.inflight == 0 {
             conn.dead = true;
         }
     }
@@ -1731,7 +1901,7 @@ impl Shard {
                     }
                 }
                 if !conn.dead
-                    && !conn.inflight
+                    && conn.inflight == 0
                     && conn.outbuf.is_empty()
                     && now.duration_since(conn.last_activity) >= self.idle_timeout
                 {

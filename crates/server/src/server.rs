@@ -255,13 +255,14 @@ mod tests {
     }
 
     /// Fire single-unit WRITEs back-to-back from 8 connections for 200
-    /// rounds (one request per connection is in flight, so depth comes
-    /// from connections) and require that the owner's tick batch
-    /// coalesced some of them: a `journal.batch_ops` sample of ≥ 2 and
-    /// fewer journal batches than acknowledged writes, with every unit
-    /// reading back its last write. The acceptor deals sockets to
-    /// shards round-robin, so using every `shards`-th of the first
-    /// sockets opened homes all 8 on shard 0; `owner` picks which
+    /// rounds (each connection waits for its answer before its next
+    /// WRITE, so depth comes from connections, not from pipelining —
+    /// `tests/pipelining.rs` covers that) and require that the owner's
+    /// tick batch coalesced some of them: a `journal.batch_ops` sample
+    /// of ≥ 2 and fewer journal batches than acknowledged writes, with
+    /// every unit reading back its last write. The acceptor deals
+    /// sockets to shards round-robin, so using every `shards`-th of the
+    /// first sockets opened homes all 8 on shard 0; `owner` picks which
     /// shard's units they write.
     fn assert_tick_batch_coalesces(shards: usize, owner: usize) {
         const CONNS: usize = 8;

@@ -3,11 +3,12 @@
 //! not inflate a healthy client's tail latency past a bound, and must
 //! not wedge the server.
 //!
-//! This pins two defenses together: one request per connection is in
-//! flight (the stalled connection's pipeline stays in its socket
-//! buffer, and its shard never blocks on the write — unsent response
-//! bytes wait in the connection's buffer), and the per-connection write
-//! timeout reaps the connection after one bounded stall.
+//! This pins two defenses together: a shard stops decoding a connection
+//! whose response bytes are stalled (the rest of the stalled
+//! connection's pipeline stays in its socket buffer, and its shard never
+//! blocks on the write — unsent response bytes wait in the connection's
+//! buffer), and the per-connection write timeout reaps the connection
+//! after one bounded stall.
 
 use std::net::TcpStream;
 use std::sync::Arc;

@@ -2,8 +2,9 @@
 //! on the sharded runtime.
 //!
 //! The bug this guards against: a client that issues a cross-shard op
-//! (FLUSH fans a barrier out to every peer shard) and disconnects
-//! before the join completes must not leak the join state. The
+//! (FLUSH fans a barrier out to every peer shard), or pipelines a burst
+//! of data ops, and disconnects before they complete must not leak the
+//! join state. The
 //! completion path always reclaims the job and decrements the
 //! in-flight gauge; only the *delivery* is skipped when the slot's
 //! generation no longer matches.
@@ -44,7 +45,8 @@ fn jobs_inflight(engine: &Arc<Engine>) -> Option<f64> {
         .map(|(_, v)| *v)
 }
 
-/// Kill clients mid-FLUSH, repeatedly, on a multi-shard runtime; the
+/// Kill clients mid-FLUSH and mid-pipeline (32 in flight), repeatedly,
+/// on a multi-shard runtime; the
 /// in-flight job gauge must return to zero and the server must keep
 /// answering new connections.
 #[test]
@@ -87,6 +89,35 @@ fn teardown_during_cross_shard_flush_leaks_no_join_state() {
         s.flush().unwrap();
         // Drop without reading either response — with some luck the
         // teardown lands while the barrier join is still outstanding.
+        drop(s);
+
+        // A pipeliner that dies holding 32 data ops in flight: WRITEs
+        // and READs spread over every shard's stripes, sent in one
+        // burst and never answered to anyone.
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_nodelay(true).unwrap();
+        let mut frames = Vec::new();
+        for i in 0..32u64 {
+            let unit = (round * 32 + i) * 53 % 1024;
+            let (op, payload) = if i % 4 == 3 {
+                (Op::Read, Vec::new())
+            } else {
+                (Op::Write, vec![i as u8; 16])
+            };
+            wire::write_request(
+                &mut frames,
+                &Request {
+                    id: 1000 + i,
+                    op,
+                    volume: 0,
+                    offset: unit,
+                    length: 1,
+                    payload,
+                },
+            )
+            .unwrap();
+        }
+        s.write_all(&frames).unwrap();
         drop(s);
     }
 
