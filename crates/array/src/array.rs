@@ -33,7 +33,7 @@
 //! writes to the stripes in the batch — `pddl-server` does this with the
 //! same stripe-lock table it uses for writes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -236,11 +236,74 @@ impl RebuildTicket {
 }
 
 /// One stripe's share of a write batch: the newest bytes per data-unit
-/// index, iterated in index order.
-type Updates<'a> = BTreeMap<usize, &'a [u8]>;
+/// index, sorted by index with no index twice.
+type Updates<'a> = [(usize, &'a [u8])];
+
+/// The bytes `held` has for data-unit `index` of its stripe, if any.
+fn held_unit<'a>(held: &Updates<'a>, index: usize) -> Option<&'a [u8]> {
+    let at = held.binary_search_by_key(&index, |&(i, _)| i).ok()?;
+    Some(held[at].1)
+}
 
 /// Check units about to be stored, as `(index, bytes)` in index order.
 type NewChecks = Vec<(usize, Vec<u8>)>;
+
+/// An emptied `v` whose allocation is kept for borrows of another
+/// lifetime. The element types differ only in lifetime, so the in-place
+/// `collect` reuses the buffer, and no element is left to outlive its
+/// borrow.
+fn reuse_allocation<'b>(mut v: Vec<(usize, &[u8])>) -> Vec<(usize, &'b [u8])> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
+}
+
+/// One unit of a write batch: which stripe cell it lands on and where
+/// its bytes are (`unit` of op `op`). The derived order sorts a batch
+/// into stripe groups, index runs inside a group, and deposit order
+/// inside a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct BatchUnit {
+    stripe: u64,
+    index: usize,
+    op: usize,
+    unit: usize,
+}
+
+/// Caller-owned buffers for [`DeclusteredArray::write_batch_into`]. A
+/// caller that keeps one across batches (the server keeps one per
+/// shard) stops allocating once the buffers have grown to its batches:
+/// a warm healthy batch of read-modify-writes allocates nothing.
+#[derive(Debug, Default)]
+pub struct WriteScratch {
+    /// The batch's units, sorted into stripe groups.
+    units: Vec<BatchUnit>,
+    /// One result per op of the last batch.
+    results: Vec<Result<(), ArrayError>>,
+    /// Stripes to retire from the journal.
+    retired: Vec<u64>,
+    /// Always empty between batches; only its allocation is kept.
+    updates: Vec<(usize, &'static [u8])>,
+    stripe: StripeScratch,
+}
+
+/// The per-stripe part of [`WriteScratch`].
+#[derive(Debug, Default)]
+struct StripeScratch {
+    /// Written data-unit indices, for the planner.
+    written: Vec<usize>,
+    /// New checks: the first `n` entries are live after a method ran.
+    checks: NewChecks,
+    /// A read-modify-write's XOR delta.
+    delta: Vec<u8>,
+}
+
+impl StripeScratch {
+    /// Keep `checks` as the stripe's new checks; returns their count.
+    fn hold(&mut self, checks: NewChecks) -> usize {
+        self.checks = checks;
+        self.checks.len()
+    }
+}
 
 /// A functional declustered RAID array over RAM-backed disks.
 ///
@@ -601,7 +664,7 @@ impl DeclusteredArray {
     /// `None` marks an unreadable one.
     fn data_row(&self, stripe: u64, held: &Updates) -> Result<Vec<Option<Vec<u8>>>, ArrayError> {
         (0..self.layout.data_per_stripe())
-            .map(|i| match held.get(&i) {
+            .map(|i| match held_unit(held, i) {
                 Some(bytes) => Ok(Some(bytes.to_vec())),
                 None => self.read_phys(self.layout.data_unit(stripe, i)),
             })
@@ -693,9 +756,10 @@ impl DeclusteredArray {
             // just before `pos` are already in `buf`, the ones after it
             // come out of the same reconstruction.
             let run = (0..pos).rev().take_while(|&p| locate(p).0 == stripe);
-            let held: Updates = run
+            let mut held: Vec<(usize, &[u8])> = run
                 .map(|p| (locate(p).1, &buf[p * ub..(p + 1) * ub]))
                 .collect();
+            held.sort_unstable_by_key(|&(index, _)| index);
             let shards = self.stripe_shards(stripe, &held)?;
             while pos < units && locate(pos).0 == stripe {
                 buf[pos * ub..(pos + 1) * ub].copy_from_slice(&shards[locate(pos).1]);
@@ -723,16 +787,34 @@ impl DeclusteredArray {
     }
 
     /// Write a batch of independent `(start, data)` ops as one
-    /// group-committed journal transaction, returning a result per op.
+    /// group-committed journal transaction, returning a result per op:
+    /// [`DeclusteredArray::write_batch_into`] with a fresh
+    /// [`WriteScratch`], for callers that keep none.
     ///
-    /// All ops' units are grouped by stripe through one keyed map — not
-    /// by run adjacency, because PDDL's permuted layout makes
-    /// consecutive logical units revisit a stripe non-adjacently — so N
-    /// small writes landing on one stripe merge into a single parity
-    /// update, carried out the way [`plan_stripe_write`] decides for the
-    /// merged set (a batch covering a whole row reads nothing at all).
-    /// The whole batch costs one journal append and one retire (the
-    /// group commit) instead of one of each per stripe per op.
+    /// # Errors
+    ///
+    /// As [`DeclusteredArray::write_batch_into`].
+    pub fn write_batch(&self, ops: &[(u64, &[u8])]) -> Vec<Result<(), ArrayError>> {
+        let mut scratch = WriteScratch::default();
+        self.write_batch_into(ops, &mut scratch);
+        scratch.results
+    }
+
+    /// Write a batch of independent `(start, data)` ops as one
+    /// group-committed journal transaction, returning a result per op
+    /// (a slice of `scratch`, valid until its next batch).
+    ///
+    /// All ops' units are grouped by stripe through one sort of the
+    /// batch's units — not by run adjacency, because PDDL's permuted
+    /// layout makes consecutive logical units revisit a stripe
+    /// non-adjacently — so N small writes landing on one stripe merge
+    /// into a single parity update, carried out the way
+    /// [`plan_stripe_write`] decides for the merged set (a batch
+    /// covering a whole row reads nothing at all). The whole batch costs
+    /// one journal append and one retire (the group commit) instead of
+    /// one of each per stripe per op. Every buffer the batch needs lives
+    /// in `scratch`, so once it is warm a healthy read-modify-write
+    /// batch allocates nothing.
     ///
     /// Within a batch, later ops overwrite earlier ones where they
     /// touch the same unit (deposit order), matching what sequential
@@ -749,56 +831,71 @@ impl DeclusteredArray {
     /// (or device/codec bug) aborts the batch — no later stripe is
     /// touched, and every unfinished stripe keeps its intent for
     /// [`DeclusteredArray::recover`].
-    pub fn write_batch(&self, ops: &[(u64, &[u8])]) -> Vec<Result<(), ArrayError>> {
-        let mut results: Vec<Result<(), ArrayError>> = vec![Ok(()); ops.len()];
-        struct StripeBatch<'a> {
-            /// Newest chunk per data-unit index (deposit order wins).
-            updates: Updates<'a>,
-            /// Ops contributing to this stripe, for error attribution.
-            ops: Vec<usize>,
-        }
-        let mut by_stripe: BTreeMap<u64, StripeBatch> = BTreeMap::new();
-        for (op_idx, &(start, data)) in ops.iter().enumerate() {
+    pub fn write_batch_into<'s>(
+        &self,
+        ops: &[(u64, &[u8])],
+        scratch: &'s mut WriteScratch,
+    ) -> &'s [Result<(), ArrayError>] {
+        let ub = self.unit_bytes;
+        let s = scratch;
+        s.results.clear();
+        s.results.resize(ops.len(), Ok(()));
+        s.units.clear();
+        for (op, &(start, data)) in ops.iter().enumerate() {
             if self.span(start, data.len()).is_none() {
-                results[op_idx] = Err(ArrayError::BadAddress);
+                s.results[op] = Err(ArrayError::BadAddress);
                 continue;
             }
-            for (i, chunk) in data.chunks(self.unit_bytes).enumerate() {
-                let (stripe, index) = self.layout.locate(start + i as u64);
-                let batch = by_stripe.entry(stripe).or_insert_with(|| StripeBatch {
-                    updates: BTreeMap::new(),
-                    ops: Vec::new(),
+            for unit in 0..data.len() / ub {
+                let (stripe, index) = self.layout.locate(start + unit as u64);
+                s.units.push(BatchUnit {
+                    stripe,
+                    index,
+                    op,
+                    unit,
                 });
-                batch.updates.insert(index, chunk);
-                if batch.ops.last() != Some(&op_idx) {
-                    batch.ops.push(op_idx);
-                }
             }
         }
-        if by_stripe.is_empty() {
-            return results;
+        if s.units.is_empty() {
+            return &s.results;
         }
+        // Ties on (stripe, index) are ordered by op, i.e. by deposit
+        // order — what a stable sort on (stripe, index) would give,
+        // without the buffer a stable sort may allocate. The last entry
+        // of each index run is therefore the newest bytes of that unit.
+        s.units.sort_unstable();
+        let groups = || s.units.chunk_by(|a, b| a.stripe == b.stripe);
         // Log every intent first in one append (write-hole protection
         // for the whole batch), perform the updates stripe by stripe,
         // then retire the successful intents in one pass. A crash
         // anywhere in between leaves each unfinished stripe marked for
         // parity repair at recovery.
-        lock(&self.intents).extend(by_stripe.keys().copied());
-        let mut retired: Vec<u64> = Vec::with_capacity(by_stripe.len());
+        lock(&self.intents).extend(groups().map(|g| g[0].stripe));
+        s.retired.clear();
+        let mut updates = reuse_allocation(std::mem::take(&mut s.updates));
+        let mut stripes = 0u64;
         let mut abort: Option<ArrayError> = None;
-        for (&stripe, batch) in &by_stripe {
+        for group in groups() {
+            let stripe = group[0].stripe;
+            stripes += 1;
+            updates.clear();
+            updates.extend(group.chunk_by(|a, b| a.index == b.index).map(|run| {
+                let newest = run[run.len() - 1];
+                let at = newest.unit * ub;
+                (newest.index, &ops[newest.op].1[at..at + ub])
+            }));
             let outcome = match &abort {
                 Some(e) => Err(e.clone()),
-                None => self.write_stripe(stripe, &batch.updates),
+                None => self.write_stripe(stripe, &updates, &mut s.stripe),
             };
             let Err(e) = outcome else {
-                retired.push(stripe);
+                s.retired.push(stripe);
                 self.emit(ObsEvent::JournalCommit { stripe });
                 continue;
             };
-            for &op in &batch.ops {
-                if results[op].is_ok() {
-                    results[op] = Err(e.clone());
+            for u in group {
+                if s.results[u.op].is_ok() {
+                    s.results[u.op] = Err(e.clone());
                 }
             }
             // A media error or an unrecoverable stripe is contained: its
@@ -812,48 +909,58 @@ impl DeclusteredArray {
                 abort = Some(e);
             }
         }
-        self.retire_intents(&retired);
+        s.updates = reuse_allocation(updates);
+        self.retire_intents(&s.retired);
         self.emit(ObsEvent::JournalBatch {
-            stripes: by_stripe.len() as u64,
+            stripes,
             ops: ops.len() as u64,
         });
-        results
+        &s.results
     }
 
     /// Update one stripe the way the planner decides from the units that
     /// are unreadable now; the array only executes. More units lost
     /// than checks: nothing is written, so the intent stays journaled.
-    fn write_stripe(&self, stripe: u64, updates: &Updates) -> Result<(), ArrayError> {
-        let written: Vec<usize> = updates.keys().copied().collect();
+    fn write_stripe(
+        &self,
+        stripe: u64,
+        updates: &Updates,
+        s: &mut StripeScratch,
+    ) -> Result<(), ArrayError> {
+        s.written.clear();
+        s.written.extend(updates.iter().map(|&(index, _)| index));
         let lost = self.unreadable_units(stripe);
         let d = self.layout.data_per_stripe();
         let c = self.layout.check_per_stripe();
-        let plan = plan_stripe_write(d, c, &written, &lost, WritePolicy::Adaptive)
+        let plan = plan_stripe_write(d, c, &s.written, &lost, WritePolicy::Adaptive)
             .map_err(|_| ArrayError::Unrecoverable { stripe })?;
         // Every pre-read happens here, before the first write. `None`:
         // one found its unit unreadable after all (injected media error,
         // disk failing under it) and the whole-stripe reconstruct takes
         // over — on a stripe still untouched (half-updated, with `c ≥ 2`
         // it could rebuild an unrelated unreadable unit through checks
-        // that no longer match the data).
+        // that no longer match the data). `Some(n)`: the new checks are
+        // `s.checks[..n]`.
         let checks = match plan.method {
-            WriteMethod::ReconstructWrite => self.encode_row(stripe, updates)?,
-            WriteMethod::ReadModifyWrite => self.small_write(stripe, updates, &plan)?,
-            WriteMethod::DataOnly => Some(Vec::new()),
+            WriteMethod::ReconstructWrite => self.encode_row(stripe, updates)?.map(|c| s.hold(c)),
+            WriteMethod::ReadModifyWrite => {
+                self.small_write(stripe, updates, &plan, &mut s.checks, &mut s.delta)?
+            }
+            WriteMethod::DataOnly => Some(0),
             WriteMethod::ReconstructAll => None,
         };
         let checks = match checks {
-            Some(checks) => checks,
-            None => self.rmw_stripe(stripe, updates)?,
+            Some(n) => n,
+            None => s.hold(self.rmw_stripe(stripe, updates)?),
         };
         // The one write phase: updated data units in index order, then
         // checks — the device order crash recovery's old-or-new reasoning
         // and the chaos torn-write model are calibrated on. `write_phys`
         // skips a failed, un-spared disk, validates a unit in copy-back.
-        for (&index, chunk) in updates {
+        for &(index, chunk) in updates {
             self.write_phys(self.layout.data_unit(stripe, index), chunk)?;
         }
-        for (index, check) in &checks {
+        for (index, check) in &s.checks[..checks] {
             self.write_phys(self.layout.check_unit(stripe, *index), check)?;
         }
         Ok(())
@@ -889,9 +996,9 @@ impl DeclusteredArray {
     /// unreadable), apply the updates, re-encode. Also where the two
     /// cheaper methods fall back to.
     fn rmw_stripe(&self, stripe: u64, updates: &Updates) -> Result<NewChecks, ArrayError> {
-        let mut data = self.stripe_shards(stripe, &Updates::new())?;
+        let mut data = self.stripe_shards(stripe, &[])?;
         data.truncate(self.layout.data_per_stripe());
-        for (&index, chunk) in updates {
+        for &(index, chunk) in updates {
             data[index] = chunk.to_vec();
         }
         Ok(self.rs.encode(&data)?.into_iter().enumerate().collect())
@@ -899,34 +1006,45 @@ impl DeclusteredArray {
 
     /// Delta small write: pre-read only the updated data units and the
     /// checks `plan` names — the surviving ones — and fold the change
-    /// into each (`2(w + c)` I/Os instead of `d + c + w`).
+    /// into each (`2(w + c)` I/Os instead of `d + c + w`). The new
+    /// checks land in the first entries of `checks`, whose count it
+    /// returns; every read goes into a buffer `checks` or `delta`
+    /// already holds once warm, so then nothing here allocates.
     fn small_write(
         &self,
         stripe: u64,
         updates: &Updates,
         plan: &StripeWrite,
-    ) -> Result<Option<NewChecks>, ArrayError> {
-        let c = self.layout.check_per_stripe();
-        let mut checks: NewChecks = Vec::with_capacity(c);
-        for i in (0..c).filter(|&i| plan.reads(Unit::Check(i))) {
-            match self.read_phys(self.layout.check_unit(stripe, i))? {
-                Some(check) => checks.push((i, check)),
-                None => return Ok(None),
+        checks: &mut NewChecks,
+        delta: &mut Vec<u8>,
+    ) -> Result<Option<usize>, ArrayError> {
+        let ub = self.unit_bytes;
+        let mut n = 0;
+        for i in (0..self.layout.check_per_stripe()).filter(|&i| plan.reads(Unit::Check(i))) {
+            if checks.len() == n {
+                checks.push((i, Vec::new()));
             }
+            let (index, check) = &mut checks[n];
+            *index = i;
+            check.resize(ub, 0);
+            if !self.read_phys_into(self.layout.check_unit(stripe, i), check)? {
+                return Ok(None);
+            }
+            n += 1;
         }
         // Fold each unit's XOR-delta (old contents vs new bytes) into
         // every check. One scratch buffer serves all updates.
-        let mut delta = vec![0u8; self.unit_bytes];
-        for (&index, chunk) in updates {
-            if !self.read_phys_into(self.layout.data_unit(stripe, index), &mut delta)? {
+        delta.resize(ub, 0);
+        for &(index, chunk) in updates {
+            if !self.read_phys_into(self.layout.data_unit(stripe, index), delta)? {
                 return Ok(None);
             }
-            kernels::xor_into(&mut delta, chunk);
-            for (i, check) in &mut checks {
-                self.rs.apply_delta(*i, index, &delta, check);
+            kernels::xor_into(delta, chunk);
+            for (i, check) in &mut checks[..n] {
+                self.rs.apply_delta(*i, index, delta, check);
             }
         }
-        Ok(Some(checks))
+        Ok(Some(n))
     }
 
     /// Fault injection: make the array "crash" (error with
@@ -995,7 +1113,7 @@ impl DeclusteredArray {
                 continue;
             }
             repaired += 1;
-            let row = self.data_row(stripe, &Updates::new())?;
+            let row = self.data_row(stripe, &[])?;
             // No disks are failed (checked by the caller), so an
             // unreadable unit here is an injected media error. Surface
             // it typed — the journal entries are restored so a later
@@ -1271,7 +1389,7 @@ impl DeclusteredArray {
         if lock(&self.disks[spare.disk]).is_failed() {
             return Err(ArrayError::SpareUnavailable);
         }
-        let shards = self.stripe_shards(stripe, &Updates::new())?;
+        let shards = self.stripe_shards(stripe, &[])?;
         let content = match lost.role {
             Role::Data => &shards[lost.index],
             Role::Check => &shards[self.layout.data_per_stripe() + lost.index],
@@ -1297,7 +1415,7 @@ impl DeclusteredArray {
         } else if rlock(&self.restoring).contains(&lost.addr) {
             // read_phys treats restoring units as failed, so the normal
             // reconstruction path recovers the content from survivors.
-            let shards = self.stripe_shards(stripe, &Updates::new())?;
+            let shards = self.stripe_shards(stripe, &[])?;
             let content = match lost.role {
                 Role::Data => &shards[lost.index],
                 Role::Check => &shards[self.layout.data_per_stripe() + lost.index],
@@ -1347,7 +1465,7 @@ impl DeclusteredArray {
     pub fn scrub(&self) -> Result<Vec<u64>, ArrayError> {
         let mut bad = Vec::new();
         'stripes: for stripe in 0..self.periods * self.layout.stripes_per_period() {
-            let Some(expected) = self.encode_row(stripe, &Updates::new())? else {
+            let Some(expected) = self.encode_row(stripe, &[])? else {
                 continue;
             };
             for (i, want) in &expected {

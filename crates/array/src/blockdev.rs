@@ -73,9 +73,20 @@ pub trait BlockDevice: std::fmt::Debug + Send {
 
 /// A RAM-backed disk storing whole stripe units; unwritten units read as
 /// zeroes (like a freshly formatted drive).
+///
+/// One flat buffer holds every unit back to back, so a write copies
+/// into place and allocates nothing. A written-bitmap says which units
+/// hold data: a clear bit reads as zeros, which is how [`RamDisk::fail`]
+/// and [`RamDisk::replace`] blank the drive in `O(units / 64)` instead
+/// of a memset of the whole buffer.
 #[derive(Debug, Clone)]
 pub struct RamDisk {
-    units: Vec<Option<Vec<u8>>>,
+    /// `units × unit_bytes` bytes, made with `vec![0; n]`: pages no
+    /// write ever touched are never faulted in.
+    data: Vec<u8>,
+    /// Bit `u` set ⇔ unit `u` was written since the drive went in.
+    written: Vec<u64>,
+    units: u64,
     unit_bytes: usize,
     failed: bool,
 }
@@ -86,11 +97,18 @@ impl RamDisk {
     ///
     /// # Panics
     ///
-    /// Panics if `unit_bytes == 0`.
+    /// Panics if `unit_bytes == 0` or the disk's byte size overflows
+    /// `usize`.
     pub fn new(units: u64, unit_bytes: usize) -> Self {
         assert!(unit_bytes > 0, "unit size must be positive");
+        let bytes = usize::try_from(units)
+            .ok()
+            .and_then(|u| u.checked_mul(unit_bytes))
+            .expect("disk size overflows usize");
         Self {
-            units: vec![None; units as usize],
+            data: vec![0; bytes],
+            written: vec![0; units.div_ceil(64) as usize],
+            units,
             unit_bytes,
             failed: false,
         }
@@ -98,7 +116,7 @@ impl RamDisk {
 
     /// Stripe units on the device.
     pub fn units(&self) -> u64 {
-        self.units.len() as u64
+        self.units
     }
 
     /// Bytes per stripe unit.
@@ -135,17 +153,15 @@ impl RamDisk {
         if buf.len() != self.unit_bytes {
             return Err(DiskError::WrongLength);
         }
-        match self.units.get(offset as usize) {
-            Some(Some(data)) => {
-                buf.copy_from_slice(data);
-                Ok(())
-            }
-            Some(None) => {
-                buf.fill(0);
-                Ok(())
-            }
-            None => Err(DiskError::OutOfRange),
+        if offset >= self.units {
+            return Err(DiskError::OutOfRange);
         }
+        if self.is_written(offset) {
+            buf.copy_from_slice(self.unit(offset));
+        } else {
+            buf.fill(0);
+        }
+        Ok(())
     }
 
     /// Write one stripe unit.
@@ -161,25 +177,36 @@ impl RamDisk {
         if data.len() != self.unit_bytes {
             return Err(DiskError::WrongLength);
         }
-        match self.units.get_mut(offset as usize) {
-            Some(slot) => {
-                *slot = Some(data.to_vec());
-                Ok(())
-            }
-            None => Err(DiskError::OutOfRange),
+        if offset >= self.units {
+            return Err(DiskError::OutOfRange);
         }
+        let at = offset as usize * self.unit_bytes;
+        self.data[at..at + self.unit_bytes].copy_from_slice(data);
+        self.written[offset as usize / 64] |= 1 << (offset % 64);
+        Ok(())
     }
 
     /// Inject a failure: the contents become unreadable.
     pub fn fail(&mut self) {
         self.failed = true;
-        self.units.iter_mut().for_each(|u| *u = None);
+        self.written.fill(0);
     }
 
     /// Install a fresh blank drive in this slot.
     pub fn replace(&mut self) {
         self.failed = false;
-        self.units.iter_mut().for_each(|u| *u = None);
+        self.written.fill(0);
+    }
+
+    /// Unit `offset`'s bytes in the flat buffer (`offset` in range).
+    fn unit(&self, offset: u64) -> &[u8] {
+        let at = offset as usize * self.unit_bytes;
+        &self.data[at..at + self.unit_bytes]
+    }
+
+    /// Whether unit `offset` holds data rather than implied zeros.
+    fn is_written(&self, offset: u64) -> bool {
+        self.written[offset as usize / 64] & (1 << (offset % 64)) != 0
     }
 }
 
@@ -236,6 +263,72 @@ mod tests {
     #[should_panic(expected = "unit size must be positive")]
     fn zero_unit_size_rejected() {
         let _ = RamDisk::new(1, 0);
+    }
+
+    /// Seeded op sequences against a `HashMap` model: writes, reads,
+    /// `fail`, `replace`, out-of-range offsets and wrong-length buffers.
+    /// Unwritten and replaced units read as zeros, a failed disk answers
+    /// `Failed` to everything, and the argument checks keep their order
+    /// (`Failed`, then `WrongLength`, then `OutOfRange`).
+    #[test]
+    fn ram_disk_matches_a_map_model() {
+        use pddl_core::rng::Xoshiro256pp;
+        use std::collections::HashMap;
+
+        for seed in 0..64u64 {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            // Unit counts around the bitmap's 64-unit word boundaries.
+            let units = [1u64, 63, 64, 65, 130][rng.below(5)];
+            let ub = 1 + rng.below(24);
+            let mut disk = RamDisk::new(units, ub);
+            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+            let mut failed = false;
+            for step in 0..400 {
+                let offset = rng.below_u64(units + 2); // past the end too
+                let len = if rng.chance(0.1) { ub + 1 } else { ub };
+                let expect_err = if failed {
+                    Some(DiskError::Failed)
+                } else if len != ub {
+                    Some(DiskError::WrongLength)
+                } else if offset >= units {
+                    Some(DiskError::OutOfRange)
+                } else {
+                    None
+                };
+                let ctx = format!("seed {seed} step {step} offset {offset} len {len}");
+                match rng.below(10) {
+                    0..=3 => {
+                        let fill = rng.next_u64() as u8;
+                        let got = disk.write_unit(offset, &vec![fill; len]);
+                        assert_eq!(got.err(), expect_err, "write: {ctx}");
+                        if expect_err.is_none() {
+                            model.insert(offset, vec![fill; len]);
+                        }
+                    }
+                    4..=7 => {
+                        let mut buf = vec![0xeeu8; len];
+                        let got = disk.read_unit_into(offset, &mut buf);
+                        assert_eq!(got.err(), expect_err, "read: {ctx}");
+                        if expect_err.is_none() {
+                            let want = model.get(&offset).cloned().unwrap_or(vec![0; ub]);
+                            assert_eq!(buf, want, "read bytes: {ctx}");
+                        }
+                    }
+                    8 => {
+                        disk.fail();
+                        failed = true;
+                        model.clear();
+                    }
+                    _ => {
+                        disk.replace();
+                        failed = false;
+                        model.clear();
+                    }
+                }
+                assert_eq!(disk.is_failed(), failed, "{ctx}");
+                assert_eq!((disk.units(), disk.unit_bytes()), (units, ub));
+            }
+        }
     }
 }
 

@@ -50,5 +50,6 @@ mod blockdev;
 
 pub use array::{
     ArrayError, ArrayMode, DeclusteredArray, RebuildKind, RebuildProgress, RebuildTicket,
+    WriteScratch,
 };
 pub use blockdev::{BlockDevice, DiskError, FileDisk, RamDisk};

@@ -1,6 +1,7 @@
-//! Proof that the healthy `read_into` path is allocation-free: a
-//! counting global allocator wraps the system allocator, and a full
-//! sequential scan of a healthy array must not allocate at all —
+//! Proof that the healthy `read_into` and `write_batch_into` paths are
+//! allocation-free: a counting global allocator wraps the system
+//! allocator, and neither a full sequential scan of a healthy array nor
+//! a warm batch of single-unit read-modify-writes may allocate at all —
 //! zero heap allocations per unit, as the zero-copy contract promises.
 //!
 //! This file is its own test binary (one `#[global_allocator]` per
@@ -11,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pddl_array::DeclusteredArray;
+use pddl_array::{DeclusteredArray, WriteScratch};
 use pddl_core::Pddl;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -63,7 +64,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
-fn healthy_read_into_makes_zero_allocations() {
+fn healthy_read_into_and_write_batch_into_make_zero_allocations() {
     COUNTING.with(|c| c.set(true));
     const UNIT: usize = 64;
     let a = DeclusteredArray::new(Box::new(Pddl::new(7, 3).unwrap()), UNIT, 2).unwrap();
@@ -89,4 +90,43 @@ fn healthy_read_into_makes_zero_allocations() {
         "healthy read_into allocated on a {cap}-unit scan"
     );
     assert_eq!(whole, data);
+
+    // 16 single-unit writes, each on its own stripe, so every stripe
+    // takes the healthy read-modify-write path.
+    let mut stripes = Vec::new();
+    let mut starts = Vec::new();
+    for logical in 0..cap {
+        let (stripe, _) = a.layout().locate(logical);
+        if !stripes.contains(&stripe) {
+            stripes.push(stripe);
+            starts.push(logical);
+        }
+    }
+    starts.truncate(16);
+    assert_eq!(starts.len(), 16, "too few stripes for the batch");
+    let fresh = vec![0x5au8; UNIT];
+    let ops: Vec<(u64, &[u8])> = starts.iter().map(|&s| (s, &fresh[..])).collect();
+    let mut scratch = WriteScratch::default();
+    // Warm-up: grows the scratch and the intent journal to the batch.
+    assert!(a
+        .write_batch_into(&ops, &mut scratch)
+        .iter()
+        .all(Result::is_ok));
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..8 {
+        let results = a.write_batch_into(&ops, &mut scratch);
+        assert!(results.len() == 16 && results.iter().all(Result::is_ok));
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "healthy write_batch_into allocated on a 16-op batch"
+    );
+    for &s in &starts {
+        a.read_into(s, &mut unit).unwrap();
+        assert_eq!(unit, fresh);
+    }
+    assert!(a.scrub().unwrap().is_empty(), "parity diverged");
 }

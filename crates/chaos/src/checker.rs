@@ -79,8 +79,8 @@ struct Model {
 /// One stripe-group of a write op: `(index_in_stripe, op_unit, block)`.
 type Group = (u64, Vec<(usize, u32, u64)>);
 
-/// Mirror of `DeclusteredArray::write_batch`'s keyed grouping. The
-/// batch groups by stripe into an ascending map; for one contiguous op
+/// Mirror of `DeclusteredArray::write_batch`'s grouping. The batch
+/// sorts its units into ascending stripe groups; for one contiguous op
 /// the layout's `locate` is monotonic, so the consecutive-run grouping
 /// below yields the same groups in the same order.
 fn group_by_stripe(op: &ClientOp, layout: &dyn Layout) -> Vec<Group> {

@@ -77,14 +77,14 @@
 //! `FLUSH` has nothing engine-side to drain. Coalescing happens one
 //! layer up: the runtime hands every WRITE chunk a shard took in during
 //! one tick — decoded there or routed from a peer — to
-//! [`Engine::shard_write_batch`] as one batch.
+//! [`Engine::shard_write_batch_into`] as one batch.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pddl_array::{ArrayError, ArrayMode, DeclusteredArray, RebuildTicket};
+use pddl_array::{ArrayError, ArrayMode, DeclusteredArray, RebuildTicket, WriteScratch};
 use pddl_obs::{Actor, Event, OpKind, OpRecord, SyncSharedSink, Telemetry, TelemetrySnapshot};
 use pddl_volume::{
     Resolved, TenantLimits, TenantRegistry, VolumeError, VolumeManager, VolumeSpec, REBUILD_TENANT,
@@ -1136,22 +1136,36 @@ impl Engine {
         shard.array.read_into(phys, out)
     }
 
-    /// Write a batch of physical unit runs on `array` through the
-    /// array's batched journal path (one intent append, coalesced
-    /// parity), under the shard-exec exclusion contract. Returns one
-    /// result per op, like [`DeclusteredArray::write_batch`].
+    /// [`Engine::shard_write_batch_into`] with a fresh [`WriteScratch`],
+    /// returning the results as an owned `Vec`.
     pub fn shard_write_batch(
         &self,
         array: usize,
         ops: &[(u64, &[u8])],
     ) -> Vec<Result<(), ArrayError>> {
+        self.shard_write_batch_into(array, ops, &mut WriteScratch::default())
+            .to_vec()
+    }
+
+    /// Write a batch of physical unit runs on `array` through the
+    /// array's batched journal path (one intent append, coalesced
+    /// parity), under the shard-exec exclusion contract, with the
+    /// caller's (a shard's) scratch. Returns one result per op, like
+    /// [`DeclusteredArray::write_batch_into`]: allocation-free once
+    /// `scratch` is warm, while no rebuild is running.
+    pub fn shard_write_batch_into<'s>(
+        &self,
+        array: usize,
+        ops: &[(u64, &[u8])],
+        scratch: &'s mut WriteScratch,
+    ) -> &'s [Result<(), ArrayError>] {
         let shard = &self.inner.pool[array];
         let unit = self.inner.unit_bytes as u64;
         let ranges = ops
             .iter()
             .map(|&(phys, data)| (phys, data.len() as u64 / unit));
         let _guards = self.rebuild_guards(shard, ranges);
-        shard.array.write_batch(ops)
+        shard.array.write_batch_into(ops, scratch)
     }
 
     /// Zero-fill `units` physical units on `array` starting at `phys`

@@ -17,7 +17,7 @@
 //!   are warm no allocation and no copy but array to frame); a TRIM
 //!   chunk zero-fills; a WRITE chunk, local or a peer's, joins the
 //!   owner's *tick batch*, and the end of the tick submits the whole
-//!   batch as one [`Engine::shard_write_batch`] per array (one intent
+//!   batch as one [`Engine::shard_write_batch_into`] per array (one intent
 //!   append) — the only route from a served WRITE to the array;
 //! * each chunk's result is folded into its job, directly or back over
 //!   the ring, and the last one finalizes it: volume counters, the
@@ -87,6 +87,19 @@
 //! answered in its own tick. Responses to data ops may leave out of
 //! request order; clients match them by id.
 //!
+//! # Reading requests
+//!
+//! Each connection's [`wire::RequestReader`] reads up to 64 KiB per
+//! `recv`, so one read brings in many pipelined frames, and hands out
+//! buffered frames without touching the socket. **Invariant:** `poll`
+//! never reports `WouldBlock` while a complete frame is buffered. The
+//! reactor is edge-triggered and a connection's `readable` flag is
+//! cleared only on `WouldBlock`, so a frame left in the buffer behind a
+//! `WouldBlock` would never be decoded: no new bytes, no new edge. A
+//! finished WRITE's payload buffer goes back to its connection's reader
+//! (`complete` → `RequestReader::recycle`), which copies the next
+//! payload into it, so a warm connection's WRITEs allocate no payload.
+//!
 //! # Backpressure
 //!
 //! Frames past rule 4's stops stay in the socket buffer, so TCP flow
@@ -115,6 +128,7 @@ use crate::reactor::{
 use crate::ring::{ring, Consumer, Producer};
 use crate::server::ServerConfig;
 use crate::wire::{self, Op, Request, Status, WireError, RESPONSE_HEADER_LEN};
+use pddl_array::WriteScratch;
 use pddl_volume::{Resolved, TenantRegistry};
 
 /// Stripes per ownership group: ownership rotates between shards every
@@ -144,7 +158,7 @@ const MAX_PARK: Duration = Duration::from_millis(100);
 /// gets decoded in one tick (rule 4): a depth-16 client's whole window
 /// decodes in one tick, and a deeper pipeliner's backlog waits in its
 /// socket.
-const MAX_PIPELINE: u32 = 32;
+pub(crate) const MAX_PIPELINE: u32 = 32;
 
 /// The shard that owns `stripe` of `array`: contiguous
 /// [`STRIPE_GROUP`]-stripe runs rotate round-robin, offset by the
@@ -808,6 +822,16 @@ fn pinned_bytes(req: &Request, unit: usize) -> usize {
     }
 }
 
+/// An emptied `v` whose allocation is kept for borrows of another
+/// lifetime, so the tick batch's op list outlives the jobs it borrows
+/// from. The element types differ only in lifetime, so the in-place
+/// `collect` reuses the buffer, and no element is left to outlive its
+/// borrow.
+fn reuse_allocation<'b>(mut v: Vec<(u64, &[u8])>) -> Vec<(u64, &'b [u8])> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
+}
+
 /// A decoded request not yet dispatched: it probes its token bucket at
 /// `deadline` — a non-data op only once its connection has drained.
 struct Parked {
@@ -907,6 +931,14 @@ struct Shard {
     gen_seq: u64,
     /// The tick batch: empty at the end of every tick.
     wbatch: Vec<TickWrite>,
+    /// `flush_write_batch`'s buffers, kept across ticks so a warm batch
+    /// allocates nothing: one array's `(phys, bytes)` ops (always empty
+    /// between batches; only the allocation is kept), their `wbatch`
+    /// indices, each chunk's status, and the array's write scratch.
+    wops: Vec<(u64, &'static [u8])>,
+    widx: Vec<usize>,
+    wstatus: Vec<Result<(), Status>>,
+    wscratch: WriteScratch,
     /// Set while `flush_write_batch` answers its chunks: `complete`
     /// then queues a response in its outbuf and the connection's slot
     /// here, and the batch sends each slot once (rule 3).
@@ -967,6 +999,10 @@ impl Shard {
             next_job: 0,
             gen_seq: 0,
             wbatch: Vec::new(),
+            wops: Vec::new(),
+            widx: Vec::new(),
+            wstatus: Vec::new(),
+            wscratch: WriteScratch::default(),
             defer_acks: false,
             acked: Vec::new(),
             chunks: Vec::new(),
@@ -1305,6 +1341,9 @@ impl Shard {
             if !pipelines(req.op) {
                 conn.barrier = false;
             }
+            // A WRITE's payload buffer goes back to the reader that
+            // filled it, to carry the connection's next payload.
+            conn.reader.recycle(req.payload);
             if !conn.dead {
                 if conn.outbuf.is_empty() {
                     // Hand the frame over instead of copying it; the
@@ -1729,13 +1768,14 @@ impl Shard {
         if self.wbatch.is_empty() {
             return;
         }
-        let wbatch = std::mem::take(&mut self.wbatch);
-        let mut payloads: Vec<Result<Vec<u8>, Status>> =
-            wbatch.iter().map(|_| Ok(Vec::new())).collect();
+        let mut wbatch = std::mem::take(&mut self.wbatch);
+        self.wstatus.clear();
+        self.wstatus.resize(wbatch.len(), Ok(()));
+        let mut ops = reuse_allocation(std::mem::take(&mut self.wops));
         for array in 0..self.engine.array_count() {
             // (phys, bytes) pairs across the batch, in arrival order.
-            let mut ops: Vec<(u64, &[u8])> = Vec::new();
-            let mut idx: Vec<usize> = Vec::new();
+            ops.clear();
+            self.widx.clear();
             for (i, w) in wbatch.iter().enumerate() {
                 if w.array != array {
                     continue;
@@ -1749,26 +1789,29 @@ impl Shard {
                     }
                 };
                 ops.push((w.phys, data));
-                idx.push(i);
+                self.widx.push(i);
             }
             if ops.is_empty() {
                 continue;
             }
-            let results = self.engine.shard_write_batch(array, &ops);
-            for (i, res) in idx.into_iter().zip(results) {
+            let results = self
+                .engine
+                .shard_write_batch_into(array, &ops, &mut self.wscratch);
+            for (&i, res) in self.widx.iter().zip(results) {
                 if let Err(e) = res {
-                    payloads[i] = Err(status_of(&e));
+                    self.wstatus[i] = Err(status_of(e));
                 }
             }
         }
+        self.wops = reuse_allocation(ops);
         // Rule 3: the acks this batch completes are queued, then each
         // touched connection is sent once.
         self.defer_acks = true;
-        for (w, payload) in wbatch.into_iter().zip(payloads) {
+        for (i, w) in wbatch.drain(..).enumerate() {
             let done = Done {
                 job: w.job,
                 frame_off: 0,
-                payload,
+                payload: self.wstatus[i].map(|()| Vec::new()),
             };
             if w.origin == self.id {
                 self.join_done(done);
@@ -1777,6 +1820,9 @@ impl Shard {
             }
         }
         self.defer_acks = false;
+        // Answering runs no chunk, so nothing joined the batch meanwhile.
+        debug_assert!(self.wbatch.is_empty(), "a chunk joined a flushing batch");
+        self.wbatch = wbatch;
         let mut acked = std::mem::take(&mut self.acked);
         acked.sort_unstable();
         acked.dedup();

@@ -45,6 +45,8 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use crate::runtime::MAX_PIPELINE;
+
 /// Request-frame magic, `"pdlQ"` as a big-endian u32.
 pub const REQUEST_MAGIC: u32 = 0x7064_6c51;
 /// Response-frame magic, `"pdlR"` as a big-endian u32.
@@ -435,27 +437,41 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Option<Request>, WireError> {
 /// Fixed request-frame header size (magic through payload length).
 const REQUEST_HEADER: usize = 30;
 
+/// Bytes one `read` of a [`RequestReader`] may fill: its buffer is this
+/// big, except while a frame larger than this is being received.
+const READ_WINDOW: usize = 64 << 10;
+
 /// Incremental request-frame reader for non-blocking / timeout-driven
 /// sockets.
 ///
 /// [`read_request`] discards its partial buffer when a read times out,
 /// so a stall in the middle of a frame desyncs the stream. This reader
-/// instead keeps partially received bytes across calls: when the
-/// underlying read fails with `WouldBlock`/`TimedOut`, [`poll`] returns
-/// that error and the next call resumes exactly where the stream
-/// blocked, no matter where inside the frame the stall happened.
+/// instead keeps received bytes across calls: when the underlying read
+/// fails with `WouldBlock`/`TimedOut`, [`poll`] returns that error and
+/// the next call resumes exactly where the stream blocked, no matter
+/// where inside a frame the stall happened.
+///
+/// It reads in windows of up to 64 KiB, so one `read` can bring in many
+/// pipelined frames, and [`poll`] hands out the buffered ones without
+/// touching the source. A frame larger than the window grows the buffer
+/// to fit it, and the buffer shrinks back once that frame is handed out.
+/// Payload bytes are copied into buffers given back through
+/// [`recycle`], so a connection whose WRITEs are answered and recycled
+/// stops allocating for payloads.
 ///
 /// [`poll`]: RequestReader::poll
+/// [`recycle`]: RequestReader::recycle
 pub struct RequestReader {
-    /// Frame bytes received so far; sized to the bytes currently
-    /// expected (header first, then header + payload).
+    /// Received bytes; `buf[start..end]` is not yet handed out. Its
+    /// length is [`READ_WINDOW`] once the first read happened, or the
+    /// size of the larger frame being received.
     buf: Vec<u8>,
-    filled: usize,
-    /// Whether the leading magic has been validated.
-    magic_ok: bool,
-    /// Whether the header has been parsed and `buf` resized for the
-    /// payload.
-    payload_known: bool,
+    start: usize,
+    end: usize,
+    /// Emptied payload buffers, reused for the next payloads: none
+    /// larger than the window, and at most one per frame a connection
+    /// may have in flight.
+    recycled: Vec<Vec<u8>>,
 }
 
 impl Default for RequestReader {
@@ -465,29 +481,35 @@ impl Default for RequestReader {
 }
 
 impl RequestReader {
-    /// A reader positioned at a frame boundary.
+    /// A reader positioned at a frame boundary. It allocates nothing
+    /// until its first read.
     pub fn new() -> Self {
         Self {
-            buf: vec![0u8; REQUEST_HEADER],
-            filled: 0,
-            magic_ok: false,
-            payload_known: false,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            recycled: Vec::new(),
         }
     }
 
-    /// Bytes of the in-progress frame buffered so far (0 at a frame
-    /// boundary). Callers can watch this to distinguish a genuinely
-    /// idle connection from one slowly trickling a frame in.
+    /// Bytes received and not yet handed out as frames (0 at a frame
+    /// boundary with nothing more buffered). Callers can watch this to
+    /// distinguish a genuinely idle connection from one slowly trickling
+    /// a frame in.
     pub fn buffered(&self) -> usize {
-        self.filled
+        self.end - self.start
     }
 
-    fn reset(&mut self) {
-        self.buf.clear();
-        self.buf.resize(REQUEST_HEADER, 0);
-        self.filled = 0;
-        self.magic_ok = false;
-        self.payload_known = false;
+    /// Give back a payload [`poll`](RequestReader::poll) handed out, once
+    /// it is no longer needed: the next payload is copied into it instead
+    /// of a fresh allocation. A buffer larger than the read window, or
+    /// one past the pipeline depth's worth already kept, is dropped.
+    pub fn recycle(&mut self, mut payload: Vec<u8>) {
+        let cap = payload.capacity();
+        if cap > 0 && cap <= READ_WINDOW && self.recycled.len() < MAX_PIPELINE as usize {
+            payload.clear();
+            self.recycled.push(payload);
+        }
     }
 
     /// Pull bytes from `r` until a complete frame is buffered.
@@ -502,68 +524,104 @@ impl RequestReader {
     /// [`WireError`] on malformed frames or transport failures.
     pub fn poll<R: Read>(&mut self, r: &mut R) -> Result<Option<Request>, WireError> {
         loop {
-            while self.filled < self.buf.len() {
-                match r.read(&mut self.buf[self.filled..]) {
-                    Ok(0) if self.filled == 0 => return Ok(None),
-                    Ok(0) => {
-                        return Err(WireError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "EOF inside request frame",
-                        )))
-                    }
-                    Ok(n) => {
-                        self.filled += n;
-                        // Check the magic the moment its 4 bytes are in:
-                        // a desynced stream is rejected immediately, not
-                        // after a full header's worth of garbage.
-                        if !self.magic_ok && self.filled >= 4 {
-                            let magic =
-                                u32::from_be_bytes(self.buf[0..4].try_into().expect("4 bytes"));
-                            if magic != REQUEST_MAGIC {
-                                return Err(WireError::BadMagic(magic));
-                            }
-                            self.magic_ok = true;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(WireError::Io(e)),
-                }
+            let need = self.head_frame_len()?;
+            if self.buffered() >= need {
+                return Ok(Some(self.take_frame(need)));
             }
-            if !self.payload_known {
-                // Header complete: validate it, then grow the buffer to
-                // cover the payload (if any) and keep reading.
-                let Some(op) = Op::from_code(self.buf[12]) else {
-                    return Err(WireError::UnknownOp(self.buf[12]));
-                };
-                if self.buf[13] != 0 && !op.takes_volume() {
-                    return Err(WireError::NonZeroFlags(self.buf[13]));
+            // Invariant: `poll` never reports `WouldBlock` while a
+            // complete frame is buffered — the check above returns it
+            // before the source is touched. An edge-triggered caller
+            // stops polling on `WouldBlock` until new bytes arrive, so a
+            // frame left behind here would be stranded.
+            self.make_room(need);
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.buffered() == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(WireError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "EOF inside request frame",
+                    )))
                 }
-                let payload_len = u32::from_be_bytes(self.buf[26..30].try_into().expect("4 bytes"));
-                if payload_len > MAX_PAYLOAD {
-                    return Err(WireError::PayloadTooLarge(payload_len));
-                }
-                self.payload_known = true;
-                if payload_len > 0 {
-                    self.buf.resize(REQUEST_HEADER + payload_len as usize, 0);
-                    continue;
-                }
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(WireError::Io(e)),
             }
-            let id = u64::from_be_bytes(self.buf[4..12].try_into().expect("8 bytes"));
-            let op = Op::from_code(self.buf[12]).expect("validated with the header");
-            let volume = self.buf[13];
-            let offset = u64::from_be_bytes(self.buf[14..22].try_into().expect("8 bytes"));
-            let length = u32::from_be_bytes(self.buf[22..26].try_into().expect("4 bytes"));
-            let payload = self.buf[REQUEST_HEADER..].to_vec();
-            self.reset();
-            return Ok(Some(Request {
-                id,
-                op,
-                volume,
-                offset,
-                length,
-                payload,
-            }));
         }
+    }
+
+    /// Bytes the frame at the head of the buffer spans: the header's
+    /// size until the header is in, then header plus payload. The magic
+    /// is checked the moment its 4 bytes are in — a desynced stream is
+    /// rejected immediately, not after a full header's worth of garbage
+    /// — and op, flags and payload length once the header is, as
+    /// [`read_request`] does.
+    fn head_frame_len(&self) -> Result<usize, WireError> {
+        let head = &self.buf[self.start..self.end];
+        if head.len() >= 4 {
+            let magic = u32::from_be_bytes(head[0..4].try_into().expect("4 bytes"));
+            if magic != REQUEST_MAGIC {
+                return Err(WireError::BadMagic(magic));
+            }
+        }
+        if head.len() < REQUEST_HEADER {
+            return Ok(REQUEST_HEADER);
+        }
+        let op = Op::from_code(head[12]).ok_or(WireError::UnknownOp(head[12]))?;
+        if head[13] != 0 && !op.takes_volume() {
+            return Err(WireError::NonZeroFlags(head[13]));
+        }
+        let payload_len = u32::from_be_bytes(head[26..30].try_into().expect("4 bytes"));
+        if payload_len > MAX_PAYLOAD {
+            return Err(WireError::PayloadTooLarge(payload_len));
+        }
+        Ok(REQUEST_HEADER + payload_len as usize)
+    }
+
+    /// Make room to read toward a `need`-byte head frame: move the
+    /// unread bytes to the front and size the buffer to the window, or
+    /// to the frame if it is larger.
+    fn make_room(&mut self, need: usize) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let size = need.max(READ_WINDOW);
+        if self.buf.len() < size {
+            self.buf.resize(size, 0);
+        }
+    }
+
+    /// Hand out the validated `len`-byte frame at the head of the buffer.
+    fn take_frame(&mut self, len: usize) -> Request {
+        let frame = &self.buf[self.start..self.start + len];
+        let payload = if len > REQUEST_HEADER {
+            let mut payload = self.recycled.pop().unwrap_or_default();
+            payload.extend_from_slice(&frame[REQUEST_HEADER..]);
+            payload
+        } else {
+            Vec::new()
+        };
+        let req = Request {
+            id: u64::from_be_bytes(frame[4..12].try_into().expect("8 bytes")),
+            op: Op::from_code(frame[12]).expect("validated with the header"),
+            volume: frame[13],
+            offset: u64::from_be_bytes(frame[14..22].try_into().expect("8 bytes")),
+            length: u32::from_be_bytes(frame[22..26].try_into().expect("4 bytes")),
+            payload,
+        };
+        self.start += len;
+        if self.buf.len() > READ_WINDOW {
+            // The frame was larger than the window, and the buffer was
+            // grown to end where it does: nothing follows it, so the
+            // buffer can go back to the window and release the rest.
+            debug_assert_eq!(self.start, self.end, "bytes read past a grown frame");
+            self.start = 0;
+            self.end = 0;
+            self.buf.truncate(READ_WINDOW);
+            self.buf.shrink_to_fit();
+        }
+        req
     }
 }
 
@@ -1459,6 +1517,240 @@ mod tests {
         // Clean EOF at the boundary is still None.
         src.ready = true;
         assert!(reader.poll(&mut src).unwrap().is_none());
+    }
+
+    /// Serves `data` at most `k` bytes per `read`, with a `WouldBlock`
+    /// before every read — a non-blocking socket fed in `k`-byte
+    /// segments.
+    struct Segmented<'a> {
+        data: &'a [u8],
+        k: usize,
+        ready: bool,
+    }
+
+    impl Read for Segmented<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !self.ready {
+                self.ready = true;
+                return Err(io::Error::new(io::ErrorKind::WouldBlock, "tick"));
+            }
+            self.ready = false;
+            let n = self.data.len().min(self.k).min(buf.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// How a decode stopped: clean EOF, or the error, comparably.
+    fn ending(e: Option<WireError>) -> String {
+        match e {
+            None => "eof".into(),
+            Some(WireError::Io(e)) => format!("io {:?}", e.kind()),
+            Some(e) => e.to_string(),
+        }
+    }
+
+    /// Every request [`read_request`] decodes from `bytes`, then how
+    /// it stopped.
+    fn decode_blocking(mut bytes: &[u8]) -> (Vec<Request>, String) {
+        let mut got = Vec::new();
+        loop {
+            match read_request(&mut bytes) {
+                Ok(Some(req)) => got.push(req),
+                Ok(None) => return (got, ending(None)),
+                Err(e) => return (got, ending(Some(e))),
+            }
+        }
+    }
+
+    /// The same through a [`RequestReader`] fed `k` bytes per read,
+    /// checking at every `WouldBlock` that the next of the `expected`
+    /// frames is not already buffered (the reader's invariant).
+    fn decode_streaming(bytes: &[u8], k: usize, expected: &[Request]) -> (Vec<Request>, String) {
+        let mut src = Segmented {
+            data: bytes,
+            k,
+            ready: false,
+        };
+        let mut reader = RequestReader::new();
+        let mut got = Vec::new();
+        loop {
+            match reader.poll(&mut src) {
+                Ok(Some(req)) => got.push(req),
+                Ok(None) => return (got, ending(None)),
+                Err(WireError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if let Some(next) = expected.get(got.len()) {
+                        let len = REQUEST_HEADER + next.payload.len();
+                        assert!(reader.buffered() < len, "WouldBlock with a whole frame in");
+                    }
+                }
+                Err(e) => return (got, ending(Some(e))),
+            }
+        }
+    }
+
+    /// 200 frames cycling through every op, each with a 0–3-unit
+    /// payload of 64-byte units, plus one frame larger than the read
+    /// window in the middle.
+    fn mixed_frames() -> Vec<Vec<u8>> {
+        let mut rng = pddl_core::rng::Xoshiro256pp::seed_from_u64(26);
+        (0..200u8)
+            .map(|i| {
+                let op = Op::from_code(1 + i % 15).expect("codes 1..=15");
+                let units = rng.below(4);
+                let bytes = if i == 100 {
+                    READ_WINDOW + 100
+                } else {
+                    units * 64
+                };
+                let req = Request {
+                    id: rng.next_u64(),
+                    op,
+                    volume: if op.takes_volume() { i } else { 0 },
+                    offset: rng.next_u64() >> rng.below(64),
+                    length: units as u32,
+                    payload: vec![i; bytes],
+                };
+                let mut frame = Vec::new();
+                write_request(&mut frame, &req).unwrap();
+                frame
+            })
+            .collect()
+    }
+
+    #[test]
+    fn request_reader_decodes_exactly_what_read_request_does() {
+        let frames = mixed_frames();
+        let valid = frames.concat();
+        // One malformed frame at position `at`, valid frames after it.
+        type Mangle = fn(&mut Vec<u8>);
+        let corrupt: [(&str, Mangle); 5] = [
+            ("bad magic", |f| f[0] ^= 0xff),
+            ("unknown op", |f| f[12] = 99),
+            ("non-zero flags", |f| {
+                f[12] = Op::Stats.code();
+                f[13] = 0x5a;
+            }),
+            ("oversize payload", |f| {
+                f[26..30].copy_from_slice(&(MAX_PAYLOAD + 1).to_be_bytes())
+            }),
+            ("EOF inside the frame", |f| {
+                let cut = [1, 3, 4, 17, 29, 30, f.len() - 1][f[4] as usize % 7];
+                f.truncate(cut.min(f.len() - 1));
+            }),
+        ];
+        let mut streams = vec![("valid".to_string(), valid, frames.len())];
+        for (what, mangle) in corrupt {
+            for at in [0usize, 1, 120, 199] {
+                let mut bad = frames[at].clone();
+                mangle(&mut bad);
+                let mut bytes = frames[..at].concat();
+                bytes.extend_from_slice(&bad);
+                if what != "EOF inside the frame" {
+                    bytes.extend_from_slice(&frames[at + 1..].concat());
+                }
+                streams.push((format!("{what} at frame {at}"), bytes, at));
+            }
+        }
+        for (what, bytes, good) in &streams {
+            let want = decode_blocking(bytes);
+            assert_eq!(
+                want.0.len(),
+                *good,
+                "{what}: reference decoded {}",
+                want.0.len()
+            );
+            for k in [1, 7, 29, 30, 31, 8192, 65536] {
+                let got = decode_streaming(bytes, k, &want.0);
+                assert_eq!(got.1, want.1, "{what}, {k}-byte reads: ending");
+                assert!(got.0 == want.0, "{what}, {k}-byte reads: frames differ");
+            }
+        }
+    }
+
+    /// Counts the `read` calls made on a byte slice.
+    struct CountingRead<'a> {
+        data: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for CountingRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn request_reader_takes_many_frames_per_read() {
+        let mut bytes = Vec::new();
+        for i in 0..16u64 {
+            let req = Request {
+                id: i,
+                op: Op::Write,
+                volume: 0,
+                offset: i,
+                length: 1,
+                payload: vec![i as u8; 8192],
+            };
+            write_request(&mut bytes, &req).unwrap();
+        }
+        let mut src = CountingRead {
+            data: &bytes,
+            reads: 0,
+        };
+        let mut reader = RequestReader::new();
+        for i in 0..16u64 {
+            let req = reader.poll(&mut src).unwrap().expect("a frame");
+            assert_eq!((req.id, req.payload.len()), (i, 8192));
+        }
+        // 16 × 8222 bytes through 64 KiB windows: three reads, where
+        // reading header and payload separately takes 32.
+        assert!(src.reads <= 3, "{} reads for 16 frames", src.reads);
+        assert_eq!(reader.buffered(), 0);
+    }
+
+    #[test]
+    fn request_reader_releases_a_large_frame_and_caps_recycling() {
+        let big = Request {
+            id: 1,
+            op: Op::Write,
+            volume: 0,
+            offset: 0,
+            length: 512,
+            payload: vec![7; 4 << 20],
+        };
+        let small = Request {
+            id: 2,
+            op: Op::Write,
+            volume: 0,
+            offset: 9,
+            length: 1,
+            payload: vec![9; 8192],
+        };
+        let mut bytes = Vec::new();
+        write_request(&mut bytes, &big).unwrap();
+        write_request(&mut bytes, &small).unwrap();
+        let mut src = bytes.as_slice();
+        let mut reader = RequestReader::new();
+        let got = reader.poll(&mut src).unwrap().expect("the large frame");
+        assert!(got == big);
+        // Larger than the window: not kept for reuse.
+        reader.recycle(got.payload);
+        assert!(reader.recycled.is_empty());
+        assert_eq!(reader.poll(&mut src).unwrap(), Some(small));
+        assert!(
+            reader.buf.capacity() <= READ_WINDOW,
+            "buffer pinned at {} bytes after the large frame",
+            reader.buf.capacity()
+        );
+        // At most one recycled payload per frame in flight.
+        for _ in 0..2 * MAX_PIPELINE {
+            reader.recycle(vec![0; 64]);
+        }
+        assert_eq!(reader.recycled.len(), MAX_PIPELINE as usize);
+        assert_eq!(reader.poll(&mut src).unwrap(), None);
     }
 
     #[test]
