@@ -248,6 +248,16 @@ fn held_unit<'a>(held: &Updates<'a>, index: usize) -> Option<&'a [u8]> {
 /// Check units about to be stored, as `(index, bytes)` in index order.
 type NewChecks = Vec<(usize, Vec<u8>)>;
 
+/// A media error or an unrecoverable stripe is contained to its stripe:
+/// its intent stays journaled and the rest of a write batch proceeds. A
+/// crash (or device/codec bug) stops the controller instead.
+fn contained(e: &ArrayError) -> bool {
+    matches!(
+        e,
+        ArrayError::MediaError { .. } | ArrayError::Unrecoverable { .. }
+    )
+}
+
 /// An emptied `v` whose allocation is kept for borrows of another
 /// lifetime. The element types differ only in lifetime, so the in-place
 /// `collect` reuses the buffer, and no element is left to outlive its
@@ -467,20 +477,56 @@ impl DeclusteredArray {
         self.faults = Some(hook);
     }
 
-    /// Consult the fault hook for `addr`; emits a
-    /// [`MediaFault`](ObsEvent::MediaFault) event when it fires.
+    /// Consult the fault hook for `addr`. A read fault emits a
+    /// [`MediaFault`](ObsEvent::MediaFault) event here. A write fault
+    /// becomes the caller's [`ArrayError::MediaError`] and is reported
+    /// where that error is delivered ([`Self::fail_ops`],
+    /// [`Self::replay_stripes`]): a failed merged batch attempt is not
+    /// delivered but replayed, and the replay meets the fault again.
     fn injected_fault(&self, addr: PhysAddr, kind: AccessKind) -> bool {
         let Some(hook) = &self.faults else {
             return false;
         };
         let hit = hook.media_error(addr.disk, addr.offset, kind);
-        if hit {
+        if hit && kind == AccessKind::Read {
             self.emit(ObsEvent::MediaFault {
                 disk: addr.disk as u32,
-                write: kind == AccessKind::Write,
+                write: false,
             });
         }
         hit
+    }
+
+    /// Report `e` if it is an injected write fault.
+    fn report_write_fault(&self, e: &ArrayError) {
+        if let ArrayError::MediaError { disk, .. } = *e {
+            self.emit(ObsEvent::MediaFault {
+                disk: disk as u32,
+                write: true,
+            });
+        }
+    }
+
+    /// Deliver a stripe attempt's error `e` to `ops` of a write batch
+    /// (an op keeps its first error) and report it. Unless `e` is
+    /// [`contained`], stop the batch: no later stripe reaches disk, and
+    /// every unfinished intent stays.
+    fn fail_ops(
+        &self,
+        results: &mut [Result<(), ArrayError>],
+        ops: impl IntoIterator<Item = usize>,
+        e: ArrayError,
+        abort: &mut Option<ArrayError>,
+    ) {
+        self.report_write_fault(&e);
+        for op in ops {
+            if results[op].is_ok() {
+                results[op] = Err(e.clone());
+            }
+        }
+        if !contained(&e) {
+            *abort = Some(e);
+        }
     }
 
     fn emit(&self, event: ObsEvent) {
@@ -825,12 +871,15 @@ impl DeclusteredArray {
     /// # Errors
     ///
     /// Reported per op. A stripe that fails with
-    /// [`ArrayError::MediaError`] or [`ArrayError::Unrecoverable`]
-    /// fails every op that touched it (its intent stays journaled) but
-    /// the rest of the batch proceeds; an [`ArrayError::InjectedCrash`]
-    /// (or device/codec bug) aborts the batch — no later stripe is
-    /// touched, and every unfinished stripe keeps its intent for
-    /// [`DeclusteredArray::recover`].
+    /// [`ArrayError::MediaError`] or [`ArrayError::Unrecoverable`] is
+    /// contained: the rest of the batch proceeds. If only one op touched
+    /// it, that op fails. If it merged several ops, they are replayed on
+    /// it one at a time in deposit order, each with only its own units,
+    /// so each gets the status it would have had alone. The stripe's
+    /// intent stays journaled unless every replayed op succeeded. An
+    /// [`ArrayError::InjectedCrash`] (or device/codec bug) aborts the
+    /// batch — no later stripe is touched, and every unfinished stripe
+    /// keeps its intent for [`DeclusteredArray::recover`].
     pub fn write_batch_into<'s>(
         &self,
         ops: &[(u64, &[u8])],
@@ -886,27 +935,53 @@ impl DeclusteredArray {
             }));
             let outcome = match &abort {
                 Some(e) => Err(e.clone()),
-                None => self.write_stripe(stripe, &updates, &mut s.stripe),
+                None => self.write_stripe(stripe, &updates, &mut s.stripe, WritePolicy::Adaptive),
             };
-            let Err(e) = outcome else {
+            let failed = match outcome {
+                Ok(()) => false,
+                Err(e) if contained(&e) && group.iter().any(|u| u.op != group[0].op) => {
+                    // Whether two ops merge depends on timing, so a merged
+                    // group's statuses must not: replay it op by op. The
+                    // failed attempt may have written some data units
+                    // already, so no replay may fold a delta against
+                    // them — `AlwaysLarge` re-encodes the checks from the
+                    // data units instead. (With a data unit lost as well
+                    // the planner's method stands: the tear is then the
+                    // write hole the journal is for.)
+                    let mut members: Vec<usize> = group.iter().map(|u| u.op).collect();
+                    members.sort_unstable();
+                    members.dedup();
+                    let mut failed = false;
+                    for op in members {
+                        updates.clear();
+                        updates.extend(group.iter().filter(|u| u.op == op).map(|u| {
+                            let at = u.unit * ub;
+                            (u.index, &ops[op].1[at..at + ub])
+                        }));
+                        let outcome = match &abort {
+                            Some(e) => Err(e.clone()),
+                            None => self.write_stripe(
+                                stripe,
+                                &updates,
+                                &mut s.stripe,
+                                WritePolicy::AlwaysLarge,
+                            ),
+                        };
+                        if let Err(e) = outcome {
+                            failed = true;
+                            self.fail_ops(&mut s.results, [op], e, &mut abort);
+                        }
+                    }
+                    failed
+                }
+                Err(e) => {
+                    self.fail_ops(&mut s.results, group.iter().map(|u| u.op), e, &mut abort);
+                    true
+                }
+            };
+            if !failed {
                 s.retired.push(stripe);
                 self.emit(ObsEvent::JournalCommit { stripe });
-                continue;
-            };
-            for u in group {
-                if s.results[u.op].is_ok() {
-                    s.results[u.op] = Err(e.clone());
-                }
-            }
-            // A media error or an unrecoverable stripe is contained: its
-            // intent stays journaled, the rest of the batch proceeds. A
-            // crash (or device/codec bug) stops the controller: no later
-            // stripe reaches disk, every unfinished intent stays.
-            if !matches!(
-                e,
-                ArrayError::MediaError { .. } | ArrayError::Unrecoverable { .. }
-            ) {
-                abort = Some(e);
             }
         }
         s.updates = reuse_allocation(updates);
@@ -926,13 +1001,14 @@ impl DeclusteredArray {
         stripe: u64,
         updates: &Updates,
         s: &mut StripeScratch,
+        policy: WritePolicy,
     ) -> Result<(), ArrayError> {
         s.written.clear();
         s.written.extend(updates.iter().map(|&(index, _)| index));
         let lost = self.unreadable_units(stripe);
         let d = self.layout.data_per_stripe();
         let c = self.layout.check_per_stripe();
-        let plan = plan_stripe_write(d, c, &s.written, &lost, WritePolicy::Adaptive)
+        let plan = plan_stripe_write(d, c, &s.written, &lost, policy)
             .map_err(|_| ArrayError::Unrecoverable { stripe })?;
         // Every pre-read happens here, before the first write. `None`:
         // one found its unit unreadable after all (injected media error,
@@ -1124,7 +1200,8 @@ impl DeclusteredArray {
             }
             let data: Vec<Vec<u8>> = row.into_iter().flatten().collect();
             for (i, check) in self.rs.encode(&data)?.iter().enumerate() {
-                self.write_phys(self.layout.check_unit(stripe, i), check)?;
+                self.write_phys(self.layout.check_unit(stripe, i), check)
+                    .inspect_err(|e| self.report_write_fault(e))?;
             }
         }
         Ok(repaired)
@@ -2246,6 +2323,49 @@ mod small_write_tests {
         faults.disarm_all();
         assert_eq!(a.recover().unwrap(), 1);
         assert_eq!(a.scrub().unwrap(), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn batch_media_error_fails_only_the_op_that_hit_it() {
+        // Two single-unit ops on the two data units of one stripe, the
+        // first op's unit write-armed. Merged, the batch writes the
+        // second op's unit (the lower index) before the armed one fails;
+        // replayed op by op, the second op succeeds, the stripe's checks
+        // match what is on disk without any journal replay, and the one
+        // failed op reports one write fault.
+        use pddl_obs::{ObsConfig, Observer};
+        let mut a = DeclusteredArray::new(Box::new(Pddl::new(7, 3).unwrap()), 16, 2).unwrap();
+        let faults = Arc::new(CellFaults::new());
+        a.attach_fault_hook(faults.clone());
+        let obs = Arc::new(Mutex::new(Observer::new(ObsConfig::default())));
+        a.attach_observer(obs.clone());
+        a.write(0, &pattern(16 * 20, 1)).unwrap();
+        let (stripe, _) = a.layout().locate(0);
+        let unit_at = |index| {
+            (0..20u64)
+                .find(|&u| a.layout().locate(u) == (stripe, index))
+                .expect("both data units of the stripe are in range")
+        };
+        let (armed, other) = (unit_at(1), unit_at(0));
+        let addr = a.layout().data_unit(stripe, 1);
+        faults.arm(addr.disk, addr.offset, AccessKind::Write);
+        let (bad_chunk, ok_chunk) = (pattern(16, 2), pattern(16, 3));
+        let results = a.write_batch(&[(armed, &bad_chunk), (other, &ok_chunk)]);
+        assert!(
+            matches!(results[0], Err(ArrayError::MediaError { disk, offset })
+                if disk == addr.disk && offset == addr.offset),
+            "{results:?}"
+        );
+        assert!(results[1].is_ok(), "{results:?}");
+        assert_eq!(a.read(other, 1).unwrap(), ok_chunk);
+        assert_eq!(a.scrub().unwrap(), Vec::<u64>::new(), "no stale delta");
+        assert_eq!(a.outstanding_intents(), vec![stripe]);
+        let media_write = lock(&obs).registry().counter("faults.media_write");
+        assert_eq!(media_write, Some(1), "one failed op, one write fault");
+        faults.disarm_all();
+        assert_eq!(a.recover().unwrap(), 1);
+        assert_eq!(a.scrub().unwrap(), Vec::<u64>::new());
+        assert_eq!(a.read(other, 1).unwrap(), ok_chunk);
     }
 
     #[test]

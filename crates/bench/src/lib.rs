@@ -6,7 +6,6 @@
 //! `DESIGN.md`; expected-vs-measured notes in `EXPERIMENTS.md`.
 
 pub mod plot;
-pub mod scenario;
 pub mod timing;
 
 use pddl_core::layout::Layout;

@@ -23,17 +23,17 @@
 //!    reports the shortest schedule that still reproduces, along with
 //!    the seed — `pddl-chaos --seed N` replays it exactly.
 
+mod access;
 pub mod checker;
 pub mod nemesis;
 pub mod plan;
 pub mod shrink;
 
+pub use access::AccessDist;
 pub use checker::{check, Violation};
 pub use nemesis::{run, RunResult};
-pub use plan::{generate, op_trace, ChaosConfig, FaultPlan};
+pub use plan::{generate, ChaosConfig, FaultPlan};
 pub use shrink::{shrink, Shrunk};
-
-use pddl_server::workload::AccessDist;
 
 /// Everything learned from one seed.
 pub struct SeedReport {
@@ -89,9 +89,6 @@ OPTIONS:
     --access D      client offset distribution inside each region:
                     uniform (default), zipfian (θ = 0.99), or hotspot
                     (20% window, 90% weight, shifting every 4 draws)
-    --trace-out F   also write the run's client op schedule (for
-                    --seed N, else seed 0) as a pddl-trace v1 file;
-                    re-drive it with `pddl scenario replay`
     --sabotage      corrupt one block behind the checker's back
                     (self-test: the run MUST fail)
     -h, --help      print this help
@@ -106,7 +103,6 @@ pub fn run_cli(args: &[String]) -> i32 {
     let mut seed: Option<u64> = None;
     let mut seeds: u64 = 10;
     let mut total_ops: usize = cfg.rounds * cfg.clients * cfg.ops_per_round;
-    let mut trace_out: Option<String> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -149,13 +145,6 @@ pub fn run_cli(args: &[String]) -> i32 {
                     }
                 }
             }
-            "--trace-out" => match it.next() {
-                Some(path) => trace_out = Some(path.clone()),
-                None => {
-                    eprintln!("pddl-chaos: --trace-out needs a file path");
-                    return 2;
-                }
-            },
             "--sabotage" => cfg.sabotage = true,
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -180,27 +169,6 @@ pub fn run_cli(args: &[String]) -> i32 {
         eprintln!("pddl-chaos: {e}");
         return 2;
     }
-    if let Some(path) = &trace_out {
-        let trace_seed = seed.unwrap_or(0);
-        match op_trace(trace_seed, &cfg) {
-            Ok(trace) => {
-                if let Err(e) = std::fs::write(path, trace.render()) {
-                    eprintln!("pddl-chaos: --trace-out {path}: {e}");
-                    return 2;
-                }
-                println!(
-                    "wrote seed-{trace_seed} op trace to {path} ({} ops, digest {:016x})",
-                    trace.ops.len(),
-                    trace.digest()
-                );
-            }
-            Err(e) => {
-                eprintln!("pddl-chaos: --trace-out: {e}");
-                return 2;
-            }
-        }
-    }
-
     match seed {
         Some(seed) => run_one(&cfg, seed),
         None => run_many(&cfg, seeds),

@@ -42,8 +42,8 @@ use std::fmt;
 use pddl_core::layout::Layout;
 use pddl_core::rng::{SplitMix64, Xoshiro256pp};
 use pddl_core::Pddl;
-use pddl_server::trace::{OpTrace, TraceOp};
-use pddl_server::workload::{AccessDist, AccessSampler};
+
+use crate::access::{AccessDist, AccessSampler};
 
 /// Harness shape: array geometry, client topology, and per-round load.
 #[derive(Debug, Clone)]
@@ -66,9 +66,8 @@ pub struct ChaosConfig {
     /// Ops each client issues per round.
     pub ops_per_round: usize,
     /// How client offsets spread over each region: uniform (the
-    /// pre-scenario-engine shape), zipfian, or shifting hotspot. The
-    /// checker replays the same distribution, so skewed runs stay
-    /// fully deterministic.
+    /// default), zipfian, or shifting hotspot. The checker replays the
+    /// same distribution, so skewed runs stay fully deterministic.
     pub access: AccessDist,
     /// Testing the tester: make the nemesis issue one unmodeled write
     /// mid-run, which the checker must flag and shrinking must localize.
@@ -724,9 +723,9 @@ pub fn client_round_ops(
     let mut rng = Xoshiro256pp::seed_from_u64(mix.next_u64());
     let (start, len) = cfg.region(client, capacity);
     // Non-uniform distributions draw region-relative offsets through
-    // the shared scenario-engine sampler, seeded from the same
-    // per-(seed, client, round) stream so replay stays exact. Uniform
-    // keeps the original direct draw, bit-identical to older runs.
+    // an `AccessSampler`, seeded from the same per-(seed, client,
+    // round) stream so replay stays exact. Uniform keeps the original
+    // direct draw, bit-identical to older runs.
     let mut sampler = match cfg.access {
         AccessDist::Uniform => None,
         dist => Some(AccessSampler::new(dist, len, rng.next_u64())),
@@ -748,43 +747,6 @@ pub fn client_round_ops(
         });
     }
     ops
-}
-
-/// The full client workload of a run, flattened into the scenario
-/// engine's op-trace format so a chaos run's history can be re-driven
-/// as a benchmark (`pddl scenario replay`). Ops are ordered round by
-/// round, client-major within a round; `start_us` stays 0 because
-/// chaos clients are closed-loop inside each barrier window. Write
-/// payloads round-trip exactly: the trace replayer's
-/// `pddl_server::trace::tag_bytes(tag, k, ..)` expands to the same
-/// bytes as `token_bytes(block_token(tag, k), ..)` here.
-///
-/// # Errors
-///
-/// Invalid geometry, as a printable string.
-pub fn op_trace(seed: u64, cfg: &ChaosConfig) -> Result<OpTrace, String> {
-    let layout = cfg.layout()?;
-    let capacity = cfg.capacity(&layout);
-    let mut ops = Vec::with_capacity(cfg.rounds * cfg.clients * cfg.ops_per_round);
-    for round in 0..cfg.rounds {
-        for client in 0..cfg.clients {
-            for op in client_round_ops(seed, client, round, cfg, capacity) {
-                ops.push(TraceOp {
-                    start_us: 0,
-                    client: client as u32,
-                    write: op.write,
-                    offset: op.offset,
-                    units: op.units,
-                    tag: op.tag,
-                });
-            }
-        }
-    }
-    Ok(OpTrace {
-        unit_bytes: cfg.unit_bytes as u32,
-        capacity_units: capacity,
-        ops,
-    })
 }
 
 /// The value token block `k` of a write op carries (what the model
@@ -948,26 +910,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The exported op trace is a pure function of `(seed, cfg)`, its
-    /// shape matches the run (rounds × clients × ops), skew changes
-    /// the schedule, and every op survives the trace text round trip.
-    #[test]
-    fn op_trace_is_deterministic_and_round_trips() {
-        let cfg = ChaosConfig::default();
-        let a = op_trace(11, &cfg).unwrap();
-        let b = op_trace(11, &cfg).unwrap();
-        assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.ops.len(), cfg.rounds * cfg.clients * cfg.ops_per_round);
-        assert_ne!(a.digest(), op_trace(12, &cfg).unwrap().digest());
-        let skewed = ChaosConfig {
-            access: AccessDist::Zipfian { theta: 0.99 },
-            ..cfg.clone()
-        };
-        assert_ne!(a.digest(), op_trace(11, &skewed).unwrap().digest());
-        let reparsed = OpTrace::parse(&a.render()).unwrap();
-        assert_eq!(reparsed.digest(), a.digest());
     }
 
     #[test]

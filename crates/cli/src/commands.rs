@@ -6,7 +6,6 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use pddl_array::DeclusteredArray;
-use pddl_bench::scenario::{percentile, run_spec, run_trace, RunOutcome, ScenarioSpec};
 use pddl_core::analysis::{check_goals, mean_working_set, reconstruction_reads};
 use pddl_core::layout::Layout;
 use pddl_core::pddl::search::{find_base_permutations_with_spares, SearchBudget};
@@ -16,7 +15,7 @@ use pddl_obs::{MetricsSnapshot, ObsConfig, ObsSink, Observer, SyncAdapter, SyncS
 use pddl_server::engine::{Engine, RebuildConfig};
 use pddl_server::metrics_http::serve_metrics;
 use pddl_server::server::{serve, ServerConfig};
-use pddl_server::{BenchConfig, VolumeSpec};
+use pddl_server::VolumeSpec;
 use pddl_sim::trace::{format_trace, parse_trace, synthesize_poisson};
 use pddl_sim::{ArraySim, SimConfig};
 
@@ -79,28 +78,9 @@ USAGE:
   pddl trace-dump --addr HOST:PORT [--out FILE]
                    dump the server's flight recorder (recent + slow op
                    spans) as chrome://tracing JSON to FILE or stdout
-  pddl remote-bench --addr HOST:PORT | --self-serve [--threads T]
-                 [--ops N] [--read-frac F] [--max-units U] [--seed S]
-                 [--metrics FILE] [--fail-disk D] [--volume V]
-                   closed-loop load generator: throughput and latency
-                   percentiles against a served volume; --fail-disk
-                   fails disk D mid-run and rebuilds it under load;
-                   --volume V drives the generator at volume V
-  pddl scenario  ACTION --spec FILE
-                   scenario engine: seeded, network-shaped workloads
-                   from a plain-text spec (see DESIGN.md):
-                     run    --spec FILE            drive the scenario
-                            against a fresh loopback stack and print
-                            service + intended latency percentiles
-                     record --spec FILE --out T    run it and also
-                            write the op schedule as a pddl-trace v1
-                            file (same seed + spec -> same digest)
-                     replay --spec FILE --trace T  re-drive a recorded
-                            trace under the spec's shaping/pathology
-                            settings against a fresh stack
   pddl chaos     [--seed N | --seeds N] [--ops N] [--clients C]
                  [--volumes V] [--rounds R] [--disks N --width K]
-                 [--access D] [--trace-out F] [--sabotage]
+                 [--access D] [--sabotage]
                    deterministic fault-injection harness: seeded fault
                    schedules against a loopback server, histories
                    checked against a sequential model; failing seeds
@@ -640,8 +620,7 @@ pub fn report(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the served array + engine shared by `serve` and
-/// `remote-bench --self-serve`.
+/// Build the served array + engine for `serve`.
 fn build_engine(cli: &Cli, obs: Option<&ObsOutput>) -> Result<Engine, String> {
     let n: usize = cli.num("disks", 13)?;
     let k: usize = cli.num("width", 4)?;
@@ -668,14 +647,6 @@ fn build_engine(cli: &Cli, obs: Option<&ObsOutput>) -> Result<Engine, String> {
     Ok(engine)
 }
 
-fn server_config(cli: &Cli) -> Result<ServerConfig, String> {
-    Ok(ServerConfig {
-        // 0 = one event-loop shard per available core.
-        shards: cli.num("shards", 0)?,
-        ..ServerConfig::default()
-    })
-}
-
 /// `pddl serve` — export the functional array as a TCP block service.
 pub fn serve_cmd(cli: &Cli) -> Result<(), String> {
     let addr = cli.get("addr").unwrap_or("127.0.0.1:7490");
@@ -686,8 +657,12 @@ pub fn serve_cmd(cli: &Cli) -> Result<(), String> {
     }
     let engine = Arc::new(build_engine(cli, obs.as_ref())?);
     let info = engine.volume_info();
-    let handle =
-        serve(Arc::clone(&engine), addr, server_config(cli)?).map_err(|e| e.to_string())?;
+    let config = ServerConfig {
+        // 0 = one event-loop shard per available core.
+        shards: cli.num("shards", 0)?,
+        ..ServerConfig::default()
+    };
+    let handle = serve(Arc::clone(&engine), addr, config).map_err(|e| e.to_string())?;
     let metrics = match cli.get("metrics-addr") {
         Some(maddr) => Some(serve_metrics(Arc::clone(&engine), maddr).map_err(|e| e.to_string())?),
         None => None,
@@ -999,159 +974,4 @@ pub fn top(cli: &Cli) -> Result<(), String> {
         }
         prev = snap;
     }
-}
-
-/// Print one latency series from a scenario outcome.
-fn scenario_series(label: &str, mut samples_ns: Vec<u64>) {
-    if samples_ns.is_empty() {
-        println!("  {label:<9}: no completed ops");
-        return;
-    }
-    samples_ns.sort_unstable();
-    let us = |v: u64| v as f64 / 1e3;
-    println!(
-        "  {label:<9}: p50 {:>9.1} µs  p95 {:>9.1} µs  p99 {:>9.1} µs  ({} ops)",
-        us(percentile(&samples_ns, 0.50)),
-        us(percentile(&samples_ns, 0.95)),
-        us(percentile(&samples_ns, 0.99)),
-        samples_ns.len(),
-    );
-}
-
-/// Report one scenario run on stdout.
-fn scenario_report(spec: &ScenarioSpec, out: &RunOutcome) {
-    println!(
-        "scenario {}: {} clients × {} ops (seed {}), {} completed, {} errors, {:.1} ms wall",
-        spec.name,
-        spec.clients,
-        spec.ops_per_client,
-        spec.seed,
-        out.completed(),
-        out.errors,
-        out.elapsed_ns as f64 / 1e6,
-    );
-    println!("  trace digest {:016x}", out.trace.digest());
-    scenario_series("service", out.healthy_service_ns());
-    if out.trace.ops.iter().any(|o| o.start_us > 0) {
-        scenario_series("intended", out.healthy_intended_ns());
-    }
-    if out.slow_clients > 0 {
-        println!(
-            "  ({} slow client(s) excluded from the series above)",
-            out.slow_clients
-        );
-    }
-    if let Some(rb) = &out.rebuild {
-        println!("  rebuild under load: {rb:?}");
-    }
-}
-
-/// `pddl scenario` — run, record, or replay a scenario spec.
-pub fn scenario(cli: &Cli) -> Result<(), String> {
-    let action = cli
-        .positional
-        .first()
-        .map(String::as_str)
-        .ok_or("usage: pddl scenario <run|record|replay> --spec FILE …")?;
-    let spec_path = cli.get("spec").ok_or("--spec is required")?;
-    let text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
-    let spec = ScenarioSpec::parse(&text).map_err(|e| format!("{spec_path}: {e}"))?;
-    match action {
-        "run" => {
-            let out = run_spec(&spec)?;
-            scenario_report(&spec, &out);
-            Ok(())
-        }
-        "record" => {
-            let path = cli.get("out").ok_or("--out is required for record")?;
-            let out = run_spec(&spec)?;
-            scenario_report(&spec, &out);
-            std::fs::write(path, out.trace.render()).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "  recorded {} ops to {path} (replay with `pddl scenario replay --spec {spec_path} --trace {path}`)",
-                out.trace.ops.len()
-            );
-            Ok(())
-        }
-        "replay" => {
-            let path = cli.get("trace").ok_or("--trace is required for replay")?;
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let trace =
-                pddl_server::trace::OpTrace::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-            let out = run_trace(&spec, trace)?;
-            scenario_report(&spec, &out);
-            Ok(())
-        }
-        other => Err(format!(
-            "unknown scenario action {other:?} (expected run, record, or replay)"
-        )),
-    }
-}
-
-/// `pddl remote-bench` — closed-loop load generator against a served
-/// volume; reports throughput and latency percentiles from the obs
-/// log-histogram.
-pub fn remote_bench(cli: &Cli) -> Result<(), String> {
-    let fail_disk = match cli.get("fail-disk") {
-        Some(v) => Some(
-            v.parse::<u32>()
-                .map_err(|_| format!("--fail-disk: not a disk index: {v}"))?,
-        ),
-        None => None,
-    };
-    let cfg = BenchConfig {
-        threads: cli.num("threads", 4)?,
-        ops_per_thread: cli.num("ops", 500)?,
-        read_fraction: cli.num("read-frac", 0.7)?,
-        max_units: cli.num("max-units", 4)?,
-        seed: cli.num("seed", 42)?,
-        fail_disk,
-        volume: cli.num("volume", 0u64)? as u8,
-        pace_us: cli.num("pace-us", 0u64)?,
-    };
-    if !(0.0..=1.0).contains(&cfg.read_fraction) {
-        return Err("--read-frac must be in [0, 1]".into());
-    }
-    // --self-serve spins up an in-process loopback server so the whole
-    // pipeline can be exercised with a single command.
-    let local = if cli.has("self-serve") {
-        let engine = build_engine(cli, None)?;
-        Some(
-            serve(Arc::new(engine), "127.0.0.1:0", server_config(cli)?)
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        None
-    };
-    let addr = match &local {
-        Some(handle) => handle.local_addr(),
-        None => cli
-            .get("addr")
-            .ok_or("--addr is required (or use --self-serve)")?
-            .to_socket_addrs()
-            .map_err(|e| e.to_string())?
-            .next()
-            .ok_or("--addr resolved to no address")?,
-    };
-    let result = pddl_server::run_bench(addr, &cfg);
-    if let Some(handle) = local {
-        handle.shutdown();
-    }
-    let mut report = result.map_err(|e| e.to_string())?;
-    println!(
-        "remote-bench {}: {} threads × {} ops, {:.0}% reads, ≤{} units/op",
-        addr,
-        cfg.threads,
-        cfg.ops_per_thread,
-        cfg.read_fraction * 100.0,
-        cfg.max_units
-    );
-    print!("{}", report.render());
-    if let Some(path) = cli.get("metrics") {
-        report.registry.set_info("driver", "remote-bench");
-        report.registry.set_info("addr", &addr.to_string());
-        std::fs::write(path, report.registry.to_tsv()).map_err(|e| format!("{path}: {e}"))?;
-        println!("  metrics       : {path} (summarize with `pddl report {path}`)");
-    }
-    Ok(())
 }

@@ -12,8 +12,6 @@
 //! pddl volume    list|create|delete|resize --addr 127.0.0.1:7490
 //! pddl top       --addr 127.0.0.1:7490 [--interval-ms 1000] [--iters 0] [--volume 1]
 //! pddl trace-dump --addr 127.0.0.1:7490 [--out trace.json]
-//! pddl remote-bench --addr 127.0.0.1:7490 --threads 4 --ops 500
-//! pddl scenario  run|record|replay --spec FILE [--out T] [--trace T]
 //! pddl chaos     --seeds 20 --ops 2000
 //! ```
 
@@ -39,8 +37,6 @@ fn main() {
         Some("volume") => commands::volume(&cli),
         Some("top") => commands::top(&cli),
         Some("trace-dump") => commands::trace_dump(&cli),
-        Some("remote-bench") => commands::remote_bench(&cli),
-        Some("scenario") => commands::scenario(&cli),
         // The chaos harness owns its flag set (it doubles as the
         // standalone `pddl-chaos` binary), so forward the raw args.
         Some("chaos") => {

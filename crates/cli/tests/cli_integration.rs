@@ -29,7 +29,6 @@ fn help_lists_every_subcommand() {
         "replay",
         "report",
         "serve",
-        "remote-bench",
     ] {
         assert!(stdout.contains(cmd), "usage missing {cmd}");
     }
@@ -203,40 +202,59 @@ fn serve_runs_for_a_bounded_duration() {
     assert!(stdout.contains("served 0 requests"), "{stdout}");
 }
 
+/// The telemetry commands against a live server: an in-process
+/// `serve` takes READs and WRITEs from the blocking client, then the
+/// binary's `stats`, `top` and `trace-dump` read them back over TCP.
 #[test]
-fn remote_bench_self_serve_reports_throughput_and_quantiles() {
-    let dir = std::env::temp_dir();
-    let metrics = dir.join(format!("pddl-cli-bench-{}.tsv", std::process::id()));
-    let (ok, stdout, stderr) = pddl(&[
-        "remote-bench",
-        "--self-serve",
-        "--disks",
-        "7",
-        "--width",
-        "3",
-        "--unit",
-        "64",
-        "--threads",
-        "4",
-        "--ops",
-        "40",
-        "--metrics",
-        metrics.to_str().unwrap(),
+fn telemetry_commands_read_a_live_server() {
+    let layout = pddl_core::Pddl::new(7, 3).unwrap();
+    let array = pddl_array::DeclusteredArray::new(Box::new(layout), 64, 2).unwrap();
+    let handle = pddl_server::serve(
+        std::sync::Arc::new(pddl_server::Engine::new(array)),
+        "127.0.0.1:0",
+        pddl_server::ServerConfig::default(),
+    )
+    .unwrap();
+    let addr = handle.local_addr().to_string();
+    let mut client = pddl_server::Client::connect(handle.local_addr()).unwrap();
+    for unit in 0..16u64 {
+        let payload = vec![unit as u8; 64];
+        client.write_units(unit, &payload).unwrap();
+        assert_eq!(client.read_units(unit, 1).unwrap(), payload);
+    }
+
+    let (ok, stats, stderr) = pddl(&["stats", "--addr", &addr]);
+    assert!(ok, "{stderr}");
+    assert!(stats.contains("op.read.count"), "{stats}");
+    assert!(stats.contains("op.write.count"), "{stats}");
+
+    let (ok, top, stderr) = pddl(&[
+        "top",
+        "--addr",
+        &addr,
+        "--iters",
+        "1",
+        "--interval-ms",
+        "50",
     ]);
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("4 threads × 40 ops"), "{stdout}");
-    assert!(stdout.contains("errors     0"), "{stdout}");
-    assert!(stdout.contains("ops/s"), "{stdout}");
-    assert!(stdout.contains("p95") && stdout.contains("p99"), "{stdout}");
-    // The metrics TSV round-trips through `pddl report`.
-    let (ok, report, stderr) = pddl(&["report", metrics.to_str().unwrap()]);
+    assert!(top.contains("-- tick 1"), "{top}");
+
+    let out = std::env::temp_dir().join(format!("pddl-cli-spans-{}.json", std::process::id()));
+    let (ok, stdout, stderr) = pddl(&[
+        "trace-dump",
+        "--addr",
+        &addr,
+        "--out",
+        out.to_str().unwrap(),
+    ]);
     assert!(ok, "{stderr}");
-    assert!(report.contains("latency.client_ns"), "{report}");
-    assert!(report.contains("driver=remote-bench"), "{report}");
-    std::fs::remove_file(&metrics).unwrap();
-    // Without --self-serve an address is mandatory.
-    let (ok, _, stderr) = pddl(&["remote-bench"]);
-    assert!(!ok && stderr.contains("--addr"), "{stderr}");
+    assert!(stdout.contains("spans to"), "{stdout}");
+    let json = std::fs::read_to_string(&out).unwrap();
+    pddl_obs::validate_json(&json).unwrap();
+    assert!(json.contains("\"ph\":\"X\""), "no op span in {json}");
+    std::fs::remove_file(&out).unwrap();
+    handle.shutdown();
 }
 
 #[test]

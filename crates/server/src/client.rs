@@ -1,6 +1,6 @@
 //! A blocking client for the `pddl-server` wire protocol — one request
-//! in flight per connection, used by the loopback tests, the load
-//! generator, and the `pddl remote-bench` CLI.
+//! in flight per connection, used by the loopback tests, the chaos
+//! harness, and the `pddl` telemetry and volume commands.
 
 use std::fmt;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use pddl_volume::{VolumeMeta, VolumeSpec};
 
-use crate::shaping::{Conn, NetShape, ShapedStream};
 use crate::wire::{
     self, Op, PoolInfo, RebuildState, RebuildStatus, Request, Status, VolumeInfo, WireError,
 };
@@ -48,12 +47,9 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// A synchronous connection to a `pddl-server` volume. The transport
-/// is a bare socket by default; [`Client::connect_shaped`] layers a
-/// [`NetShape`] (bandwidth cap, added latency, injected stalls) on the
-/// same connection for scenario workloads.
+/// A synchronous connection to a `pddl-server` volume.
 pub struct Client {
-    stream: Box<dyn Conn>,
+    stream: TcpStream,
     next_id: u64,
     /// Volume addressed by data ops (the wire flags byte); 0 (the
     /// default volume) until [`Client::set_volume`].
@@ -72,24 +68,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         Ok(Self {
-            stream: Box::new(stream),
-            next_id: 0,
-            volume: 0,
-            cached_unit: None,
-        })
-    }
-
-    /// Connect with per-connection network shaping. A no-op `shape`
-    /// behaves exactly like [`Client::connect`] minus one indirection.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures as [`ClientError::Wire`].
-    pub fn connect_shaped<A: ToSocketAddrs>(addr: A, shape: NetShape) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Ok(Self {
-            stream: Box::new(ShapedStream::new(stream, shape)),
+            stream,
             next_id: 0,
             volume: 0,
             cached_unit: None,
@@ -113,8 +92,8 @@ impl Client {
     ///
     /// Propagates the setsockopt failure.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.stream.as_ref().set_read_timeout(timeout)?;
-        self.stream.as_ref().set_write_timeout(timeout)?;
+        self.stream.set_read_timeout(timeout)?;
+        self.stream.set_write_timeout(timeout)?;
         Ok(())
     }
 

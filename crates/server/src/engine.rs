@@ -21,9 +21,9 @@
 //!
 //! * each array lives behind a plain `Arc` plus a `quiesce: RwLock<()>`
 //!   — client I/O on the in-process path ([`Engine::execute`] and its
-//!   frame variants: the runtime's control thread, tests, the scenario
-//!   engine, benchmarks) holds the **read** side (so any number of ops
-//!   run concurrently), lifecycle ops (`scrub`,
+//!   frame variants: the runtime's control thread, tests, benchmarks)
+//!   holds the **read** side (so any number of ops run concurrently),
+//!   lifecycle ops (`scrub`,
 //!   `recover`, `replace_disk`, `arm_crash`) take the **write** side and
 //!   therefore see a quiesced array. The thread-per-core runtime's
 //!   shard threads take *neither*: stripe ownership serializes

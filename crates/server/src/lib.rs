@@ -13,13 +13,9 @@
 //! | [`runtime`] | thread-per-core shard runtime: per-core event loops, stripe-owner routing, fan-out/join, per-tick write batching |
 //! | [`server`] | the serve entry: bind, start the runtime, hand back a [`ServerHandle`] |
 //! | [`metrics_http`] | `/metrics` Prometheus exposition over minimal HTTP/1.0 |
-//! | [`shaping`] | per-connection client-side network shaping (bandwidth caps, latency, stalls) |
-//! | [`workload`] | seeded access-distribution + arrival-process generators for scenario workloads |
-//! | [`trace`]  | op-trace record/replay format with typed parse errors and FNV digests |
 //!
-//! plus an in-crate blocking [`client`] and a closed-loop [`mod@bench`]
-//! load generator, so the protocol's two ends live (and are tested)
-//! together.
+//! plus an in-crate blocking [`client`], so the protocol's two ends
+//! live (and are tested) together.
 //!
 //! # Example
 //!
@@ -53,7 +49,6 @@
 //! runs), and `REBUILD_STATUS` reports `repaired / total` progress
 //! without touching the array lock.
 
-pub mod bench;
 pub mod client;
 pub mod engine;
 pub mod metrics_http;
@@ -74,12 +69,8 @@ pub mod reactor;
 pub mod ring;
 pub mod runtime;
 pub mod server;
-pub mod shaping;
-pub mod trace;
 pub mod wire;
-pub mod workload;
 
-pub use bench::{run as run_bench, BenchConfig, BenchReport};
 pub use client::{Client, ClientError};
 pub use engine::{Engine, RebuildConfig};
 pub use metrics_http::{serve_metrics, MetricsServer};
@@ -87,13 +78,10 @@ pub use pddl_volume::{
     QosQueue, TenantLimits, TenantRegistry, VolumeMeta, VolumeSpec, REBUILD_TENANT,
 };
 pub use server::{serve, ServerConfig, ServerHandle};
-pub use shaping::{Conn, NetShape, ShapedStream};
-pub use trace::{tag_bytes, OpTrace, TraceError, TraceOp};
 pub use wire::{
     Op, PoolArrayInfo, PoolInfo, RebuildState, RebuildStatus, Request, Response, Status,
     VolumeInfo, WireError,
 };
-pub use workload::{AccessDist, AccessSampler, Arrival, ArrivalGen};
 
 /// Fieldless marker for the write-commit policy, which has no knobs:
 /// every WRITE commits in its owning shard's tick batch. Kept only

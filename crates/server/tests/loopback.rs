@@ -17,7 +17,7 @@ use pddl_core::Pddl;
 use pddl_server::{
     engine::{Engine, RebuildConfig},
     server::{serve, ServerConfig, ServerHandle},
-    BenchConfig, Client, ClientError, RebuildState, Status,
+    Client, ClientError, RebuildState, Status,
 };
 
 const UNIT: usize = 16;
@@ -271,61 +271,4 @@ fn graceful_shutdown_drains_inflight_work() {
     // The old connection is dead and new connections are refused (or
     // reset); either way no request can succeed after shutdown.
     assert!(c.read_units(0, 1).is_err() || Client::connect(addr).is_err());
-}
-
-/// The in-crate load generator completes against a live server and
-/// reports sane numbers from the obs histogram.
-#[test]
-fn bench_runs_and_reports_quantiles() {
-    let handle = start_server(7, 3, 4);
-    let cfg = BenchConfig {
-        threads: 4,
-        ops_per_thread: 50,
-        read_fraction: 0.6,
-        max_units: 3,
-        seed: 7,
-        fail_disk: None,
-        volume: 0,
-        pace_us: 0,
-    };
-    let report = pddl_server::run_bench(handle.local_addr(), &cfg).unwrap();
-    assert_eq!(report.ops + report.errors, 4 * 50);
-    assert_eq!(report.errors, 0);
-    assert!(report.ops_per_sec() > 0.0);
-    let p50 = report.latency_quantile_ns(0.50);
-    let p99 = report.latency_quantile_ns(0.99);
-    assert!(p50 > 0 && p99 >= p50, "p50 {p50} p99 {p99}");
-    let rendered = report.render();
-    assert!(rendered.contains("ops/s"));
-    assert!(rendered.contains("p99"));
-    // The registry snapshot carries the histogram for TSV export.
-    assert!(report.registry.to_tsv().contains("latency.client_ns"));
-    handle.shutdown();
-}
-
-/// The load generator's fault-injection scenario: fail a disk and
-/// rebuild it mid-run, with load continuing throughout.
-#[test]
-fn bench_fail_disk_scenario_rebuilds_under_load() {
-    let handle = start_server(7, 3, 4);
-    let cfg = BenchConfig {
-        threads: 2,
-        ops_per_thread: 2000,
-        read_fraction: 0.5,
-        max_units: 2,
-        seed: 11,
-        fail_disk: Some(1),
-        volume: 0,
-        pace_us: 0,
-    };
-    let report = pddl_server::run_bench(handle.local_addr(), &cfg).unwrap();
-    assert_eq!(report.ops + report.errors, 2 * 2000);
-    let rebuild = report.rebuild.expect("fail-disk scenario ran");
-    assert_eq!(rebuild.disk, 1);
-    assert_eq!(rebuild.state, RebuildState::Done);
-    assert!(rebuild.total > 0);
-    assert_eq!(rebuild.repaired, rebuild.total);
-    assert!(report.render().contains("rebuild"));
-    assert_eq!(handle.engine().volume_info().mode, 2);
-    handle.shutdown();
 }
