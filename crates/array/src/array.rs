@@ -38,12 +38,12 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use pddl_core::addr::{PhysAddr, Role};
+use pddl_core::addr::PhysAddr;
 use pddl_core::layout::Layout;
 use pddl_core::plan::{plan_stripe_write, StripeWrite, Unit, WriteMethod, WritePolicy};
 use pddl_disk::fault::{AccessKind, FaultHook};
 use pddl_gf::kernels;
-use pddl_gf::rs::{CodecError, ReedSolomon};
+use pddl_gf::rs::{CodecError, ReedSolomon, Shard};
 use pddl_obs::{Event as ObsEvent, SyncSharedSink};
 use std::sync::Arc;
 
@@ -200,6 +200,8 @@ pub struct RebuildTicket {
     cursor: usize,
     /// Completion already applied (disk state transitioned).
     finalized: bool,
+    /// The buffers every step decodes and copies through.
+    bufs: StripeBufs,
 }
 
 impl RebuildTicket {
@@ -248,6 +250,47 @@ fn held_unit<'a>(held: &Updates<'a>, index: usize) -> Option<&'a [u8]> {
 /// Check units about to be stored, as `(index, bytes)` in index order.
 type NewChecks = Vec<(usize, Vec<u8>)>;
 
+/// `checks[..c]` as check units `0..c`, each a `ub`-byte buffer.
+fn unit_checks(checks: &mut NewChecks, c: usize, ub: usize) -> &mut [(usize, Vec<u8>)] {
+    if checks.len() < c {
+        checks.resize_with(c, Default::default);
+    }
+    for (i, (index, check)) in checks[..c].iter_mut().enumerate() {
+        *index = i;
+        check.resize(ub, 0);
+    }
+    &mut checks[..c]
+}
+
+/// Room to fetch one stripe through [`DeclusteredArray::fetch_stripe`]:
+/// a buffer per stripe unit, and the codec's shard list — empty between
+/// fetches, only its allocation is kept. Once grown to the stripe, a
+/// fetch through it allocates nothing.
+#[derive(Debug, Default)]
+struct StripeBufs {
+    units: Vec<u8>,
+    shards: Vec<Shard<'static>>,
+}
+
+impl StripeBufs {
+    /// The shard list for a stripe of `width` units of `ub` bytes: unit
+    /// `i` is what `pick(i, scratch)` makes of it, `scratch` being its
+    /// own buffer here. Hand the list back with
+    /// `bufs.shards = reuse_allocation(shards)`.
+    fn shards<'u>(
+        &'u mut self,
+        width: usize,
+        ub: usize,
+        mut pick: impl FnMut(usize, &'u mut [u8]) -> Shard<'u>,
+    ) -> Vec<Shard<'u>> {
+        self.units.resize(width * ub, 0);
+        let mut shards = reuse_allocation(std::mem::take(&mut self.shards));
+        let units = self.units.chunks_exact_mut(ub).enumerate();
+        shards.extend(units.map(|(i, scratch)| pick(i, scratch)));
+        shards
+    }
+}
+
 /// A media error or an unrecoverable stripe is contained to its stripe:
 /// its intent stays journaled and the rest of a write batch proceeds. A
 /// crash (or device/codec bug) stops the controller instead.
@@ -259,10 +302,10 @@ fn contained(e: &ArrayError) -> bool {
 }
 
 /// An emptied `v` whose allocation is kept for borrows of another
-/// lifetime. The element types differ only in lifetime, so the in-place
-/// `collect` reuses the buffer, and no element is left to outlive its
-/// borrow.
-fn reuse_allocation<'b>(mut v: Vec<(usize, &[u8])>) -> Vec<(usize, &'b [u8])> {
+/// lifetime. Every caller's element types differ only in lifetime, so
+/// the in-place `collect` reuses the buffer, and no element is left to
+/// outlive its borrow.
+fn reuse_allocation<T, U>(mut v: Vec<T>) -> Vec<U> {
     v.clear();
     v.into_iter().map(|_| unreachable!("cleared")).collect()
 }
@@ -301,18 +344,14 @@ pub struct WriteScratch {
 struct StripeScratch {
     /// Written data-unit indices, for the planner.
     written: Vec<usize>,
+    /// The stripe's units unreadable now, for the planner.
+    lost: Vec<Unit>,
     /// New checks: the first `n` entries are live after a method ran.
     checks: NewChecks,
     /// A read-modify-write's XOR delta.
     delta: Vec<u8>,
-}
-
-impl StripeScratch {
-    /// Keep `checks` as the stripe's new checks; returns their count.
-    fn hold(&mut self, checks: NewChecks) -> usize {
-        self.checks = checks;
-        self.checks.len()
-    }
+    /// Pre-reads of reconstruct-write and reconstruct-everything.
+    bufs: StripeBufs,
 }
 
 /// A functional declustered RAID array over RAM-backed disks.
@@ -347,6 +386,10 @@ pub struct DeclusteredArray {
     /// Client reads that had to reconstruct a unit through parity
     /// instead of reading it directly (degraded-mode service).
     degraded_reads: AtomicU64,
+    /// Stripe buffers for degraded reads, which get no caller scratch: a
+    /// reader takes one and puts it back, so once there is one per
+    /// concurrent degraded reader, reads stop allocating.
+    read_bufs: Mutex<Vec<StripeBufs>>,
     /// Write-intent journal (models the NVRAM log real controllers use
     /// to close the RAID "write hole"): stripes with updates in flight.
     intents: Mutex<Vec<u64>>,
@@ -439,6 +482,7 @@ impl DeclusteredArray {
             unit_reads: AtomicU64::new(0),
             unit_writes: AtomicU64::new(0),
             degraded_reads: AtomicU64::new(0),
+            read_bufs: Mutex::new(Vec::new()),
             intents: Mutex::new(Vec::new()),
             crash_after_writes: Mutex::new(None),
             obs: None,
@@ -615,40 +659,65 @@ impl DeclusteredArray {
         Some(self.resolve(addr))
     }
 
-    /// The units of `stripe` [`Self::read_phys_into`] would refuse *now*:
-    /// on a failed disk with no live redirect, or awaiting copy-back. A
-    /// healthy array pays one emptiness check and allocates nothing.
-    fn unreadable_units(&self, stripe: u64) -> Vec<Unit> {
-        if rlock(&self.failed).is_empty() {
-            return Vec::new();
+    /// Where unit `at` of `stripe` lives: data units by index, then
+    /// checks — the order of a shard list.
+    fn unit_addr(&self, stripe: u64, at: usize) -> PhysAddr {
+        let d = self.layout.data_per_stripe();
+        if at < d {
+            self.layout.data_unit(stripe, at)
+        } else {
+            self.layout.check_unit(stripe, at - d)
         }
-        let lost = |addr| {
-            self.live_target(addr)
-                .is_none_or(|at| lock(&self.disks[at.disk]).is_failed())
+    }
+
+    /// The unit of `stripe` on `disk`, if any: its position (as for
+    /// [`Self::unit_addr`]) and its home address.
+    fn unit_on(&self, stripe: u64, disk: usize) -> Option<(usize, PhysAddr)> {
+        (0..self.layout.stripe_width())
+            .map(|at| (at, self.unit_addr(stripe, at)))
+            .find(|(_, addr)| addr.disk == disk)
+    }
+
+    /// Is `home` redirected to a spare cell on a disk that works?
+    fn spared_safely(&self, redirects: &HashMap<PhysAddr, PhysAddr>, home: PhysAddr) -> bool {
+        redirects
+            .get(&home)
+            .is_some_and(|t| !lock(&self.disks[t.disk]).is_failed())
+    }
+
+    /// The units of `stripe` [`Self::read_phys_into`] would refuse *now*,
+    /// into `lost`: on a failed disk with no live redirect, or awaiting
+    /// copy-back. A healthy array pays one emptiness check; nothing here
+    /// allocates once `lost` has room for a stripe.
+    fn unreadable_units(&self, stripe: u64, lost: &mut Vec<Unit>) {
+        lost.clear();
+        if rlock(&self.failed).is_empty() {
+            return;
+        }
+        let d = self.layout.data_per_stripe();
+        let unreadable = |&at: &usize| {
+            self.live_target(self.unit_addr(stripe, at))
+                .is_none_or(|to| lock(&self.disks[to.disk]).is_failed())
         };
-        let units = self.layout.stripe_units(stripe);
-        units
-            .iter()
-            .filter(|u| lost(u.addr))
-            .map(Unit::from)
-            .collect()
+        lost.extend(
+            (0..self.layout.stripe_width())
+                .filter(unreadable)
+                .map(|at| {
+                    if at < d {
+                        Unit::Data(at)
+                    } else {
+                        Unit::Check(at - d)
+                    }
+                }),
+        );
     }
 
-    /// Read one stripe unit, following redirects; `None` when the unit
-    /// is on a failed, un-rebuilt disk or awaiting copy-back onto a
-    /// replacement (its value is implied by parity). The failed-check
-    /// and the read happen under one disk lock, so a concurrent reader
-    /// never sees a half-failed device.
-    fn read_phys(&self, addr: PhysAddr) -> Result<Option<Vec<u8>>, ArrayError> {
-        let mut buf = vec![0u8; self.unit_bytes];
-        Ok(self.read_phys_into(addr, &mut buf)?.then_some(buf))
-    }
-
-    /// Zero-copy variant of [`Self::read_phys`]: read the unit into a
-    /// caller-supplied buffer. Returns `Ok(false)` (buffer contents
-    /// unspecified) when the unit is unreadable and must be
-    /// reconstructed through parity; allocates nothing on the healthy
-    /// path.
+    /// Read one stripe unit, following redirects, into `buf`. Returns
+    /// `Ok(false)` (buffer contents unspecified) when the unit is on a
+    /// failed, un-rebuilt disk or awaiting copy-back onto a replacement:
+    /// its value is implied by parity. The failed-check and the read
+    /// happen under one disk lock, so a concurrent reader never sees a
+    /// half-failed device. Allocates nothing.
     fn read_phys_into(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<bool, ArrayError> {
         let Some(addr) = self.live_target(addr) else {
             return Ok(false);
@@ -705,34 +774,67 @@ impl DeclusteredArray {
         Ok(())
     }
 
-    /// The data units of `stripe`: those the caller already has in
-    /// memory (`held`, by index) are copied, the rest read once each;
-    /// `None` marks an unreadable one.
-    fn data_row(&self, stripe: u64, held: &Updates) -> Result<Vec<Option<Vec<u8>>>, ArrayError> {
-        (0..self.layout.data_per_stripe())
-            .map(|i| match held_unit(held, i) {
-                Some(bytes) => Ok(Some(bytes.to_vec())),
-                None => self.read_phys(self.layout.data_unit(stripe, i)),
-            })
-            .collect()
+    /// Read each `Missing` shard of `stripe` into its own buffer (see
+    /// [`Self::fetch_stripe`]), except the known-unreadable `lost`, and
+    /// mark it `Present`. Returns the position of the first shard left
+    /// missing, if any.
+    fn read_shards(
+        &self,
+        stripe: u64,
+        shards: &mut [Shard<'_>],
+        lost: Option<usize>,
+    ) -> Result<Option<usize>, ArrayError> {
+        let mut first_missing = None;
+        for (at, shard) in shards.iter_mut().enumerate() {
+            let Shard::Missing(buf) = shard else {
+                continue;
+            };
+            if Some(at) != lost && self.read_phys_into(self.unit_addr(stripe, at), buf)? {
+                shard.settle();
+            } else {
+                first_missing.get_or_insert(at);
+            }
+        }
+        Ok(first_missing)
     }
 
-    /// Fetch all shards of a stripe (data then checks; `held` as for
-    /// [`Self::data_row`]), reconstructing any unreadable units.
-    fn stripe_shards(&self, stripe: u64, held: &Updates) -> Result<Vec<Vec<u8>>, ArrayError> {
-        let mut shards = self.data_row(stripe, held)?;
-        for i in 0..self.layout.check_per_stripe() {
-            shards.push(self.read_phys(self.layout.check_unit(stripe, i))?);
-        }
-        if shards.iter().any(Option::is_none) {
+    /// The one stripe fetch every reconstruction goes through. `shards`
+    /// holds the units of `stripe` in [`Self::unit_addr`] order: a
+    /// `Present` one is a unit the caller already holds and is used
+    /// where it lies; a `Missing` one is read into its buffer, once,
+    /// unless it is the known-unreadable `lost`; whatever stays
+    /// unreadable is decoded into its own buffer from the survivors.
+    /// On success every shard is `Present`, and the stripe's device
+    /// reads are exactly its readable units not held.
+    fn fetch_stripe(
+        &self,
+        stripe: u64,
+        shards: &mut [Shard<'_>],
+        lost: Option<usize>,
+    ) -> Result<(), ArrayError> {
+        if self.read_shards(stripe, shards, lost)?.is_some() {
             self.rs
-                .reconstruct(&mut shards)
+                .reconstruct_into(shards)
                 .map_err(|_| ArrayError::Unrecoverable { stripe })?;
         }
-        Ok(shards
-            .into_iter()
-            .map(|s| s.expect("reconstructed"))
-            .collect())
+        Ok(())
+    }
+
+    /// Decode unit `at` of `stripe` from the rest of it, through `bufs`,
+    /// and store it at `to` — a rebuild's one write.
+    fn rebuild_unit(
+        &self,
+        stripe: u64,
+        at: usize,
+        to: PhysAddr,
+        bufs: &mut StripeBufs,
+    ) -> Result<(), ArrayError> {
+        let width = self.layout.stripe_width();
+        let mut shards = bufs.shards(width, self.unit_bytes, |_, unit| Shard::Missing(unit));
+        self.fetch_stripe(stripe, &mut shards, None)?;
+        lock(&self.disks[to.disk]).write_unit(to.offset, shards[at].bytes())?;
+        bufs.shards = reuse_allocation(shards);
+        Ok(())
     }
 
     /// The unit count of a `len`-byte access at logical unit `start`;
@@ -773,12 +875,14 @@ impl DeclusteredArray {
     /// buffer — this is how the server fills response frames without an
     /// intermediate payload copy.
     ///
-    /// A stripe with an unreadable unit reconstructs once — from the
-    /// units of it this access already holds plus one read of each
-    /// other survivor — and serves the rest of its run from that, so no
-    /// unit is read twice and a degraded sequential scan costs
+    /// A stripe with an unreadable unit is fetched once: the units of it
+    /// this access already holds are used where they lie, the rest of
+    /// its run is read straight into its slots, every other survivor is
+    /// read once, and the lost unit is decoded in place into its slot.
+    /// No unit is read twice, and a degraded sequential scan costs
     /// `d + c − 1` disk reads per stripe: exactly the read set
-    /// [`pddl_core::plan::plan_access`] plans.
+    /// [`pddl_core::plan::plan_access`] plans. Once warm, that allocates
+    /// nothing either.
     ///
     /// # Errors
     ///
@@ -798,19 +902,33 @@ impl DeclusteredArray {
                 continue;
             }
             self.degraded_reads.fetch_add(1, Ordering::Relaxed);
-            // A stripe's data units are logically consecutive: the ones
-            // just before `pos` are already in `buf`, the ones after it
-            // come out of the same reconstruction.
-            let run = (0..pos).rev().take_while(|&p| locate(p).0 == stripe);
-            let mut held: Vec<(usize, &[u8])> = run
-                .map(|p| (locate(p).1, &buf[p * ub..(p + 1) * ub]))
-                .collect();
-            held.sort_unstable_by_key(|&(index, _)| index);
-            let shards = self.stripe_shards(stripe, &held)?;
-            while pos < units && locate(pos).0 == stripe {
-                buf[pos * ub..(pos + 1) * ub].copy_from_slice(&shards[locate(pos).1]);
-                pos += 1;
-            }
+            // A stripe's data units are logically consecutive in index
+            // order: unit `i` of this one is at position `pos - index + i`
+            // of the access. The run of them inside it spans `first..end`
+            // and starts at index `skip`; those before `pos` are in `buf`
+            // already.
+            let first = pos - index.min(pos);
+            let end = (pos + self.layout.data_per_stripe() - index).min(units);
+            let skip = index - (pos - first);
+            let mut run = buf[first * ub..end * ub].chunks_exact_mut(ub);
+            let in_run = skip..skip + (end - first);
+            let mut bufs = lock(&self.read_bufs).pop().unwrap_or_default();
+            let width = self.layout.stripe_width();
+            let mut shards = bufs.shards(width, ub, |i, scratch| {
+                if !in_run.contains(&i) {
+                    return Shard::Missing(scratch);
+                }
+                let slot = run.next().expect("one slot per unit of the run");
+                if i < index {
+                    Shard::Present(slot)
+                } else {
+                    Shard::Missing(slot)
+                }
+            });
+            self.fetch_stripe(stripe, &mut shards, Some(index))?;
+            bufs.shards = reuse_allocation(shards);
+            lock(&self.read_bufs).push(bufs);
+            pos = end;
         }
         Ok(())
     }
@@ -1005,10 +1123,10 @@ impl DeclusteredArray {
     ) -> Result<(), ArrayError> {
         s.written.clear();
         s.written.extend(updates.iter().map(|&(index, _)| index));
-        let lost = self.unreadable_units(stripe);
+        self.unreadable_units(stripe, &mut s.lost);
         let d = self.layout.data_per_stripe();
         let c = self.layout.check_per_stripe();
-        let plan = plan_stripe_write(d, c, &s.written, &lost, policy)
+        let plan = plan_stripe_write(d, c, &s.written, &s.lost, policy)
             .map_err(|_| ArrayError::Unrecoverable { stripe })?;
         // Every pre-read happens here, before the first write. `None`:
         // one found its unit unreadable after all (injected media error,
@@ -1018,7 +1136,10 @@ impl DeclusteredArray {
         // that no longer match the data). `Some(n)`: the new checks are
         // `s.checks[..n]`.
         let checks = match plan.method {
-            WriteMethod::ReconstructWrite => self.encode_row(stripe, updates)?.map(|c| s.hold(c)),
+            WriteMethod::ReconstructWrite => self
+                .encode_row(stripe, updates, &mut s.bufs, &mut s.checks)?
+                .is_none()
+                .then_some(c),
             WriteMethod::ReadModifyWrite => {
                 self.small_write(stripe, updates, &plan, &mut s.checks, &mut s.delta)?
             }
@@ -1027,7 +1148,7 @@ impl DeclusteredArray {
         };
         let checks = match checks {
             Some(n) => n,
-            None => s.hold(self.rmw_stripe(stripe, updates)?),
+            None => self.rmw_stripe(stripe, updates, &mut s.bufs, &mut s.checks)?,
         };
         // The one write phase: updated data units in index order, then
         // checks — the device order crash recovery's old-or-new reasoning
@@ -1055,29 +1176,65 @@ impl DeclusteredArray {
         }
     }
 
-    /// The checks of `stripe`'s data row with `held` laid over it, or
-    /// `None` when a unit not held is unreadable. Reconstruct-write (the
-    /// paper's large write): only the data units that do not change are
-    /// pre-read — no old check, no overwritten unit, nothing for a full row.
-    fn encode_row(&self, stripe: u64, held: &Updates) -> Result<Option<NewChecks>, ArrayError> {
-        let row = self.data_row(stripe, held)?;
-        let Some(data) = row.into_iter().collect::<Option<Vec<_>>>() else {
-            return Ok(None);
-        };
-        let checks = self.rs.encode(&data)?;
-        Ok(Some(checks.into_iter().enumerate().collect()))
+    /// Encode the checks of `stripe`'s data row with `held` laid over it
+    /// into `checks[..c]`. Reconstruct-write (the paper's large write):
+    /// only the data units not held are read, into `bufs` — no old
+    /// check, no overwritten unit, nothing for a full row. Returns the
+    /// first data unit that could not be read (the checks are then
+    /// unspecified), or `None`.
+    fn encode_row(
+        &self,
+        stripe: u64,
+        held: &Updates,
+        bufs: &mut StripeBufs,
+        checks: &mut NewChecks,
+    ) -> Result<Option<usize>, ArrayError> {
+        let d = self.layout.data_per_stripe();
+        let c = self.layout.check_per_stripe();
+        let ub = self.unit_bytes;
+        let mut out = unit_checks(checks, c, ub).iter_mut();
+        let mut shards = bufs.shards(d + c, ub, |i, scratch| {
+            if i < d {
+                held_unit(held, i).map_or(Shard::Missing(scratch), Shard::Present)
+            } else {
+                Shard::Missing(&mut out.next().expect("one buffer per check").1)
+            }
+        });
+        let unreadable = self.read_shards(stripe, &mut shards[..d], None)?;
+        if unreadable.is_none() {
+            // Every data unit is present and every check missing: the
+            // decode is an encode.
+            self.rs.reconstruct_into(&mut shards)?;
+        }
+        bufs.shards = reuse_allocation(shards);
+        Ok(unreadable)
     }
 
     /// Reconstruct-everything: fetch the whole stripe (decoding what is
-    /// unreadable), apply the updates, re-encode. Also where the two
-    /// cheaper methods fall back to.
-    fn rmw_stripe(&self, stripe: u64, updates: &Updates) -> Result<NewChecks, ArrayError> {
-        let mut data = self.stripe_shards(stripe, &[])?;
-        data.truncate(self.layout.data_per_stripe());
+    /// unreadable), lay the updates over it and encode the new checks
+    /// into `checks[..c]`; returns `c`. Also where the two cheaper
+    /// methods fall back to.
+    fn rmw_stripe(
+        &self,
+        stripe: u64,
+        updates: &Updates,
+        bufs: &mut StripeBufs,
+        checks: &mut NewChecks,
+    ) -> Result<usize, ArrayError> {
+        let d = self.layout.data_per_stripe();
+        let c = self.layout.check_per_stripe();
+        let ub = self.unit_bytes;
+        let mut shards = bufs.shards(d + c, ub, |_, unit| Shard::Missing(unit));
+        self.fetch_stripe(stripe, &mut shards, None)?;
         for &(index, chunk) in updates {
-            data[index] = chunk.to_vec();
+            shards[index] = Shard::Present(chunk);
         }
-        Ok(self.rs.encode(&data)?.into_iter().enumerate().collect())
+        for (shard, (_, check)) in shards[d..].iter_mut().zip(unit_checks(checks, c, ub)) {
+            *shard = Shard::Missing(check);
+        }
+        self.rs.reconstruct_into(&mut shards)?;
+        bufs.shards = reuse_allocation(shards);
+        Ok(c)
     }
 
     /// Delta small write: pre-read only the updated data units and the
@@ -1184,23 +1341,22 @@ impl DeclusteredArray {
     /// stripes repaired.
     fn replay_stripes(&self, stripes: &[u64]) -> Result<u64, ArrayError> {
         let mut repaired = 0u64;
+        let mut s = StripeScratch::default();
         for (n, &stripe) in stripes.iter().enumerate() {
             if n > 0 && stripes[n - 1] == stripe {
                 continue;
             }
             repaired += 1;
-            let row = self.data_row(stripe, &[])?;
             // No disks are failed (checked by the caller), so an
             // unreadable unit here is an injected media error. Surface
             // it typed — the journal entries are restored so a later
             // retry can finish the replay.
-            if let Some(i) = row.iter().position(Option::is_none) {
+            if let Some(i) = self.encode_row(stripe, &[], &mut s.bufs, &mut s.checks)? {
                 let PhysAddr { disk, offset } = self.layout.data_unit(stripe, i);
                 return Err(ArrayError::MediaError { disk, offset });
             }
-            let data: Vec<Vec<u8>> = row.into_iter().flatten().collect();
-            for (i, check) in self.rs.encode(&data)?.iter().enumerate() {
-                self.write_phys(self.layout.check_unit(stripe, i), check)
+            for (i, check) in &s.checks[..self.layout.check_per_stripe()] {
+                self.write_phys(self.layout.check_unit(stripe, *i), check)
                     .inspect_err(|e| self.report_write_fault(e))?;
             }
         }
@@ -1252,14 +1408,6 @@ impl DeclusteredArray {
         Ok(())
     }
 
-    /// The stripe unit of `stripe` living on `disk`, if any.
-    fn lost_unit(&self, stripe: u64, disk: usize) -> Option<pddl_core::addr::StripeUnit> {
-        self.layout
-            .stripe_units(stripe)
-            .into_iter()
-            .find(|u| u.addr.disk == disk)
-    }
-
     /// Start an incremental rebuild of failed `disk` into the layout's
     /// distributed spare space (the paper's reconstruction →
     /// post-reconstruction transition). Computes the full affected-stripe
@@ -1280,25 +1428,24 @@ impl DeclusteredArray {
         if !rlock(&self.failed).contains(&disk) || rlock(&self.spared).contains(&disk) {
             return Err(ArrayError::WrongDiskState);
         }
-        let mut stripes = Vec::new();
-        for stripe in 0..self.periods * self.layout.stripes_per_period() {
-            let Some(lost) = self.lost_unit(stripe, disk) else {
-                continue;
-            };
-            if rlock(&self.redirects)
-                .get(&lost.addr)
-                .is_some_and(|t| !lock(&self.disks[t.disk]).is_failed())
-            {
-                continue; // already safely in spare space
-            }
-            stripes.push(stripe);
-        }
+        let redirects = rlock(&self.redirects);
+        let stripes: Vec<u64> = (0..self.periods * self.layout.stripes_per_period())
+            .filter(|&stripe| {
+                self.unit_on(stripe, disk)
+                    .is_some_and(|(_, home)| !self.spared_safely(&redirects, home))
+            })
+            .collect();
+        drop(redirects);
+        // Room for every redirect the ticket inserts: a step never
+        // rehashes.
+        wlock(&self.redirects).reserve(stripes.len());
         Ok(RebuildTicket {
             disk,
             kind: RebuildKind::Spare,
             stripes,
             cursor: 0,
             finalized: false,
+            bufs: StripeBufs::default(),
         })
     }
 
@@ -1326,13 +1473,16 @@ impl DeclusteredArray {
         lock(&self.disks[disk]).replace();
         let mut stripes = Vec::new();
         let mut pending = Vec::new();
-        for stripe in 0..self.periods * self.layout.stripes_per_period() {
-            let Some(lost) = self.lost_unit(stripe, disk) else {
-                continue;
-            };
-            stripes.push(stripe);
-            if !rlock(&self.redirects).contains_key(&lost.addr) {
-                pending.push(lost.addr);
+        {
+            let redirects = rlock(&self.redirects);
+            for stripe in 0..self.periods * self.layout.stripes_per_period() {
+                let Some((_, home)) = self.unit_on(stripe, disk) else {
+                    continue;
+                };
+                stripes.push(stripe);
+                if !redirects.contains_key(&home) {
+                    pending.push(home);
+                }
             }
         }
         wlock(&self.restoring).extend(pending);
@@ -1342,6 +1492,7 @@ impl DeclusteredArray {
             stripes,
             cursor: 0,
             finalized: false,
+            bufs: StripeBufs::default(),
         })
     }
 
@@ -1409,9 +1560,10 @@ impl DeclusteredArray {
         let mut stepped = 0u64;
         while stepped < batch && !ticket.is_done() {
             let stripe = ticket.stripes[ticket.cursor];
+            let bufs = &mut ticket.bufs;
             match ticket.kind {
-                RebuildKind::Spare => self.spare_step(stripe, ticket.disk)?,
-                RebuildKind::CopyBack => self.copy_back_step(stripe, ticket.disk)?,
+                RebuildKind::Spare => self.spare_step(stripe, ticket.disk, bufs)?,
+                RebuildKind::CopyBack => self.copy_back_step(stripe, ticket.disk, bufs)?,
             }
             ticket.cursor += 1;
             stepped += 1;
@@ -1449,15 +1601,17 @@ impl DeclusteredArray {
 
     /// Reconstruct `stripe`'s unit on failed `disk` into its spare cell
     /// and insert the redirect.
-    fn spare_step(&self, stripe: u64, disk: usize) -> Result<(), ArrayError> {
-        let Some(lost) = self.lost_unit(stripe, disk) else {
+    fn spare_step(
+        &self,
+        stripe: u64,
+        disk: usize,
+        bufs: &mut StripeBufs,
+    ) -> Result<(), ArrayError> {
+        let Some((at, home)) = self.unit_on(stripe, disk) else {
             return Ok(());
         };
-        if rlock(&self.redirects)
-            .get(&lost.addr)
-            .is_some_and(|t| !lock(&self.disks[t.disk]).is_failed())
-        {
-            return Ok(()); // already safely in spare space
+        if self.spared_safely(&rlock(&self.redirects), home) {
+            return Ok(());
         }
         let spare = self
             .layout
@@ -1466,40 +1620,36 @@ impl DeclusteredArray {
         if lock(&self.disks[spare.disk]).is_failed() {
             return Err(ArrayError::SpareUnavailable);
         }
-        let shards = self.stripe_shards(stripe, &[])?;
-        let content = match lost.role {
-            Role::Data => &shards[lost.index],
-            Role::Check => &shards[self.layout.data_per_stripe() + lost.index],
-            Role::Spare => unreachable!("stripe units are never spares"),
-        };
-        lock(&self.disks[spare.disk]).write_unit(spare.offset, content)?;
-        wlock(&self.redirects).insert(lost.addr, spare);
+        self.rebuild_unit(stripe, at, spare, bufs)?;
+        wlock(&self.redirects).insert(home, spare);
         Ok(())
     }
 
     /// Restore `stripe`'s unit on replacement `disk`: copy back from
     /// spare space when a redirect exists, reconstruct through parity
     /// otherwise. A unit a client write already validated needs nothing.
-    fn copy_back_step(&self, stripe: u64, disk: usize) -> Result<(), ArrayError> {
-        let Some(lost) = self.lost_unit(stripe, disk) else {
+    fn copy_back_step(
+        &self,
+        stripe: u64,
+        disk: usize,
+        bufs: &mut StripeBufs,
+    ) -> Result<(), ArrayError> {
+        let Some((at, home)) = self.unit_on(stripe, disk) else {
             return Ok(());
         };
-        let redirect = rlock(&self.redirects).get(&lost.addr).copied();
+        let redirect = rlock(&self.redirects).get(&home).copied();
         if let Some(spare) = redirect {
-            let content = lock(&self.disks[spare.disk]).read_unit(spare.offset)?;
-            lock(&self.disks[disk]).write_unit(lost.addr.offset, &content)?;
-            wlock(&self.redirects).remove(&lost.addr);
-        } else if rlock(&self.restoring).contains(&lost.addr) {
-            // read_phys treats restoring units as failed, so the normal
-            // reconstruction path recovers the content from survivors.
-            let shards = self.stripe_shards(stripe, &[])?;
-            let content = match lost.role {
-                Role::Data => &shards[lost.index],
-                Role::Check => &shards[self.layout.data_per_stripe() + lost.index],
-                Role::Spare => unreachable!("stripe units are never spares"),
-            };
-            lock(&self.disks[disk]).write_unit(lost.addr.offset, content)?;
-            wlock(&self.restoring).remove(&lost.addr);
+            let ub = self.unit_bytes;
+            bufs.units.resize(bufs.units.len().max(ub), 0);
+            let unit = &mut bufs.units[..ub];
+            lock(&self.disks[spare.disk]).read_unit_into(spare.offset, unit)?;
+            lock(&self.disks[disk]).write_unit(home.offset, unit)?;
+            wlock(&self.redirects).remove(&home);
+        } else if rlock(&self.restoring).contains(&home) {
+            // `read_phys_into` treats restoring units as failed, so the
+            // fetch decodes the content from the survivors.
+            self.rebuild_unit(stripe, at, home, bufs)?;
+            wlock(&self.restoring).remove(&home);
         }
         Ok(())
     }
@@ -1541,18 +1691,23 @@ impl DeclusteredArray {
     /// re-encoded data. Stripes with unreadable units are skipped.
     pub fn scrub(&self) -> Result<Vec<u64>, ArrayError> {
         let mut bad = Vec::new();
+        let mut s = StripeScratch::default();
+        let mut stored = vec![0u8; self.unit_bytes];
+        let c = self.layout.check_per_stripe();
         'stripes: for stripe in 0..self.periods * self.layout.stripes_per_period() {
-            let Some(expected) = self.encode_row(stripe, &[])? else {
+            if self
+                .encode_row(stripe, &[], &mut s.bufs, &mut s.checks)?
+                .is_some()
+            {
                 continue;
-            };
-            for (i, want) in &expected {
-                match self.read_phys(self.layout.check_unit(stripe, *i))? {
-                    Some(stored) if &stored == want => {}
-                    Some(_) => {
-                        bad.push(stripe);
-                        continue 'stripes;
-                    }
-                    None => continue 'stripes,
+            }
+            for (i, want) in &s.checks[..c] {
+                if !self.read_phys_into(self.layout.check_unit(stripe, *i), &mut stored)? {
+                    continue 'stripes;
+                }
+                if stored != *want {
+                    bad.push(stripe);
+                    continue 'stripes;
                 }
             }
         }
@@ -1777,6 +1932,39 @@ mod tests {
         a.replace_and_rebuild(9).unwrap();
         assert_eq!(a.read(0, 20).unwrap(), buf);
         assert_eq!(a.scrub().unwrap(), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn double_failure_decodes_in_place_through_rebuild_and_copy_back() {
+        let layout = Pddl::new(13, 4).unwrap().with_check_units(2).unwrap();
+        let a = DeclusteredArray::new(Box::new(layout), 16, 2).unwrap();
+        let cap = a.capacity_units();
+        let buf = pattern(16 * cap as usize, 12);
+        a.write(0, &buf).unwrap();
+        a.fail_disk(2).unwrap();
+        a.fail_disk(7).unwrap();
+        let mut unit = [0u8; 16];
+        for logical in 0..cap {
+            a.read_into(logical, &mut unit).unwrap();
+            assert_eq!(unit, buf[logical as usize * 16..][..16], "unit {logical}");
+        }
+        assert!(a.degraded_reads() > 0);
+        assert_eq!(a.read(0, cap).unwrap(), buf);
+        // One spare cell per row cannot hold two failed disks (the row
+        // whose spare is on disk 7 has a unit on disk 2), so disk 2 is
+        // restored by reconstruction while disk 7 is still failed —
+        // stripes on both decode two erasures — and only then is disk 7
+        // spared and copied back.
+        assert_eq!(a.rebuild_to_spare(2), Err(ArrayError::SpareUnavailable));
+        a.replace_and_rebuild(2).unwrap();
+        assert_eq!(a.read(0, cap).unwrap(), buf);
+        a.rebuild_to_spare(7).unwrap();
+        assert_eq!(a.mode(), ArrayMode::PostReconstruction);
+        assert_eq!(a.read(0, cap).unwrap(), buf);
+        a.replace_and_rebuild(7).unwrap();
+        assert_eq!(a.mode(), ArrayMode::FaultFree);
+        assert_eq!(a.scrub().unwrap(), Vec::<u64>::new());
+        assert_eq!(a.read(0, cap).unwrap(), buf);
     }
 
     #[test]

@@ -78,9 +78,14 @@ pub fn scale(buf: &mut [u8], table: &[u8; 256]) {
 /// Panics if `field` is not an order-256 field or `coeff` is out of
 /// range.
 pub fn mul_table(field: &GfExt, coeff: usize) -> Box<[u8; 256]> {
+    Box::new(product_table(field, coeff))
+}
+
+/// [`mul_table`] by value, for a table that lives on the stack.
+pub(crate) fn product_table(field: &GfExt, coeff: usize) -> [u8; 256] {
     assert_eq!(field.size(), 256, "product tables require GF(256)");
     assert!(coeff < 256, "coefficient out of range");
-    let mut table = Box::new([0u8; 256]);
+    let mut table = [0u8; 256];
     for (x, slot) in table.iter_mut().enumerate() {
         *slot = field.mul(coeff, x) as u8;
     }

@@ -40,6 +40,48 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// One shard handed to [`ReedSolomon::reconstruct_into`]: a survivor's
+/// bytes where they lie, or the caller's buffer an erased shard is
+/// decoded into.
+#[derive(Debug)]
+pub enum Shard<'a> {
+    /// A surviving shard.
+    Present(&'a [u8]),
+    /// An erased shard: its buffer receives the decoded bytes.
+    Missing(&'a mut [u8]),
+}
+
+impl Shard<'_> {
+    /// The shard's bytes (for a `Missing` shard, its buffer as it stands).
+    pub fn bytes(&self) -> &[u8] {
+        match self {
+            Shard::Present(bytes) => bytes,
+            Shard::Missing(buf) => buf,
+        }
+    }
+
+    fn is_missing(&self) -> bool {
+        matches!(self, Shard::Missing(_))
+    }
+
+    /// The buffer of an erased shard.
+    fn buf(&mut self) -> &mut [u8] {
+        match self {
+            Shard::Missing(buf) => buf,
+            Shard::Present(_) => unreachable!("only an erased shard is written"),
+        }
+    }
+
+    /// Declare a `Missing` shard's buffer filled (read or decoded): the
+    /// shard is `Present` from now on.
+    pub fn settle(&mut self) {
+        if let Shard::Missing(buf) = self {
+            let buf: &mut [u8] = std::mem::take(buf);
+            *self = Shard::Present(buf);
+        }
+    }
+}
+
 /// A systematic `(d + c, d)` Reed–Solomon code: `d` data shards, `c`
 /// check shards, tolerating any `c` erasures.
 ///
@@ -115,10 +157,28 @@ impl ReedSolomon {
             _ => match self.tables[coeff].as_deref() {
                 Some(table) => kernels::mul_acc(dst, src, table),
                 // Coefficients produced mid-elimination (not in `enc`):
-                // build the table once per call — still word-wide, and
+                // build the table on the stack — still word-wide, and
                 // only ever reached on the reconstruct path.
-                None => kernels::mul_acc(dst, src, &kernels::mul_table(&self.field, coeff)),
+                None => kernels::mul_acc(dst, src, &kernels::product_table(&self.field, coeff)),
             },
+        }
+    }
+
+    /// Overwrite `dst` with `coeff · src`: a copy for coefficient 1.
+    fn mul_set(&self, coeff: usize, src: &[u8], dst: &mut [u8]) {
+        if coeff == 1 {
+            dst.copy_from_slice(src);
+        } else {
+            dst.fill(0);
+            self.mul_acc_coeff(coeff, src, dst);
+        }
+    }
+
+    /// Check shard `i` of the data shards `data(0..d)` into `out`.
+    fn encode_check<'d>(&self, i: usize, data: impl Fn(usize) -> &'d [u8], out: &mut [u8]) {
+        self.mul_set(self.enc[i][0], data(0), out);
+        for j in 1..self.data {
+            self.mul_acc_coeff(self.enc[i][j], data(j), out);
         }
     }
 
@@ -133,27 +193,45 @@ impl ReedSolomon {
     }
 
     /// Encode: compute the `c` check shards from `d` equal-length data
-    /// shards.
+    /// shards. An allocating wrapper over [`ReedSolomon::encode_into`].
     ///
     /// # Errors
     ///
     /// [`CodecError::ShapeMismatch`] on wrong shard count or ragged
     /// lengths.
     pub fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodecError> {
-        if data.len() != self.data {
-            return Err(CodecError::ShapeMismatch);
-        }
-        let len = data[0].len();
-        if data.iter().any(|s| s.len() != len) {
-            return Err(CodecError::ShapeMismatch);
-        }
+        let len = data.first().map_or(0, Vec::len);
         let mut checks = vec![vec![0u8; len]; self.checks];
-        for (i, check) in checks.iter_mut().enumerate() {
-            for (j, shard) in data.iter().enumerate() {
-                self.mul_acc_coeff(self.enc[i][j], shard, check);
-            }
-        }
+        self.encode_into(data, &mut checks)?;
         Ok(checks)
+    }
+
+    /// Encode into caller buffers: `checks[i]` is overwritten with check
+    /// shard `i` of the `d` equal-length `data` shards. Allocates
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::ShapeMismatch`] on a wrong shard count or when any
+    /// shard's length differs from `data[0]`'s.
+    pub fn encode_into<D: AsRef<[u8]>, C: AsMut<[u8]>>(
+        &self,
+        data: &[D],
+        checks: &mut [C],
+    ) -> Result<(), CodecError> {
+        if data.len() != self.data || checks.len() != self.checks {
+            return Err(CodecError::ShapeMismatch);
+        }
+        let len = data[0].as_ref().len();
+        if data.iter().any(|s| s.as_ref().len() != len)
+            || checks.iter_mut().any(|s| s.as_mut().len() != len)
+        {
+            return Err(CodecError::ShapeMismatch);
+        }
+        for (i, check) in checks.iter_mut().enumerate() {
+            self.encode_check(i, |j| data[j].as_ref(), check.as_mut());
+        }
+        Ok(())
     }
 
     /// Incremental parity update: fold the change of one data shard into
@@ -182,7 +260,9 @@ impl ReedSolomon {
 
     /// Reconstruct missing shards in place. `shards` holds the `d` data
     /// shards followed by the `c` check shards; `None` marks an erasure.
-    /// On success every entry is `Some`.
+    /// On success every entry is `Some`. An allocating wrapper over
+    /// [`ReedSolomon::reconstruct_into`]: only the erased shards get a
+    /// buffer.
     ///
     /// # Errors
     ///
@@ -190,123 +270,150 @@ impl ReedSolomon {
     /// `None`; [`CodecError::ShapeMismatch`] on wrong count or ragged
     /// lengths.
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), CodecError> {
-        let total = self.data + self.checks;
-        if shards.len() != total {
+        let len = shards.iter().flatten().map(Vec::len).next().unwrap_or(0);
+        let mut decoded: Vec<Vec<u8>> = shards
+            .iter()
+            .filter(|s| s.is_none())
+            .map(|_| vec![0u8; len])
+            .collect();
+        let mut bufs = decoded.iter_mut();
+        let mut view: Vec<Shard<'_>> = shards
+            .iter()
+            .map(|s| match s {
+                Some(bytes) => Shard::Present(bytes),
+                None => Shard::Missing(bufs.next().expect("one buffer per erasure")),
+            })
+            .collect();
+        self.reconstruct_into(&mut view)?;
+        let erased = shards.iter_mut().filter(|s| s.is_none());
+        for (slot, bytes) in erased.zip(decoded) {
+            *slot = Some(bytes);
+        }
+        Ok(())
+    }
+
+    /// Reconstruct the erased shards of `shards` (the `d` data shards,
+    /// then the `c` check shards) into their own buffers. Each survivor
+    /// is read where it lies. Only the erased data shards are solved for
+    /// and only the erased checks re-encoded, so at `c = 1` a lost data
+    /// shard is a copy of the check plus one XOR per other data shard,
+    /// and a lost check is one encode. Allocates nothing for up to 8
+    /// erased data shards. On success every shard is
+    /// [`Shard::Present`].
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::ShapeMismatch`] on a wrong shard count or ragged
+    /// lengths; [`CodecError::TooManyErasures`] when more than `c`
+    /// shards are `Missing`. Nothing is written on error.
+    pub fn reconstruct_into(&self, shards: &mut [Shard<'_>]) -> Result<(), CodecError> {
+        if shards.len() != self.data + self.checks {
             return Err(CodecError::ShapeMismatch);
         }
-        let missing: Vec<usize> = (0..total).filter(|&i| shards[i].is_none()).collect();
-        if missing.is_empty() {
+        let erased = shards.iter().filter(|s| s.is_missing()).count();
+        if erased == 0 {
             return Ok(());
         }
-        if missing.len() > self.checks {
+        if erased > self.checks {
             return Err(CodecError::TooManyErasures {
-                erased: missing.len(),
+                erased,
                 checks: self.checks,
             });
         }
-        let len = shards
-            .iter()
-            .flatten()
-            .map(Vec::len)
-            .next()
-            .ok_or(CodecError::ShapeMismatch)?;
-        if shards.iter().flatten().any(|s| s.len() != len) {
+        let len = shards[0].bytes().len();
+        if shards.iter().any(|s| s.bytes().len() != len) {
             return Err(CodecError::ShapeMismatch);
         }
-
-        // Build the linear system over the *data* unknowns. Each
-        // available row (identity rows for data shards, encoding rows
-        // for check shards) gives one equation; pick d independent ones.
-        let missing_data: Vec<usize> = missing.iter().copied().filter(|&i| i < self.data).collect();
-        if !missing_data.is_empty() {
-            self.solve_data(shards, &missing_data, len)?;
-        }
-        // With all data present, re-encode any missing checks.
-        let data: Vec<Vec<u8>> = shards[..self.data]
-            .iter()
-            .map(|s| s.clone().expect("data restored"))
-            .collect();
-        let checks = self.encode(&data)?;
-        for i in 0..self.checks {
-            if shards[self.data + i].is_none() {
-                shards[self.data + i] = Some(checks[i].clone());
+        let (data, checks) = shards.split_at_mut(self.data);
+        self.solve_data(data, checks);
+        data.iter_mut().for_each(Shard::settle);
+        let data: &[Shard<'_>] = data;
+        for (i, check) in checks.iter_mut().enumerate() {
+            if let Shard::Missing(out) = check {
+                self.encode_check(i, |j| data[j].bytes(), out);
+                check.settle();
             }
         }
         Ok(())
     }
 
-    /// Solve for missing data shards by Gaussian elimination on the
-    /// available rows.
-    fn solve_data(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        missing_data: &[usize],
-        len: usize,
-    ) -> Result<(), CodecError> {
+    /// Solve for the erased data shards in their own buffers. Row `r`
+    /// pairs the `r`-th erased data shard with the `r`-th surviving
+    /// check `i`: its buffer starts as `check_i − Σ_{j present}
+    /// enc[i][j]·data_j` (subtraction is XOR), which equals
+    /// `Σ_{m erased} enc[i][m]·x_m`. Gauss–Jordan elimination on those
+    /// rows, moving buffers along with coefficient rows, leaves each
+    /// erased shard's value in its own buffer.
+    fn solve_data(&self, data: &mut [Shard<'_>], checks: &[Shard<'_>]) {
+        let k = data.iter().filter(|s| s.is_missing()).count();
+        if k == 0 {
+            return;
+        }
+        let erased = |data: &[Shard<'_>], r: usize| {
+            let mut at = data.iter().enumerate().filter(|(_, s)| s.is_missing());
+            at.nth(r).expect("row within the erased count").0
+        };
+        // The k × k coefficient matrix, row-major; the stack holds it for
+        // up to 8 erased data shards.
+        let mut inline = [0u8; 64];
+        let mut heap = Vec::new();
+        let a: &mut [u8] = if k * k <= inline.len() {
+            &mut inline[..k * k]
+        } else {
+            heap.resize(k * k, 0);
+            &mut heap
+        };
+        // At most c erasures in all, so at least k checks survive.
+        let survivors = checks.iter().enumerate().filter(|(_, s)| !s.is_missing());
+        for (r, (i, check)) in survivors.take(k).enumerate() {
+            for col in 0..k {
+                a[r * k + col] = self.enc[i][erased(data, col)] as u8;
+            }
+            let m = erased(data, r);
+            data[m].buf().copy_from_slice(check.bytes());
+            for j in 0..self.data {
+                if data[j].is_missing() {
+                    continue;
+                }
+                let [dst, src] = data.get_disjoint_mut([m, j]).expect("distinct shards");
+                self.mul_acc_coeff(self.enc[i][j], src.bytes(), dst.buf());
+            }
+        }
         let f = &self.field;
-        // Equations: for each available check shard i,
-        //   Σ_{j missing} enc[i][j]·x_j = check_i − Σ_{j present} enc[i][j]·data_j.
-        let mut rows: Vec<(Vec<usize>, Vec<u8>)> = Vec::new();
-        for i in 0..self.checks {
-            let Some(check) = &shards[self.data + i] else {
-                continue;
-            };
-            let mut coeffs = Vec::with_capacity(missing_data.len());
-            for &j in missing_data {
-                coeffs.push(self.enc[i][j]);
-            }
-            let mut rhs = check.clone();
-            for (j, slot) in shards.iter().take(self.data).enumerate() {
-                if missing_data.contains(&j) {
-                    continue;
-                }
-                let shard = slot.as_ref().expect("present data shard");
-                self.mul_acc_coeff(self.enc[i][j], shard, &mut rhs);
-            }
-            rows.push((coeffs, rhs));
-        }
-        let unknowns = missing_data.len();
-        if rows.len() < unknowns {
-            return Err(CodecError::TooManyErasures {
-                erased: unknowns,
-                checks: rows.len(),
-            });
-        }
-        // Gaussian elimination over GF(256), column by column.
-        for col in 0..unknowns {
-            let pivot = (col..rows.len())
-                .find(|&r| rows[r].0[col] != 0)
+        for col in 0..k {
+            let pivot = (col..k)
+                .find(|&r| a[r * k + col] != 0)
                 .expect("Vandermonde submatrix is invertible");
-            rows.swap(col, pivot);
-            let inv = f.inv(rows[col].0[col]).expect("non-zero pivot");
-            for c in 0..unknowns {
-                rows[col].0[c] = f.mul(rows[col].0[c], inv);
+            let m = erased(data, col);
+            if pivot != col {
+                for c in 0..k {
+                    a.swap(pivot * k + c, col * k + c);
+                }
+                let p = erased(data, pivot);
+                let [x, y] = data.get_disjoint_mut([m, p]).expect("distinct shards");
+                x.buf().swap_with_slice(y.buf());
             }
+            let inv = f.inv(a[col * k + col] as usize).expect("non-zero pivot");
             if inv != 1 {
-                kernels::scale(&mut rows[col].1, &kernels::mul_table(f, inv));
+                for c in 0..k {
+                    a[col * k + c] = f.mul(a[col * k + c] as usize, inv) as u8;
+                }
+                kernels::scale(data[m].buf(), &kernels::product_table(f, inv));
             }
-            for r in 0..rows.len() {
-                if r == col || rows[r].0[col] == 0 {
+            for r in (0..k).filter(|&r| r != col) {
+                let factor = a[r * k + col] as usize;
+                if factor == 0 {
                     continue;
                 }
-                let factor = rows[r].0[col];
-                let (head, tail) = rows.split_at_mut(r.max(col));
-                let (src, dst) = if r > col {
-                    (&head[col], &mut tail[0])
-                } else {
-                    (&tail[0], &mut head[r])
-                };
-                for c in 0..unknowns {
-                    dst.0[c] ^= f.mul(factor, src.0[c]);
+                for c in 0..k {
+                    a[r * k + c] ^= f.mul(factor, a[col * k + c] as usize) as u8;
                 }
-                self.mul_acc_coeff(factor, &src.1, &mut dst.1);
+                let [dst, src] = data
+                    .get_disjoint_mut([erased(data, r), m])
+                    .expect("distinct shards");
+                self.mul_acc_coeff(factor, src.bytes(), dst.buf());
             }
         }
-        debug_assert!(rows.iter().all(|(_, rhs)| rhs.len() == len));
-        for (idx, &j) in missing_data.iter().enumerate() {
-            shards[j] = Some(rows[idx].1.clone());
-        }
-        Ok(())
     }
 }
 
