@@ -201,7 +201,6 @@ pub fn run(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<RunResult, String> {
     array.attach_observer(observer.clone());
     let mut engine = Engine::with_config(
         array,
-        16,
         RebuildConfig {
             batch: 4,
             rate: 0.0,

@@ -47,14 +47,13 @@ USAGE:
                    summarize a metrics file: latency percentiles and
                    per-disk utilization skew
   pddl serve     --disks N --width K [--unit B] [--periods P]
-                 [--addr HOST:PORT] [--shards S] [--stripe-shards L]
+                 [--addr HOST:PORT] [--shards S]
                  [--duration-ms T] [--rebuild-batch B] [--rebuild-rate R]
                  [--metrics-addr HOST:PORT]
                    export the functional array as a TCP block service;
                    --shards S = thread-per-core event loops (0 = one
                    per core, the default), each committing the WRITEs
                    that reach it in one tick as one array batch;
-                   --stripe-shards L = engine stripe-lock table size;
                    REBUILD runs online in batches of B stripes,
                    throttled to R stripes/sec (0 = unthrottled);
                    --metrics-addr adds a Prometheus /metrics endpoint
@@ -626,7 +625,6 @@ fn build_engine(cli: &Cli, obs: Option<&ObsOutput>) -> Result<Engine, String> {
     let k: usize = cli.num("width", 4)?;
     let unit: usize = cli.num("unit", 512)?;
     let periods: u64 = cli.num("periods", 4)?;
-    let shards: usize = cli.num("stripe-shards", pddl_server::engine::DEFAULT_SHARDS)?;
     let rebuild = RebuildConfig {
         batch: cli.num("rebuild-batch", RebuildConfig::default().batch)?,
         rate: cli.num("rebuild-rate", 0.0)?,
@@ -640,7 +638,7 @@ fn build_engine(cli: &Cli, obs: Option<&ObsOutput>) -> Result<Engine, String> {
         // batch timings on top. Both feed the same observer.
         array.attach_observer(o.sync_sink());
     }
-    let mut engine = Engine::with_config(array, shards, rebuild);
+    let mut engine = Engine::with_config(array, rebuild);
     if let Some(o) = obs {
         engine.attach_observer(o.sync_sink());
     }
@@ -668,13 +666,12 @@ pub fn serve_cmd(cli: &Cli) -> Result<(), String> {
         None => None,
     };
     println!(
-        "serving on {}: {} disks, {} units × {} B ({} KiB client capacity), {} stripe shards, {} runtime shard(s)",
+        "serving on {}: {} disks, {} units × {} B ({} KiB client capacity), {} runtime shard(s)",
         handle.local_addr(),
         info.disks,
         info.capacity_units,
         info.unit_bytes,
         info.capacity_units * info.unit_bytes as u64 / 1024,
-        handle.engine().shards(),
         handle.runtime_shards(),
     );
     if let Some(m) = &metrics {

@@ -1,6 +1,6 @@
 //! The concurrency engine: executes decoded requests against a pool of
-//! [`DeclusteredArray`]s carved into logical volumes, with
-//! stripe-granular locking and per-tenant QoS accounting.
+//! [`DeclusteredArray`]s carved into logical volumes, with one
+//! exclusion rule per writer class and per-tenant QoS accounting.
 //!
 //! # Volumes and the pool
 //!
@@ -16,57 +16,64 @@
 //!
 //! Each array is `Send + Sync`, but it documents one caller invariant:
 //! two writes touching the *same stripe* must not overlap (the parity
-//! read-modify-write would race). The engine enforces that per array
-//! with two layers:
+//! read-modify-write would race). Every writer of an array belongs to
+//! one of three classes, and each class has one rule:
 //!
-//! * each array lives behind a plain `Arc` plus a `quiesce: RwLock<()>`
-//!   — client I/O on the in-process path ([`Engine::execute`] and its
-//!   frame variants: the runtime's control thread, tests, benchmarks)
-//!   holds the **read** side (so any number of ops run concurrently),
-//!   lifecycle ops (`scrub`,
-//!   `recover`, `replace_disk`, `arm_crash`) take the **write** side and
-//!   therefore see a quiesced array. The thread-per-core runtime's
-//!   shard threads take *neither*: stripe ownership serializes
-//!   same-stripe ops by construction, and lifecycle ops first park
-//!   every shard through the registered runtime pauser (see
-//!   [`Engine::set_runtime_pauser`]) before taking the write side, so
-//!   the exclusion shard threads would get from the lock they get from
-//!   being parked;
-//! * a fixed table of stripe shard locks — each I/O computes the set of
-//!   `stripe % shards` indices its range touches and acquires them in
-//!   ascending order (total order ⇒ no deadlock). Writes to distinct
-//!   stripes proceed in parallel; writes that collide on a stripe (or a
-//!   shard) serialize. Reads take the same locks so a degraded-mode
-//!   reconstruction never observes a half-written stripe. Runtime shard
-//!   threads skip this table too — *except* while a rebuild is running,
-//!   whose worker batches hold stripe locks and are the one writer that
-//!   stripe ownership cannot order (`do_rebuild` parks the shards once
-//!   after flipping the state so no lock-free op is still in flight).
+//! * **Runtime shard threads are excluded by stripe ownership.** A
+//!   stripe's I/O runs only on the shard that owns it, so same-stripe
+//!   ops are ordered by construction and the `shard_*` entry points
+//!   take no lock — except while a rebuild runs (next rule).
+//! * **The rebuild worker is excluded by stripe locks.** Each array has
+//!   a fixed table of 64 stripe locks; a rebuild batch holds the read
+//!   side of the array's quiesce lock plus the table entries its
+//!   stripes hash to (`stripe % 64`, acquired in ascending order: one
+//!   total order ⇒ no deadlock). While a rebuild is running the shard
+//!   threads take the same entries for every op, so an op and a batch
+//!   that meet on a stripe serialize; `do_rebuild` parks the shards
+//!   once after flipping the state, so no lock-free op is still in
+//!   flight when the first batch starts.
+//! * **Everything else is excluded by the quiesce.** Lifecycle ops
+//!   (`scrub`, `recover`, `replace_disk`, `arm_crash`) and every
+//!   segment of an in-process READ, WRITE or TRIM ([`Engine::execute`]
+//!   and its frame variants) first park every runtime shard thread
+//!   through the registered pauser (see [`Engine::set_runtime_pauser`]),
+//!   then take the array's quiesce **write** lock, which waits out a
+//!   running rebuild batch. The segment's I/O then runs through the
+//!   same `shard_read` / `shard_write_batch` / `shard_trim` bodies the
+//!   runtime calls.
+//!
+//! An in-process data op therefore parks the whole runtime for each of
+//! its segments: it is for tests, tools and benchmarks, not for
+//! serving. A runtime shard thread must never call one — it would wait
+//! for its own park — which is why the runtime's control thread, the
+//! one engine caller that serves, is never handed a READ, WRITE or
+//! TRIM.
 //!
 //! Every acquisition made through the engine's lock helpers bumps a
 //! process-wide counter ([`lock_acquisitions`]); the healthy-READ
 //! proof test asserts the shard-exec path's delta is exactly zero.
 //!
-//! A request resolving to several physical segments locks and serves
-//! them one segment at a time (lock, I/O, release, next), so no op ever
-//! holds locks on two arrays at once — there is no cross-array deadlock
+//! A request resolving to several physical segments is served one
+//! segment at a time (quiesce, I/O, release, next), so no op ever
+//! holds two arrays' locks at once — there is no cross-array deadlock
 //! to order around. The cost is that a multi-segment op is atomic per
 //! segment, not end to end; single-extent volumes (the common case on a
 //! fresh pool) keep whole-op atomicity.
 //!
 //! # Online rebuild
 //!
-//! `REBUILD` no longer quiesces the array for the whole reconstruction.
+//! `REBUILD` does not quiesce the array for the whole reconstruction.
 //! The request validates and creates a resumable
 //! [`RebuildTicket`] synchronously (typed
 //! errors still come back immediately), then a dedicated background
-//! thread steps it in bounded batches. Each batch holds only the array
-//! **read** lock plus the shard locks covering that batch's stripes —
-//! exactly the locks a client write to those stripes would take — so
-//! client I/O keeps flowing between (and alongside) batches, stalling
-//! only on a genuine stripe collision for one batch at most. Batch size
-//! and an optional stripes/sec rate limit come from [`RebuildConfig`];
-//! progress is published through atomics and served lock-free by
+//! thread steps it in bounded batches under the rebuild worker's rule
+//! above: the quiesce read lock plus the stripe locks covering that
+//! batch's stripes — exactly the locks a shard thread's op on those
+//! stripes takes while the rebuild runs — so client I/O keeps flowing
+//! between (and alongside) batches, stalling only on a genuine stripe
+//! collision for one batch at most. Batch size and an optional
+//! stripes/sec rate limit come from [`RebuildConfig`]; progress is
+//! published through atomics and served lock-free by
 //! `REBUILD_STATUS`.
 //!
 //! # Write commit
@@ -95,8 +102,9 @@ use crate::wire::{
     VolumeInfo, MAX_PAYLOAD, RESPONSE_HEADER_LEN,
 };
 
-/// Default number of stripe shard locks.
-pub const DEFAULT_SHARDS: usize = 64;
+/// Stripe locks per array: the table the rebuild worker and, while a
+/// rebuild runs, the shard threads lock (see the locking model).
+const STRIPE_LOCKS: usize = 64;
 
 /// Telemetry shards per engine. Recording threads (runtime shards, the
 /// control thread, in-process callers) map onto telemetry shards
@@ -283,21 +291,20 @@ impl RebuildCtl {
     }
 }
 
-/// One pool member: the array plus its private stripe-shard lock
-/// table. Lock tables are per array — stripe indices are array-local,
-/// so sharing a table across arrays would only manufacture false
+/// One pool member: the array plus its private stripe-lock table.
+/// Lock tables are per array — stripe indices are array-local, so
+/// sharing a table across arrays would only manufacture false
 /// collisions.
 struct ArrayShard {
     /// The array itself is reachable lock-free (all client I/O entry
     /// points take `&self`); `quiesce` below provides the exclusion
-    /// lifecycle ops need.
+    /// everything but the shard threads and the rebuild worker needs.
     array: Arc<DeclusteredArray>,
-    /// Quiesce gate: in-process client I/O and the rebuild worker hold
-    /// the read side across each op/batch; lifecycle ops (scrub, recover,
-    /// replace, arm_crash) hold the write side — after parking any
-    /// runtime shards, which deliberately never touch this lock.
+    /// Quiesce gate: the rebuild worker holds the read side across each
+    /// batch; [`Engine::quiesced`] holds the write side — after parking
+    /// any runtime shards, which deliberately never touch this lock.
     quiesce: RwLock<()>,
-    stripe_locks: Vec<Mutex<()>>,
+    stripe_locks: [Mutex<()>; STRIPE_LOCKS],
 }
 
 /// State shared between request-serving threads and the rebuild thread.
@@ -385,81 +392,22 @@ impl Inner {
     }
 }
 
-/// Sorted, deduplicated shard-lock indices covering the next `batch`
-/// pending stripes of a rebuild.
-fn rebuild_shard_set(locks: &[Mutex<()>], pending: &[u64], batch: u64) -> Vec<usize> {
-    let shards = locks.len() as u64;
-    let take = usize::try_from(batch.min(pending.len() as u64)).unwrap_or(pending.len());
-    if take as u64 >= shards {
-        return (0..locks.len()).collect();
+/// Sorted, deduplicated stripe-lock indices covering `stripes` — the
+/// lock set of a rebuild batch, and of a shard-exec op while a rebuild
+/// runs. Work is bounded by the table size: `STRIPE_LOCKS` stripes (or
+/// more) can collide with every lock, so they lock the whole table
+/// instead of walking on.
+fn lock_set(stripes: impl IntoIterator<Item = u64>) -> Vec<usize> {
+    let mut set = Vec::new();
+    for stripe in stripes {
+        set.push((stripe % STRIPE_LOCKS as u64) as usize);
+        if set.len() == STRIPE_LOCKS {
+            return (0..STRIPE_LOCKS).collect();
+        }
     }
-    let mut set: Vec<usize> = pending[..take]
-        .iter()
-        .map(|&stripe| (stripe % shards) as usize)
-        .collect();
     set.sort_unstable();
     set.dedup();
     set
-}
-
-/// Sorted, deduplicated shard-lock indices for a unit range on one
-/// array.
-///
-/// Work is bounded by the shard count, not the range length: a range of
-/// at least `shards` units can collide with every shard, so it locks
-/// the whole table instead of walking the units.
-fn shard_set(a: &DeclusteredArray, locks: &[Mutex<()>], start: u64, units: u64) -> Vec<usize> {
-    let shards = locks.len() as u64;
-    if units >= shards {
-        return (0..locks.len()).collect();
-    }
-    let mut set: Vec<usize> = (start..start.saturating_add(units))
-        .map(|logical| {
-            let (stripe, _) = a.layout().locate(logical);
-            (stripe % shards) as usize
-        })
-        .collect();
-    set.sort_unstable();
-    set.dedup();
-    set
-}
-
-/// Acquire, in ascending index order (one total order ⇒ no deadlock),
-/// the stripe locks covering every `(start, units)` range on `shard`.
-/// The union is deduplicated first, so each lock is taken once.
-fn stripe_guards(
-    shard: &ArrayShard,
-    ranges: impl IntoIterator<Item = (u64, u64)>,
-) -> Vec<MutexGuard<'_, ()>> {
-    let mut set: Vec<usize> = Vec::new();
-    for (start, units) in ranges {
-        set.extend(shard_set(&shard.array, &shard.stripe_locks, start, units));
-    }
-    set.sort_unstable();
-    set.dedup();
-    set.into_iter()
-        .map(|i| lock(&shard.stripe_locks[i]))
-        .collect()
-}
-
-/// Zero-fill `units` units of `array` from `phys`, one `zeros`-sized
-/// write at a time — TRIM's body on both the in-process and the
-/// shard-exec path. Partial progress stands on error.
-fn zero_fill(
-    array: &DeclusteredArray,
-    phys: u64,
-    units: u64,
-    zeros: &[u8],
-    unit: usize,
-) -> Result<(), ArrayError> {
-    let chunk_units = (zeros.len() / unit).max(1) as u64;
-    let mut done = 0u64;
-    while done < units {
-        let n = chunk_units.min(units - done);
-        array.write(phys + done, &zeros[..n as usize * unit])?;
-        done += n;
-    }
-    Ok(())
 }
 
 /// The background rebuild loop: one bounded, shard-locked batch per
@@ -485,14 +433,15 @@ fn rebuild_worker(inner: Arc<Inner>, array_idx: usize, mut ticket: RebuildTicket
         let started = Instant::now();
         let outcome = {
             let _q = rdlock(&shard.quiesce);
-            // Hold only the shard locks this batch's stripes hash to:
+            // Hold only the stripe locks this batch's stripes hash to:
             // a client op collides for at most one batch, everything
             // else proceeds untouched.
-            let _guards: Vec<_> =
-                rebuild_shard_set(&shard.stripe_locks, ticket.pending_stripes(), batch)
-                    .into_iter()
-                    .map(|i| lock(&shard.stripe_locks[i]))
-                    .collect();
+            let stripes = ticket.pending_stripes().iter().copied();
+            let take = usize::try_from(batch).unwrap_or(usize::MAX);
+            let _guards: Vec<_> = lock_set(stripes.take(take))
+                .into_iter()
+                .map(|i| lock(&shard.stripe_locks[i]))
+                .collect();
             shard.array.rebuild_step(&mut ticket, batch)
         };
         inner
@@ -543,30 +492,23 @@ pub struct AccessSpan {
 }
 
 impl Engine {
-    /// Wrap an array with [`DEFAULT_SHARDS`] stripe shard locks.
+    /// Wrap an array with the default rebuild knobs.
     pub fn new(array: DeclusteredArray) -> Self {
-        Self::with_shards(array, DEFAULT_SHARDS)
+        Self::with_config(array, RebuildConfig::default())
     }
 
-    /// Wrap an array with an explicit shard count (minimum 1). More
-    /// shards → fewer false write collisions; the table is fixed at
-    /// construction so the memory cost is `shards` mutexes total.
-    pub fn with_shards(array: DeclusteredArray, shards: usize) -> Self {
-        Self::with_config(array, shards, RebuildConfig::default())
+    /// Wrap an array with explicit rebuild knobs.
+    pub fn with_config(array: DeclusteredArray, rebuild: RebuildConfig) -> Self {
+        Self::with_pool(vec![array], rebuild)
     }
 
-    /// Wrap an array with explicit shard count and rebuild knobs.
-    pub fn with_config(array: DeclusteredArray, shards: usize, rebuild: RebuildConfig) -> Self {
-        Self::with_pool(vec![array], shards, rebuild)
-    }
-
-    /// Wrap a pool of arrays. Every array gets its own `shards`-entry
-    /// stripe-lock table; volume 0 is created spanning all of array 0.
+    /// Wrap a pool of arrays. Every array gets its own stripe-lock
+    /// table; volume 0 is created spanning all of array 0.
     ///
     /// # Panics
     ///
     /// If the pool is empty or the arrays disagree on unit size.
-    pub fn with_pool(arrays: Vec<DeclusteredArray>, shards: usize, rebuild: RebuildConfig) -> Self {
+    pub fn with_pool(arrays: Vec<DeclusteredArray>, rebuild: RebuildConfig) -> Self {
         assert!(!arrays.is_empty(), "empty array pool");
         let unit_bytes = arrays[0].unit_bytes();
         assert!(
@@ -600,7 +542,7 @@ impl Engine {
             .map(|array| ArrayShard {
                 array: Arc::new(array),
                 quiesce: RwLock::new(()),
-                stripe_locks: (0..shards.max(1)).map(|_| Mutex::new(())).collect(),
+                stripe_locks: std::array::from_fn(|_| Mutex::new(())),
             })
             .collect();
         Self {
@@ -637,11 +579,6 @@ impl Engine {
     /// gauges, benchmarks to toggle recording, and exporters to merge.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.inner.telemetry
-    }
-
-    /// Shard count per array (for tests and metrics).
-    pub fn shards(&self) -> usize {
-        self.inner.pool[0].stripe_locks.len()
     }
 
     /// Bytes per stripe unit — the I/O granularity of every array in
@@ -713,13 +650,11 @@ impl Engine {
     /// Arm the crash hook on every array in the pool: after
     /// `after_writes` more physical unit writes, the next write fails
     /// with `InjectedCrash` and leaves journal intents outstanding —
-    /// the chaos harness's torn-batch entry point. Quiesces each array
-    /// (runtime pause + quiesce write lock) to set the hook.
+    /// the chaos harness's torn-batch entry point. Sets each array's
+    /// hook quiesced (runtime parked, quiesce write lock held).
     pub fn arm_crash(&self, after_writes: u64) {
-        let _pause = self.pause_runtime();
         for shard in &self.inner.pool {
-            let _q = wrlock(&shard.quiesce);
-            shard.array.arm_crash(after_writes);
+            self.quiesced(shard, || shard.array.arm_crash(after_writes));
         }
     }
 
@@ -743,6 +678,18 @@ impl Engine {
     /// locks anyway.
     fn pause_runtime(&self) -> Option<Box<dyn std::any::Any + Send>> {
         lock(&self.inner.pauser).as_ref().map(|p| p())
+    }
+
+    /// Run `f` as `shard`'s only writer: with every runtime shard thread
+    /// parked and the array's quiesce write lock held, so no shard-exec
+    /// op and no rebuild batch is mid-stripe. The one exclusion rule for
+    /// every caller that is neither a shard thread nor the rebuild
+    /// worker; a shard thread must never get here (it would wait for
+    /// its own park).
+    fn quiesced<R>(&self, shard: &ArrayShard, f: impl FnOnce() -> R) -> R {
+        let _pause = self.pause_runtime();
+        let _q = wrlock(&shard.quiesce);
+        f()
     }
 
     /// Geometry and failure state of the default volume 0 — the
@@ -881,28 +828,24 @@ impl Engine {
         self.inner.emit(event);
     }
 
-    /// Run a full parity scrub on every quiesced array (write lock: no
-    /// client op or rebuild batch is mid-stripe while it runs). Returns
-    /// the suspect stripes of all arrays concatenated in pool order
-    /// (stripe ids are array-local).
+    /// Run a full parity scrub on every array, each quiesced (no client
+    /// op or rebuild batch is mid-stripe while it runs). Returns the
+    /// suspect stripes of all arrays concatenated in pool order (stripe
+    /// ids are array-local).
     pub fn scrub(&self) -> Result<Vec<u64>, ArrayError> {
-        let _pause = self.pause_runtime();
         let mut out = Vec::new();
         for shard in &self.inner.pool {
-            let _q = wrlock(&shard.quiesce);
-            out.extend(shard.array.scrub()?);
+            out.extend(self.quiesced(shard, || shard.array.scrub())?);
         }
         Ok(out)
     }
 
-    /// Replay outstanding write-intent journal entries on every
-    /// quiesced array; returns the total stripes repaired.
+    /// Replay outstanding write-intent journal entries on every array,
+    /// each quiesced; returns the total stripes repaired.
     pub fn recover(&self) -> Result<u64, ArrayError> {
-        let _pause = self.pause_runtime();
         let mut total = 0;
         for shard in &self.inner.pool {
-            let _q = wrlock(&shard.quiesce);
-            total += shard.array.recover()?;
+            total += self.quiesced(shard, || shard.array.recover())?;
         }
         Ok(total)
     }
@@ -915,10 +858,8 @@ impl Engine {
             .inner
             .locate_disk(disk as u64)
             .ok_or(ArrayError::WrongDiskState)?;
-        let _pause = self.pause_runtime();
         let shard = &self.inner.pool[ai];
-        let _q = wrlock(&shard.quiesce);
-        shard.array.replace_and_rebuild(local)
+        self.quiesced(shard, || shard.array.replace_and_rebuild(local))
     }
 
     /// Stripes with outstanding write intents (torn by an injected
@@ -1034,31 +975,38 @@ impl Engine {
     // (`shard_*`), telemetry bracketing wherever the response is
     // finally written (`begin_access`/`end_access`). The `shard_*`
     // methods take no quiesce lock and — outside a running rebuild —
-    // no stripe locks either; the caller must uphold the runtime's
-    // exclusion protocol (one thread per stripe, lifecycle ops park
-    // all shard threads first via the registered pauser).
+    // no stripe locks either; the caller must be a shard thread that
+    // owns the stripes, or hold the array quiesced (the in-process data
+    // ops).
     // ------------------------------------------------------------------
 
     /// Whether a background rebuild may currently be holding stripe
     /// locks — the one writer stripe ownership cannot order, so shard
     /// threads fall back to stripe locking while it runs.
-    pub fn rebuild_locking(&self) -> bool {
+    fn rebuild_locking(&self) -> bool {
         self.inner.rebuild.state.load(Ordering::Acquire) == REBUILD_RUNNING
     }
 
-    /// Stripe guards for a shard-exec op on `ranges`: none (and no
-    /// allocation) while stripe ownership alone orders the stripes, the
-    /// covering locks while a rebuild is running.
+    /// Stripe guards for a shard-exec op on the `(phys, units)` runs in
+    /// `ranges`: none (and no allocation) while stripe ownership alone
+    /// orders the stripes, the covering locks while a rebuild is
+    /// running.
     fn rebuild_guards<'a>(
         &self,
         shard: &'a ArrayShard,
         ranges: impl IntoIterator<Item = (u64, u64)>,
     ) -> Vec<MutexGuard<'a, ()>> {
-        if self.rebuild_locking() {
-            stripe_guards(shard, ranges)
-        } else {
-            Vec::new()
+        if !self.rebuild_locking() {
+            return Vec::new();
         }
+        let layout = shard.array.layout();
+        let stripes = ranges.into_iter().flat_map(|(phys, units)| {
+            (phys..phys.saturating_add(units)).map(|unit| layout.locate(unit).0)
+        });
+        lock_set(stripes)
+            .into_iter()
+            .map(|i| lock(&shard.stripe_locks[i]))
+            .collect()
     }
 
     /// Arrays in the pool (shard-exec `array` indices are `0..this`).
@@ -1184,7 +1132,17 @@ impl Engine {
     ) -> Result<(), ArrayError> {
         let shard = &self.inner.pool[array];
         let _guards = self.rebuild_guards(shard, [(phys, units)]);
-        zero_fill(&shard.array, phys, units, zeros, self.inner.unit_bytes)
+        let unit = self.inner.unit_bytes;
+        let chunk_units = (zeros.len() / unit).max(1) as u64;
+        let mut done = 0u64;
+        while done < units {
+            let n = chunk_units.min(units - done);
+            shard
+                .array
+                .write(phys + done, &zeros[..n as usize * unit])?;
+            done += n;
+        }
+        Ok(())
     }
 
     /// Open the observability bracket for one request: emits
@@ -1233,12 +1191,13 @@ impl Engine {
     }
 
     /// Serve a READ, WRITE or TRIM on the in-process path, one resolved
-    /// segment at a time (lock, I/O, release — never two arrays' locks
-    /// at once), a READ's data landing straight in the frame's payload
-    /// region. TRIM is a zero-fill write: parity stays consistent and
-    /// later reads of the range return zeros, the strongest discard
-    /// semantic the array can offer. Returns what the op resolved to,
-    /// for the caller to account; `None` when it never resolved.
+    /// segment at a time, each [quiesced](Engine::quiesced) and run
+    /// through the runtime's own `shard_*` body, a READ's data landing
+    /// straight in the frame's payload region. TRIM is a zero-fill
+    /// write: parity stays consistent and later reads of the range
+    /// return zeros, the strongest discard semantic the array can
+    /// offer. Returns what the op resolved to, for the caller to
+    /// account; `None` when it never resolved.
     fn do_data_frame_into(&self, req: &Request, frame: &mut Vec<u8>) -> Option<Resolved> {
         let (resolved, bytes) = match self.prepare(req) {
             Ok(v) => v,
@@ -1261,20 +1220,18 @@ impl Engine {
         };
         let mut at = 0usize;
         for seg in &resolved.segments {
+            let (array, phys) = (seg.array as usize, seg.phys);
             let len = seg.units as usize * unit;
-            let shard = &self.inner.pool[seg.array as usize];
-            let _q = rdlock(&shard.quiesce);
-            // The guards span the whole segment, so it reads, writes or
-            // clears atomically with respect to colliding writes.
-            let _guards = stripe_guards(shard, [(seg.phys, seg.units)]);
-            let done = match req.op {
+            let done = self.quiesced(&self.inner.pool[array], || match req.op {
                 Op::Read => {
-                    let out = &mut frame[RESPONSE_HEADER_LEN + at..][..len];
-                    shard.array.read_into(seg.phys, out)
+                    self.shard_read(array, phys, &mut frame[RESPONSE_HEADER_LEN + at..][..len])
                 }
-                Op::Write => shard.array.write(seg.phys, &req.payload[at..at + len]),
-                _ => zero_fill(&shard.array, seg.phys, seg.units, &zeros, unit),
-            };
+                Op::Write => self
+                    .shard_write_batch(array, &[(phys, &req.payload[at..at + len])])
+                    .pop()
+                    .expect("one op in, one result out"),
+                _ => self.shard_trim(array, phys, seg.units, &zeros),
+            });
             if let Err(e) = done {
                 wire::demote_frame(frame, status_of(&e));
                 break;
@@ -1589,7 +1546,7 @@ mod tests {
     fn engine() -> Engine {
         let layout = Pddl::new(7, 3).unwrap();
         let array = DeclusteredArray::new(Box::new(layout), 16, 4).unwrap();
-        Engine::with_shards(array, 8)
+        Engine::new(array)
     }
 
     fn req(op: Op, offset: u64, length: u32, payload: Vec<u8>) -> Request {
@@ -1949,7 +1906,6 @@ mod tests {
         let array = DeclusteredArray::new(Box::new(layout), 16, 4).unwrap();
         let e = Engine::with_config(
             array,
-            8,
             RebuildConfig {
                 batch: 1,
                 rate: 4.0,
@@ -2175,7 +2131,6 @@ mod tests {
         };
         let e = Engine::with_pool(
             vec![mk(), mk()],
-            8,
             RebuildConfig {
                 batch: 8,
                 rate: 0.0,
@@ -2240,13 +2195,20 @@ mod tests {
     #[test]
     fn shard_set_is_sorted_and_deduplicated() {
         let e = engine();
-        let shard = &e.inner.pool[0];
-        let set = shard_set(&shard.array, &shard.stripe_locks, 0, 64);
-        let mut sorted = set.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(set, sorted);
-        assert!(set.iter().all(|&i| i < e.shards()));
+        let a = &e.inner.pool[0].array;
+        a.fail_disk(2).unwrap();
+        let ticket = a.begin_rebuild(2).unwrap();
+        let batch = RebuildConfig::default().batch as usize;
+        for set in [
+            lock_set((0..64).map(|unit| a.layout().locate(unit).0)),
+            lock_set(ticket.pending_stripes().iter().copied().take(batch)),
+        ] {
+            let mut sorted = set.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(set, sorted);
+            assert!(set.iter().all(|&i| i < STRIPE_LOCKS));
+        }
     }
 
     /// An engine constructed around an array that died mid-write (torn
@@ -2260,7 +2222,7 @@ mod tests {
         a.arm_crash(1);
         assert!(a.write(0, &[0x32u8; 16]).is_err());
         assert!(!a.outstanding_intents().is_empty(), "torn write journaled");
-        let e = Engine::with_shards(a, 8);
+        let e = Engine::new(a);
         assert!(
             e.outstanding_intents().is_empty(),
             "startup replay must retire the intents"

@@ -9,7 +9,7 @@
 //! | [`wire`]   | frame codec: request/response encode + decode, volume + pool payloads |
 //! | [`ring`]   | bounded SPSC ring, the inter-shard mailbox of the sharded runtime |
 //! | [`reactor`] | readiness reactor: zero-dep epoll (raw syscalls, edge-triggered) on Linux x86_64/aarch64, a std-only sleep-poll stand-in elsewhere |
-//! | [`engine`] | volume resolution + request execution: lock-free shard-exec entry points for the runtime, stripe-locked in-process `execute*` for everything else |
+//! | [`engine`] | volume resolution + request execution: lock-free shard-exec entry points for the runtime, in-process `execute*` that run the same bodies with the runtime parked (tests, tools, benchmarks) |
 //! | [`runtime`] | thread-per-core shard runtime: per-core event loops, stripe-owner routing, fan-out/join, per-tick write batching |
 //! | [`server`] | the serve entry: bind, start the runtime, hand back a [`ServerHandle`] |
 //! | [`metrics_http`] | `/metrics` Prometheus exposition over minimal HTTP/1.0 |
@@ -41,7 +41,8 @@
 //! Concurrency: each stripe is served by exactly one shard thread, so
 //! ops on stripes with different owners run in parallel and ops on one
 //! stripe are ordered by its owner without locks; array lifecycle ops
-//! (scrub, recover, replace) park every shard first. `REBUILD` is
+//! (scrub, recover, replace) and in-process `Engine::execute` data ops
+//! park every shard first. `REBUILD` is
 //! *online and incremental*: it validates synchronously, answers
 //! `Accepted`, and a background thread reconstructs in bounded batches
 //! holding only the stripe locks for each batch's stripes — client I/O

@@ -36,18 +36,20 @@
 //! # The shard-ownership invariant
 //!
 //! A stripe is touched by exactly one shard thread (its owner), so the
-//! engine's per-stripe exclusion needs no locks on this path. The two
-//! writers that cannot be ordered by ownership are handled out of
-//! band: background rebuild flips [`Engine::rebuild_locking`] and both
-//! sides fall back to stripe locks; array lifecycle ops
-//! (scrub/recover/replace) park every shard thread first through the
-//! runtime pauser registered with [`Engine::set_runtime_pauser`].
-//! Shard threads park only *between* requests, so an in-flight op is
-//! never interrupted.
+//! engine's per-stripe exclusion needs no locks on this path. The
+//! writers ownership cannot order follow the engine's two other rules
+//! (see its locking model): the background rebuild worker holds stripe
+//! locks, and while a rebuild runs the shard threads take the same
+//! locks; everything else — array lifecycle ops (scrub, recover,
+//! replace) and in-process [`Engine::execute`] data ops — parks every
+//! shard thread first through the runtime pauser registered with
+//! [`Engine::set_runtime_pauser`]. Shard threads park only *between*
+//! requests, so an in-flight op is never interrupted.
 //!
-//! A shard thread must never issue a blocking lifecycle op itself (it
-//! would wait for its own park), which is why every such op routes to
-//! the control thread.
+//! A shard thread must never issue a blocking lifecycle op or an
+//! in-process data op itself (it would wait for its own park), which
+//! is why every blocking op routes to the control thread, and the
+//! control thread is never handed a READ, WRITE or TRIM.
 //!
 //! # Pipelining
 //!
@@ -498,8 +500,9 @@ pub fn start(
 
     let (control_tx, control_rx) = mpsc::channel::<ControlJob>();
 
-    // Lifecycle ops (scrub/recover/replace/arm-crash) park every shard
-    // thread through this hook before taking their write locks.
+    // Lifecycle ops (scrub/recover/replace/arm-crash) and in-process
+    // data ops park every shard thread through this hook before taking
+    // their write locks.
     // Installed before the first shard runs; `stop_threads` removes it
     // on every failure path below.
     {

@@ -148,7 +148,6 @@ fn rebuild_under_load_keeps_client_io_flowing() {
     // seconds.
     let engine = Engine::with_config(
         array,
-        64,
         RebuildConfig {
             batch: 1,
             rate: 16.0,

@@ -133,7 +133,6 @@ fn rate_limited_tenant_keeps_fair_share_under_saturation_and_rebuild() {
     let array = DeclusteredArray::new(Box::new(layout), UNIT, 8).unwrap();
     let engine = Arc::new(Engine::with_config(
         array,
-        8,
         RebuildConfig {
             batch: 1,
             rate: 60.0,
