@@ -76,7 +76,7 @@ impl Client {
     }
 
     /// Address subsequent data ops (READ/WRITE/TRIM/INFO) at `volume`.
-    /// The unit size is pool-wide, so the cached value survives.
+    /// The unit size is the array's, so the cached value survives.
     pub fn set_volume(&mut self, volume: u8) {
         self.volume = volume;
     }
@@ -371,7 +371,7 @@ impl Client {
         }
     }
 
-    /// Management: delete `volume`, returning its space to the pool.
+    /// Management: delete `volume`, returning its space to the array.
     ///
     /// # Errors
     ///
@@ -410,7 +410,9 @@ impl Client {
             .ok_or_else(|| ClientError::Protocol("undecodable VOLUME_LIST payload".into()))
     }
 
-    /// Pool-level geometry: per-array capacity, free space, health.
+    /// Array geometry: the one `POOL_INFO` row with the array's
+    /// capacity, free space and health, plus the unit size and volume
+    /// count.
     ///
     /// # Errors
     ///

@@ -1,64 +1,55 @@
-//! The concurrency engine: executes decoded requests against a pool of
-//! [`DeclusteredArray`]s carved into logical volumes, with one
-//! exclusion rule per writer class and per-tenant QoS accounting.
+//! The concurrency engine: executes decoded requests against one
+//! [`DeclusteredArray`] carved into logical volumes, with one exclusion
+//! rule per writer class and per-tenant QoS accounting.
 //!
-//! # Volumes and the pool
+//! # Volumes
 //!
-//! The engine owns one or more arrays (all sharing a unit size) and a
-//! [`VolumeManager`] that maps `(volume, offset, units)` onto physical
-//! unit runs. Every data op resolves through the manager first; volume
-//! 0 spans array 0 at construction, so a pre-volume client that always
-//! sends zero flags behaves exactly as before. Disk-addressed ops
-//! (`FAIL_DISK`, `REBUILD`, `replace_disk`) take a *global* disk index:
-//! disks number across the pool in array order.
+//! The engine owns the array and a [`VolumeManager`] that maps
+//! `(volume, offset, units)` onto physical unit runs. Every data op
+//! resolves through the manager first; volume 0 spans the whole array
+//! at construction, so a client that always sends zero flags addresses
+//! the array directly. Disk-addressed ops (`FAIL_DISK`, `REBUILD`,
+//! `replace_disk`) take the array's own disk index.
 //!
 //! # Locking model
 //!
-//! Each array is `Send + Sync`, but it documents one caller invariant:
+//! The array is `Send + Sync`, but it documents one caller invariant:
 //! two writes touching the *same stripe* must not overlap (the parity
-//! read-modify-write would race). Every writer of an array belongs to
+//! read-modify-write would race). Every writer of the array belongs to
 //! one of three classes, and each class has one rule:
 //!
 //! * **Runtime shard threads are excluded by stripe ownership.** A
 //!   stripe's I/O runs only on the shard that owns it, so same-stripe
 //!   ops are ordered by construction and the `shard_*` entry points
 //!   take no lock — except while a rebuild runs (next rule).
-//! * **The rebuild worker is excluded by stripe locks.** Each array has
-//!   a fixed table of 64 stripe locks; a rebuild batch holds the read
-//!   side of the array's quiesce lock plus the table entries its
-//!   stripes hash to (`stripe % 64`, acquired in ascending order: one
-//!   total order ⇒ no deadlock). While a rebuild is running the shard
+//! * **The rebuild worker is excluded by stripe locks.** The engine
+//!   has a fixed table of 64 stripe locks; a rebuild batch holds the
+//!   read side of the quiesce lock plus the table entries its stripes
+//!   hash to (`stripe % 64`, acquired in ascending order: one total
+//!   order ⇒ no deadlock). While a rebuild is running the shard
 //!   threads take the same entries for every op, so an op and a batch
 //!   that meet on a stripe serialize; `do_rebuild` parks the shards
 //!   once after flipping the state, so no lock-free op is still in
 //!   flight when the first batch starts.
 //! * **Everything else is excluded by the quiesce.** Lifecycle ops
 //!   (`scrub`, `recover`, `replace_disk`, `arm_crash`) and every
-//!   segment of an in-process READ, WRITE or TRIM ([`Engine::execute`]
-//!   and its frame variants) first park every runtime shard thread
-//!   through the registered pauser (see [`Engine::set_runtime_pauser`]),
-//!   then take the array's quiesce **write** lock, which waits out a
-//!   running rebuild batch. The segment's I/O then runs through the
-//!   same `shard_read` / `shard_write_batch` / `shard_trim` bodies the
-//!   runtime calls.
+//!   in-process READ, WRITE or TRIM ([`Engine::execute`] and its frame
+//!   variants) first park every runtime shard thread through the
+//!   registered pauser (see [`Engine::set_runtime_pauser`]), then take
+//!   the quiesce **write** lock, which waits out a running rebuild
+//!   batch. An in-process op then runs each of its resolved segments
+//!   through the same `shard_read` / `shard_write_batch_into` /
+//!   `shard_trim` bodies the runtime calls, all under one quiesce.
 //!
-//! An in-process data op therefore parks the whole runtime for each of
-//! its segments: it is for tests, tools and benchmarks, not for
-//! serving. A runtime shard thread must never call one — it would wait
-//! for its own park — which is why the runtime's control thread, the
-//! one engine caller that serves, is never handed a READ, WRITE or
-//! TRIM.
+//! An in-process data op therefore parks the whole runtime: it is for
+//! tests, tools and benchmarks, not for serving. A runtime shard thread
+//! must never call one — it would wait for its own park — which is why
+//! the runtime's control thread, the one engine caller that serves, is
+//! never handed a READ, WRITE or TRIM.
 //!
 //! Every acquisition made through the engine's lock helpers bumps a
 //! process-wide counter ([`lock_acquisitions`]); the healthy-READ
 //! proof test asserts the shard-exec path's delta is exactly zero.
-//!
-//! A request resolving to several physical segments is served one
-//! segment at a time (quiesce, I/O, release, next), so no op ever
-//! holds two arrays' locks at once — there is no cross-array deadlock
-//! to order around. The cost is that a multi-segment op is atomic per
-//! segment, not end to end; single-extent volumes (the common case on a
-//! fresh pool) keep whole-op atomicity.
 //!
 //! # Online rebuild
 //!
@@ -102,8 +93,8 @@ use crate::wire::{
     VolumeInfo, MAX_PAYLOAD, RESPONSE_HEADER_LEN,
 };
 
-/// Stripe locks per array: the table the rebuild worker and, while a
-/// rebuild runs, the shard threads lock (see the locking model).
+/// Stripe locks in the table the rebuild worker and, while a rebuild
+/// runs, the shard threads lock (see the locking model).
 const STRIPE_LOCKS: usize = 64;
 
 /// Telemetry shards per engine. Recording threads (runtime shards, the
@@ -186,6 +177,20 @@ fn rdlock<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 fn wrlock<T: ?Sized>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     LOCK_ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
     l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The wire code of an array mode (`INFO`, `POOL_INFO`).
+fn mode_code(mode: ArrayMode) -> u8 {
+    match mode {
+        ArrayMode::FaultFree => 0,
+        ArrayMode::Degraded => 1,
+        ArrayMode::PostReconstruction => 2,
+    }
+}
+
+/// The array's failed disks, as wire disk indices.
+fn failed_disks(a: &DeclusteredArray) -> Vec<u32> {
+    a.failed_disks().iter().map(|&d| d as u32).collect()
 }
 
 /// Map a volume-layer failure onto a wire status.
@@ -291,37 +296,22 @@ impl RebuildCtl {
     }
 }
 
-/// One pool member: the array plus its private stripe-lock table.
-/// Lock tables are per array — stripe indices are array-local, so
-/// sharing a table across arrays would only manufacture false
-/// collisions.
-struct ArrayShard {
-    /// The array itself is reachable lock-free (all client I/O entry
-    /// points take `&self`); `quiesce` below provides the exclusion
-    /// everything but the shard threads and the rebuild worker needs.
-    array: Arc<DeclusteredArray>,
+/// State shared between request-serving threads and the rebuild thread.
+struct Inner {
+    /// The array is reachable lock-free (all client I/O entry points
+    /// take `&self`); `quiesce` below provides the exclusion everything
+    /// but the shard threads and the rebuild worker needs.
+    array: DeclusteredArray,
     /// Quiesce gate: the rebuild worker holds the read side across each
     /// batch; [`Engine::quiesced`] holds the write side — after parking
     /// any runtime shards, which deliberately never touch this lock.
     quiesce: RwLock<()>,
     stripe_locks: [Mutex<()>; STRIPE_LOCKS],
-}
-
-/// State shared between request-serving threads and the rebuild thread.
-struct Inner {
-    /// The array pool, fixed at construction. All arrays share one unit
-    /// size; disks index globally across the pool in array order.
-    pool: Vec<ArrayShard>,
-    /// Volume table and free-space accounting over the pool.
+    /// Volume table and free-space accounting over the array.
     volumes: VolumeManager,
     /// Tenant limits and token buckets, shared with the runtime's
     /// admission check (and charged directly by the rebuild worker).
     tenants: Arc<TenantRegistry>,
-    /// Unit size shared by every array in the pool.
-    unit_bytes: usize,
-    /// Per-array disk counts, for global-disk-index translation without
-    /// taking an array lock.
-    disk_counts: Vec<u64>,
     obs: Mutex<Option<SyncSharedSink>>,
     /// Fast-path flag mirroring `obs.is_some()`: the per-request check
     /// is one `Relaxed` load instead of a shared mutex acquisition, so
@@ -379,16 +369,16 @@ impl Inner {
         }
     }
 
-    /// Translate a global disk index into `(array, local disk)`.
-    fn locate_disk(&self, global: u64) -> Option<(usize, usize)> {
-        let mut base = 0u64;
-        for (ai, &n) in self.disk_counts.iter().enumerate() {
-            if global < base + n {
-                return Some((ai, (global - base) as usize));
-            }
-            base += n;
-        }
-        None
+    fn unit_bytes(&self) -> usize {
+        self.array.unit_bytes()
+    }
+
+    /// The disk a wire disk index names: `None` for an index that does
+    /// not fit `usize` or is past the array's last disk.
+    fn disk(&self, index: u64) -> Option<usize> {
+        usize::try_from(index)
+            .ok()
+            .filter(|&d| d < self.array.layout().disks())
     }
 }
 
@@ -416,10 +406,9 @@ fn lock_set(stripes: impl IntoIterator<Item = u64>) -> Vec<usize> {
 /// through the shared registry as [`REBUILD_TENANT`] before touching
 /// the array, so an operator cap on rebuild bytes/s (or ops/s) slows
 /// reconstruction exactly like any rate-limited client.
-fn rebuild_worker(inner: Arc<Inner>, array_idx: usize, mut ticket: RebuildTicket) {
-    let shard = &inner.pool[array_idx];
+fn rebuild_worker(inner: Arc<Inner>, mut ticket: RebuildTicket) {
     let batch = inner.rebuild_batch.max(1);
-    let batch_bytes = batch.saturating_mul(inner.unit_bytes as u64);
+    let batch_bytes = batch.saturating_mul(inner.unit_bytes() as u64);
     let mut prev = ticket.repaired();
     let final_state = loop {
         if inner.rebuild.stop.load(Ordering::Acquire) {
@@ -432,7 +421,7 @@ fn rebuild_worker(inner: Arc<Inner>, array_idx: usize, mut ticket: RebuildTicket
         }
         let started = Instant::now();
         let outcome = {
-            let _q = rdlock(&shard.quiesce);
+            let _q = rdlock(&inner.quiesce);
             // Hold only the stripe locks this batch's stripes hash to:
             // a client op collides for at most one batch, everything
             // else proceeds untouched.
@@ -440,9 +429,9 @@ fn rebuild_worker(inner: Arc<Inner>, array_idx: usize, mut ticket: RebuildTicket
             let take = usize::try_from(batch).unwrap_or(usize::MAX);
             let _guards: Vec<_> = lock_set(stripes.take(take))
                 .into_iter()
-                .map(|i| lock(&shard.stripe_locks[i]))
+                .map(|i| lock(&inner.stripe_locks[i]))
                 .collect();
-            shard.array.rebuild_step(&mut ticket, batch)
+            inner.array.rebuild_step(&mut ticket, batch)
         };
         inner
             .rebuild
@@ -474,7 +463,7 @@ fn rebuild_worker(inner: Arc<Inner>, array_idx: usize, mut ticket: RebuildTicket
     inner.rebuild.state.store(final_state, Ordering::Release);
 }
 
-/// Shared request executor; one per served pool, shared by all serving
+/// Shared request executor; one per served array, shared by all serving
 /// threads via `Arc`.
 pub struct Engine {
     inner: Arc<Inner>,
@@ -497,29 +486,9 @@ impl Engine {
         Self::with_config(array, RebuildConfig::default())
     }
 
-    /// Wrap an array with explicit rebuild knobs.
+    /// Wrap an array with explicit rebuild knobs. Volume 0 is created
+    /// spanning the whole array.
     pub fn with_config(array: DeclusteredArray, rebuild: RebuildConfig) -> Self {
-        Self::with_pool(vec![array], rebuild)
-    }
-
-    /// Wrap a pool of arrays. Every array gets its own stripe-lock
-    /// table; volume 0 is created spanning all of array 0.
-    ///
-    /// # Panics
-    ///
-    /// If the pool is empty or the arrays disagree on unit size.
-    pub fn with_pool(arrays: Vec<DeclusteredArray>, rebuild: RebuildConfig) -> Self {
-        assert!(!arrays.is_empty(), "empty array pool");
-        let unit_bytes = arrays[0].unit_bytes();
-        assert!(
-            arrays.iter().all(|a| a.unit_bytes() == unit_bytes),
-            "pool arrays must share one unit size"
-        );
-        let capacities: Vec<u64> = arrays
-            .iter()
-            .map(DeclusteredArray::capacity_units)
-            .collect();
-        let disk_counts: Vec<u64> = arrays.iter().map(|a| a.layout().disks() as u64).collect();
         let tenants = Arc::new(TenantRegistry::new());
         // Volume 0's tenant and the rebuild tenant exist for the life of
         // the engine, both unlimited until an operator retunes them.
@@ -532,26 +501,16 @@ impl Engine {
         // its intents for a later `recover` after repair; replay errors
         // likewise leave the intents outstanding rather than aborting
         // construction.
-        for array in &arrays {
-            if !array.outstanding_intents().is_empty() && array.mode() == ArrayMode::FaultFree {
-                let _ = array.recover();
-            }
+        if !array.outstanding_intents().is_empty() && array.mode() == ArrayMode::FaultFree {
+            let _ = array.recover();
         }
-        let pool = arrays
-            .into_iter()
-            .map(|array| ArrayShard {
-                array: Arc::new(array),
-                quiesce: RwLock::new(()),
-                stripe_locks: std::array::from_fn(|_| Mutex::new(())),
-            })
-            .collect();
         Self {
             inner: Arc::new(Inner {
-                pool,
-                volumes: VolumeManager::new(&capacities),
+                volumes: VolumeManager::new(array.capacity_units()),
+                array,
+                quiesce: RwLock::new(()),
+                stripe_locks: std::array::from_fn(|_| Mutex::new(())),
                 tenants,
-                unit_bytes,
-                disk_counts,
                 obs: Mutex::new(None),
                 obs_attached: AtomicBool::new(false),
                 telemetry: Arc::new(Telemetry::new(TELEMETRY_SHARDS)),
@@ -581,10 +540,9 @@ impl Engine {
         &self.inner.telemetry
     }
 
-    /// Bytes per stripe unit — the I/O granularity of every array in
-    /// the pool (constructors enforce a uniform unit size).
+    /// Bytes per stripe unit — the array's I/O granularity.
     pub fn unit_bytes(&self) -> usize {
-        self.inner.unit_bytes
+        self.inner.unit_bytes()
     }
 
     /// The volume table and free-space accounting.
@@ -623,7 +581,7 @@ impl Engine {
         let bytes = match req.op {
             Op::Write => req.payload.len() as u64,
             Op::Read | Op::Trim => u64::from(req.length)
-                .saturating_mul(self.inner.unit_bytes as u64)
+                .saturating_mul(self.inner.unit_bytes() as u64)
                 .min(u64::from(MAX_PAYLOAD)),
             _ => 0,
         };
@@ -647,15 +605,13 @@ impl Engine {
             .store(rate.max(0.0).to_bits(), Ordering::Release);
     }
 
-    /// Arm the crash hook on every array in the pool: after
-    /// `after_writes` more physical unit writes, the next write fails
-    /// with `InjectedCrash` and leaves journal intents outstanding —
-    /// the chaos harness's torn-batch entry point. Sets each array's
-    /// hook quiesced (runtime parked, quiesce write lock held).
+    /// Arm the array's crash hook: after `after_writes` more physical
+    /// unit writes, the next write fails with `InjectedCrash` and
+    /// leaves journal intents outstanding — the chaos harness's
+    /// torn-batch entry point. Sets the hook quiesced (runtime parked,
+    /// quiesce write lock held).
     pub fn arm_crash(&self, after_writes: u64) {
-        for shard in &self.inner.pool {
-            self.quiesced(shard, || shard.array.arm_crash(after_writes));
-        }
+        self.quiesced(|| self.inner.array.arm_crash(after_writes));
     }
 
     /// Install the thread-per-core runtime's pause hook (see
@@ -675,20 +631,20 @@ impl Engine {
     /// the lifetime of the returned guard. Holding the pauser lock
     /// across the park also serializes concurrent lifecycle ops'
     /// barriers, which is harmless: they serialize on the quiesce write
-    /// locks anyway.
+    /// lock anyway.
     fn pause_runtime(&self) -> Option<Box<dyn std::any::Any + Send>> {
         lock(&self.inner.pauser).as_ref().map(|p| p())
     }
 
-    /// Run `f` as `shard`'s only writer: with every runtime shard thread
-    /// parked and the array's quiesce write lock held, so no shard-exec
+    /// Run `f` as the array's only writer: with every runtime shard
+    /// thread parked and the quiesce write lock held, so no shard-exec
     /// op and no rebuild batch is mid-stripe. The one exclusion rule for
     /// every caller that is neither a shard thread nor the rebuild
     /// worker; a shard thread must never get here (it would wait for
     /// its own park).
-    fn quiesced<R>(&self, shard: &ArrayShard, f: impl FnOnce() -> R) -> R {
+    fn quiesced<R>(&self, f: impl FnOnce() -> R) -> R {
         let _pause = self.pause_runtime();
-        let _q = wrlock(&shard.quiesce);
+        let _q = wrlock(&self.inner.quiesce);
         f()
     }
 
@@ -699,79 +655,37 @@ impl Engine {
     }
 
     /// Geometry and failure state as seen by one volume: its own
-    /// capacity, the pool's disks and health.
+    /// capacity, the array's disks and health.
     ///
     /// # Errors
     ///
     /// [`VolumeError::NotFound`] for a dead id.
     pub fn volume_info_for(&self, volume: u8) -> Result<VolumeInfo, VolumeError> {
         let meta = self.inner.volumes.meta(volume)?;
-        let (mode, failed) = self.pool_health();
+        let a = &self.inner.array;
         Ok(VolumeInfo {
-            unit_bytes: self.inner.unit_bytes as u32,
+            unit_bytes: self.inner.unit_bytes() as u32,
             capacity_units: meta.capacity_units,
-            disks: self.inner.disk_counts.iter().sum::<u64>() as u32,
-            mode,
-            failed,
+            disks: a.layout().disks() as u32,
+            mode: mode_code(a.mode()),
+            failed: failed_disks(a),
         })
     }
 
-    /// Pool-wide health: the worst per-array mode (degraded beats
-    /// post-reconstruction beats fault-free) and failed disks as global
-    /// indices.
-    fn pool_health(&self) -> (u8, Vec<u32>) {
-        let mut degraded = false;
-        let mut post = false;
-        let mut failed = Vec::new();
-        let mut base = 0u64;
-        for (ai, shard) in self.inner.pool.iter().enumerate() {
-            let a = &shard.array;
-            match a.mode() {
-                ArrayMode::Degraded => degraded = true,
-                ArrayMode::PostReconstruction => post = true,
-                ArrayMode::FaultFree => {}
-            }
-            failed.extend(a.failed_disks().iter().map(|&d| (base + d as u64) as u32));
-            base += self.inner.disk_counts[ai];
-        }
-        let mode = if degraded {
-            1
-        } else if post {
-            2
-        } else {
-            0
-        };
-        (mode, failed)
-    }
-
-    /// Pool-level geometry: per-array capacity, free space, and health
-    /// (failed disks here are *array-local* indices, per the wire doc).
+    /// Array geometry, free space and health: the one row of
+    /// `POOL_INFO`.
     pub fn pool_info(&self) -> PoolInfo {
-        let free = self.inner.volumes.free_units();
-        let arrays = self
-            .inner
-            .pool
-            .iter()
-            .zip(free)
-            .map(|(shard, free_units)| {
-                let a = &shard.array;
-                PoolArrayInfo {
-                    disks: a.layout().disks() as u32,
-                    capacity_units: a.capacity_units(),
-                    free_units,
-                    mode: match a.mode() {
-                        ArrayMode::FaultFree => 0,
-                        ArrayMode::Degraded => 1,
-                        ArrayMode::PostReconstruction => 2,
-                    },
-                    failed: a.failed_disks().iter().map(|&d| d as u32).collect(),
-                }
-            })
-            .collect();
+        let a = &self.inner.array;
         PoolInfo {
-            unit_bytes: self.inner.unit_bytes as u32,
+            unit_bytes: self.inner.unit_bytes() as u32,
             volumes: self.inner.volumes.volume_count() as u16,
-            arrays,
+            arrays: vec![PoolArrayInfo {
+                disks: a.layout().disks() as u32,
+                capacity_units: a.capacity_units(),
+                free_units: self.inner.volumes.free_units(),
+                mode: mode_code(a.mode()),
+                failed: failed_disks(a),
+            }],
         }
     }
 
@@ -828,50 +742,29 @@ impl Engine {
         self.inner.emit(event);
     }
 
-    /// Run a full parity scrub on every array, each quiesced (no client
-    /// op or rebuild batch is mid-stripe while it runs). Returns the
-    /// suspect stripes of all arrays concatenated in pool order (stripe
-    /// ids are array-local).
+    /// Run a full parity scrub, quiesced (no client op or rebuild batch
+    /// is mid-stripe while it runs). Returns the suspect stripes.
     pub fn scrub(&self) -> Result<Vec<u64>, ArrayError> {
-        let mut out = Vec::new();
-        for shard in &self.inner.pool {
-            out.extend(self.quiesced(shard, || shard.array.scrub())?);
-        }
-        Ok(out)
+        self.quiesced(|| self.inner.array.scrub())
     }
 
-    /// Replay outstanding write-intent journal entries on every array,
-    /// each quiesced; returns the total stripes repaired.
+    /// Replay outstanding write-intent journal entries, quiesced;
+    /// returns the stripes repaired.
     pub fn recover(&self) -> Result<u64, ArrayError> {
-        let mut total = 0;
-        for shard in &self.inner.pool {
-            total += self.quiesced(shard, || shard.array.recover())?;
-        }
-        Ok(total)
+        self.quiesced(|| self.inner.array.recover())
     }
 
-    /// Install a blank replacement in failed global `disk`'s slot and
-    /// restore its contents to completion, quiesced. Returns units
-    /// restored.
+    /// Install a blank replacement in failed `disk`'s slot and restore
+    /// its contents to completion, quiesced. Returns units restored.
     pub fn replace_disk(&self, disk: usize) -> Result<u64, ArrayError> {
-        let (ai, local) = self
-            .inner
-            .locate_disk(disk as u64)
-            .ok_or(ArrayError::WrongDiskState)?;
-        let shard = &self.inner.pool[ai];
-        self.quiesced(shard, || shard.array.replace_and_rebuild(local))
+        self.quiesced(|| self.inner.array.replace_and_rebuild(disk))
     }
 
     /// Stripes with outstanding write intents (torn by an injected
-    /// fault mid-update; candidates for [`Engine::recover`]),
-    /// concatenated across the pool.
+    /// fault mid-update; candidates for [`Engine::recover`]).
     pub fn outstanding_intents(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for shard in &self.inner.pool {
-            let _q = rdlock(&shard.quiesce);
-            out.extend(shard.array.outstanding_intents());
-        }
-        out
+        let _q = rdlock(&self.inner.quiesce);
+        self.inner.array.outstanding_intents()
     }
 
     /// Record one completed request into the telemetry plane: per-op
@@ -991,33 +884,27 @@ impl Engine {
     /// `ranges`: none (and no allocation) while stripe ownership alone
     /// orders the stripes, the covering locks while a rebuild is
     /// running.
-    fn rebuild_guards<'a>(
+    fn rebuild_guards(
         &self,
-        shard: &'a ArrayShard,
         ranges: impl IntoIterator<Item = (u64, u64)>,
-    ) -> Vec<MutexGuard<'a, ()>> {
+    ) -> Vec<MutexGuard<'_, ()>> {
         if !self.rebuild_locking() {
             return Vec::new();
         }
-        let layout = shard.array.layout();
+        let layout = self.inner.array.layout();
         let stripes = ranges.into_iter().flat_map(|(phys, units)| {
             (phys..phys.saturating_add(units)).map(|unit| layout.locate(unit).0)
         });
         lock_set(stripes)
             .into_iter()
-            .map(|i| lock(&shard.stripe_locks[i]))
+            .map(|i| lock(&self.inner.stripe_locks[i]))
             .collect()
     }
 
-    /// Arrays in the pool (shard-exec `array` indices are `0..this`).
-    pub fn array_count(&self) -> usize {
-        self.inner.pool.len()
-    }
-
-    /// Stripe index of physical unit `phys` on `array` — the routing
-    /// key the runtime hashes to a shard. Pure layout arithmetic.
-    pub fn stripe_of(&self, array: usize, phys: u64) -> u64 {
-        self.inner.pool[array].array.layout().locate(phys).0
+    /// Stripe index of physical unit `phys` — the routing key the
+    /// runtime hashes to a shard. Pure layout arithmetic.
+    pub fn stripe_of(&self, phys: u64) -> u64 {
+        self.inner.array.layout().locate(phys).0
     }
 
     /// Validate a data op (READ, WRITE or TRIM) and resolve it through
@@ -1028,7 +915,7 @@ impl Engine {
     ///
     /// The wire status the caller should answer with.
     pub fn prepare(&self, req: &Request) -> Result<(Resolved, usize), Status> {
-        let bytes = u64::from(req.length) * self.inner.unit_bytes as u64;
+        let bytes = u64::from(req.length) * self.inner.unit_bytes() as u64;
         // A WRITE carries exactly its units, READ and TRIM carry
         // nothing — and a READ's response must fit in one frame: refuse
         // up front rather than reading the data and failing to encode it
@@ -1051,93 +938,53 @@ impl Engine {
             .map_err(status_of_volume)
     }
 
-    /// [`Engine::prepare`] for a READ (the name the lock-free READ
-    /// proof in `tests/lockfree_read.rs` calls).
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::prepare`].
-    pub fn prepare_read(&self, req: &Request) -> Result<(Resolved, usize), Status> {
-        self.prepare(req)
-    }
-
-    /// [`Engine::prepare`] for a WRITE, which has no response payload.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::prepare`].
-    pub fn prepare_write(&self, req: &Request) -> Result<Resolved, Status> {
-        self.prepare(req).map(|(resolved, _)| resolved)
-    }
-
-    /// Read `out.len()` bytes of resolved physical units on `array`
-    /// starting at `phys`, under the shard-exec exclusion contract.
-    /// Lock-free and allocation-free while no rebuild is running.
+    /// Read `out.len()` bytes of resolved physical units starting at
+    /// `phys`, under the shard-exec exclusion contract. Lock-free and
+    /// allocation-free while no rebuild is running.
     ///
     /// # Errors
     ///
     /// [`ArrayError`] from the device layer.
-    pub fn shard_read(&self, array: usize, phys: u64, out: &mut [u8]) -> Result<(), ArrayError> {
-        let shard = &self.inner.pool[array];
-        let units = (out.len() / self.inner.unit_bytes) as u64;
-        let _guards = self.rebuild_guards(shard, [(phys, units)]);
-        shard.array.read_into(phys, out)
+    pub fn shard_read(&self, phys: u64, out: &mut [u8]) -> Result<(), ArrayError> {
+        let units = (out.len() / self.inner.unit_bytes()) as u64;
+        let _guards = self.rebuild_guards([(phys, units)]);
+        self.inner.array.read_into(phys, out)
     }
 
-    /// [`Engine::shard_write_batch_into`] with a fresh [`WriteScratch`],
-    /// returning the results as an owned `Vec`.
-    pub fn shard_write_batch(
-        &self,
-        array: usize,
-        ops: &[(u64, &[u8])],
-    ) -> Vec<Result<(), ArrayError>> {
-        self.shard_write_batch_into(array, ops, &mut WriteScratch::default())
-            .to_vec()
-    }
-
-    /// Write a batch of physical unit runs on `array` through the
-    /// array's batched journal path (one intent append, coalesced
+    /// Write a batch of physical unit runs through the array's batched
+    /// journal path (one intent append, coalesced
     /// parity), under the shard-exec exclusion contract, with the
     /// caller's (a shard's) scratch. Returns one result per op, like
     /// [`DeclusteredArray::write_batch_into`]: allocation-free once
     /// `scratch` is warm, while no rebuild is running.
     pub fn shard_write_batch_into<'s>(
         &self,
-        array: usize,
         ops: &[(u64, &[u8])],
         scratch: &'s mut WriteScratch,
     ) -> &'s [Result<(), ArrayError>] {
-        let shard = &self.inner.pool[array];
-        let unit = self.inner.unit_bytes as u64;
+        let unit = self.inner.unit_bytes() as u64;
         let ranges = ops
             .iter()
             .map(|&(phys, data)| (phys, data.len() as u64 / unit));
-        let _guards = self.rebuild_guards(shard, ranges);
-        shard.array.write_batch_into(ops, scratch)
+        let _guards = self.rebuild_guards(ranges);
+        self.inner.array.write_batch_into(ops, scratch)
     }
 
-    /// Zero-fill `units` physical units on `array` starting at `phys`
-    /// in chunks of `zeros` (whose length fixes the chunk size), under
-    /// the shard-exec exclusion contract — the owner-side half of TRIM.
+    /// Zero-fill `units` physical units starting at `phys` in chunks of
+    /// `zeros` (whose length fixes the chunk size), under the
+    /// shard-exec exclusion contract — the owner-side half of TRIM.
     ///
     /// # Errors
     ///
     /// [`ArrayError`] from the device layer; partial progress stands.
-    pub fn shard_trim(
-        &self,
-        array: usize,
-        phys: u64,
-        units: u64,
-        zeros: &[u8],
-    ) -> Result<(), ArrayError> {
-        let shard = &self.inner.pool[array];
-        let _guards = self.rebuild_guards(shard, [(phys, units)]);
-        let unit = self.inner.unit_bytes;
+    pub fn shard_trim(&self, phys: u64, units: u64, zeros: &[u8]) -> Result<(), ArrayError> {
+        let _guards = self.rebuild_guards([(phys, units)]);
+        let unit = self.inner.unit_bytes();
         let chunk_units = (zeros.len() / unit).max(1) as u64;
         let mut done = 0u64;
         while done < units {
             let n = chunk_units.min(units - done);
-            shard
+            self.inner
                 .array
                 .write(phys + done, &zeros[..n as usize * unit])?;
             done += n;
@@ -1190,14 +1037,14 @@ impl Engine {
         );
     }
 
-    /// Serve a READ, WRITE or TRIM on the in-process path, one resolved
-    /// segment at a time, each [quiesced](Engine::quiesced) and run
-    /// through the runtime's own `shard_*` body, a READ's data landing
-    /// straight in the frame's payload region. TRIM is a zero-fill
-    /// write: parity stays consistent and later reads of the range
-    /// return zeros, the strongest discard semantic the array can
-    /// offer. Returns what the op resolved to, for the caller to
-    /// account; `None` when it never resolved.
+    /// Serve a READ, WRITE or TRIM on the in-process path, the whole op
+    /// [quiesced](Engine::quiesced): each resolved segment runs through
+    /// the runtime's own `shard_*` body, a READ's data landing straight
+    /// in the frame's payload region. TRIM is a zero-fill write: parity
+    /// stays consistent and later reads of the range return zeros, the
+    /// strongest discard semantic the array can offer. Returns what the
+    /// op resolved to, for the caller to account; `None` when it never
+    /// resolved.
     fn do_data_frame_into(&self, req: &Request, frame: &mut Vec<u8>) -> Option<Resolved> {
         let (resolved, bytes) = match self.prepare(req) {
             Ok(v) => v,
@@ -1213,30 +1060,32 @@ impl Engine {
         // Zero-fill in bounded chunks: a volume-sized trim must not
         // allocate a volume-sized buffer.
         const TRIM_CHUNK_UNITS: u64 = 1024;
-        let unit = self.inner.unit_bytes;
+        let unit = self.inner.unit_bytes();
         let zeros = match req.op {
             Op::Trim => vec![0u8; TRIM_CHUNK_UNITS.min(u64::from(req.length)) as usize * unit],
             _ => Vec::new(),
         };
-        let mut at = 0usize;
-        for seg in &resolved.segments {
-            let (array, phys) = (seg.array as usize, seg.phys);
-            let len = seg.units as usize * unit;
-            let done = self.quiesced(&self.inner.pool[array], || match req.op {
-                Op::Read => {
-                    self.shard_read(array, phys, &mut frame[RESPONSE_HEADER_LEN + at..][..len])
+        let done = self.quiesced(|| {
+            let mut scratch = WriteScratch::default();
+            let mut at = 0usize;
+            for seg in &resolved.segments {
+                let (phys, len) = (seg.phys, seg.units as usize * unit);
+                match req.op {
+                    Op::Read => {
+                        self.shard_read(phys, &mut frame[RESPONSE_HEADER_LEN + at..][..len])?;
+                    }
+                    Op::Write => {
+                        let ops = [(phys, &req.payload[at..at + len])];
+                        self.shard_write_batch_into(&ops, &mut scratch)[0].clone()?;
+                    }
+                    _ => self.shard_trim(phys, seg.units, &zeros)?,
                 }
-                Op::Write => self
-                    .shard_write_batch(array, &[(phys, &req.payload[at..at + len])])
-                    .pop()
-                    .expect("one op in, one result out"),
-                _ => self.shard_trim(array, phys, seg.units, &zeros),
-            });
-            if let Err(e) = done {
-                wire::demote_frame(frame, status_of(&e));
-                break;
+                at += len;
             }
-            at += len;
+            Ok(())
+        });
+        if let Err(e) = done {
+            wire::demote_frame(frame, status_of(&e));
         }
         Some(resolved)
     }
@@ -1274,7 +1123,7 @@ impl Engine {
     }
 
     /// INFO is volume-scoped: the flags byte picks the volume, the
-    /// reply reports that volume's capacity against pool-wide health.
+    /// reply reports that volume's capacity against the array's health.
     fn do_info(&self, req: &Request) -> (Status, Vec<u8>) {
         if !req.payload.is_empty() || req.length != 0 {
             return (Status::BadRequest, Vec::new());
@@ -1306,7 +1155,7 @@ impl Engine {
     }
 
     /// VOLUME_DELETE: the flags byte picks the victim; its capacity
-    /// returns to the pool and its tenant reference is released.
+    /// returns to the array and its tenant reference is released.
     fn do_volume_delete(&self, req: &Request) -> (Status, Vec<u8>) {
         if !req.payload.is_empty() || req.length != 0 {
             return (Status::BadRequest, Vec::new());
@@ -1355,23 +1204,13 @@ impl Engine {
     /// serve.
     pub fn stats_snapshot(&self) -> TelemetrySnapshot {
         let mut snap = self.inner.telemetry.snapshot();
-        {
-            let mut unit_reads = 0u64;
-            let mut unit_writes = 0u64;
-            let mut degraded = 0u64;
-            for shard in &self.inner.pool {
-                let a = &shard.array;
-                let (r, w) = a.io_counts();
-                unit_reads += r;
-                unit_writes += w;
-                degraded += a.degraded_reads();
-            }
-            snap.counters.push(("array.unit_reads".into(), unit_reads));
-            snap.counters
-                .push(("array.unit_writes".into(), unit_writes));
-            snap.counters
-                .push(("array.degraded_reads".into(), degraded));
-        }
+        let a = &self.inner.array;
+        let (unit_reads, unit_writes) = a.io_counts();
+        snap.counters.push(("array.unit_reads".into(), unit_reads));
+        snap.counters
+            .push(("array.unit_writes".into(), unit_writes));
+        snap.counters
+            .push(("array.degraded_reads".into(), a.degraded_reads()));
         // Per-volume labelled rows: the Prometheus renderer passes the
         // `{…}` block through verbatim, so each volume/tenant pair is
         // its own series under one metric family.
@@ -1425,16 +1264,14 @@ impl Engine {
         if !req.payload.is_empty() || req.length != 0 {
             return (Status::BadRequest, Vec::new());
         }
-        // A global disk index that maps to no array is the same client
-        // error as failing a nonexistent disk on a single array.
-        let Some((ai, local)) = self.inner.locate_disk(req.offset) else {
+        let Some(disk) = self.inner.disk(req.offset) else {
             return (Status::WrongDiskState, Vec::new());
         };
         // `fail_disk` is interior-mutable, so a failure can land while
         // client I/O is in flight — exactly the timing a chaos nemesis
         // wants to exercise. No quiesce: in-flight ops observe the flip
         // mid-op and degrade, same as a real disk dying under load.
-        match self.inner.pool[ai].array.fail_disk(local) {
+        match self.inner.array.fail_disk(disk) {
             Ok(()) => (Status::Ok, Vec::new()),
             Err(e) => (status_of(&e), Vec::new()),
         }
@@ -1464,12 +1301,12 @@ impl Engine {
         if let Some(done) = slot.take() {
             let _ = done.join();
         }
-        let Some((array_idx, disk)) = inner.locate_disk(req.offset) else {
+        let Some(disk) = inner.disk(req.offset) else {
             return (Status::WrongDiskState, Vec::new());
         };
         let ticket = {
-            let _q = rdlock(&inner.pool[array_idx].quiesce);
-            match inner.pool[array_idx].array.begin_rebuild(disk) {
+            let _q = rdlock(&inner.quiesce);
+            match inner.array.begin_rebuild(disk) {
                 Ok(t) => t,
                 Err(e) => return (status_of(&e), Vec::new()),
             }
@@ -1506,7 +1343,7 @@ impl Engine {
         let worker_inner = Arc::clone(inner);
         let spawned = std::thread::Builder::new()
             .name("pddl-rebuild".into())
-            .spawn(move || rebuild_worker(worker_inner, array_idx, ticket));
+            .spawn(move || rebuild_worker(worker_inner, ticket));
         match spawned {
             Ok(handle) => {
                 *slot = Some(handle);
@@ -1780,11 +1617,17 @@ mod tests {
             e.execute(0, &req(Op::Read, u64::MAX - 5, 1, vec![])).status,
             Status::BadAddress
         );
-        // Failing a nonexistent disk.
-        assert_eq!(
-            e.execute(0, &req(Op::FailDisk, 999, 0, vec![])).status,
-            Status::WrongDiskState
-        );
+        // Failing, rebuilding or replacing a nonexistent disk.
+        for op in [Op::FailDisk, Op::Rebuild] {
+            for disk in [999, u64::MAX] {
+                assert_eq!(
+                    e.execute(0, &req(op, disk, 0, vec![])).status,
+                    Status::WrongDiskState,
+                    "{op:?} of disk {disk}"
+                );
+            }
+        }
+        assert_eq!(e.replace_disk(999), Err(ArrayError::WrongDiskState));
         // Rebuilding a healthy disk fails synchronously, not Accepted.
         assert_eq!(
             e.execute(0, &req(Op::Rebuild, 2, 0, vec![])).status,
@@ -1945,7 +1788,7 @@ mod tests {
         );
     }
 
-    /// Carve a volume out of the default pool: shrink volume 0 to free
+    /// Carve a volume out of the default volume: shrink volume 0 to free
     /// space, create, and verify routing + isolation + lifecycle ops.
     #[test]
     fn volume_lifecycle_routes_and_isolates() {
@@ -2121,81 +1964,10 @@ mod tests {
             .any(|(n, v)| n == "volumes.count" && *v == 1.0));
     }
 
-    /// A two-array pool: volumes land on either array, global disk
-    /// indices map across arrays, and rebuild targets the right shard.
-    #[test]
-    fn multi_array_pool_routes_and_rebuilds_globally() {
-        let mk = || {
-            let layout = Pddl::new(7, 3).unwrap();
-            DeclusteredArray::new(Box::new(layout), 16, 4).unwrap()
-        };
-        let e = Engine::with_pool(
-            vec![mk(), mk()],
-            RebuildConfig {
-                batch: 8,
-                rate: 0.0,
-            },
-        );
-        let cap0 = e.volumes().array_capacity(0);
-        // Volume 0 owns array 0; a volume sized past array 0's free
-        // space must be carved from array 1.
-        let r = e.execute(
-            0,
-            &vreq(
-                0,
-                Op::VolumeCreate,
-                0,
-                0,
-                wire::encode_volume_spec(&VolumeSpec::new("second", cap0 / 2)),
-            ),
-        );
-        assert_eq!(r.status, Status::Ok);
-        let ub = e.unit_bytes();
-        assert_eq!(
-            e.execute(0, &vreq(1, Op::Write, 0, 2, vec![0x77; 2 * ub]))
-                .status,
-            Status::Ok
-        );
-        let r = e.execute(0, &vreq(1, Op::Read, 0, 2, vec![]));
-        assert_eq!(r.status, Status::Ok);
-        assert!(r.payload.iter().all(|&b| b == 0x77));
-
-        // Pool info sees both arrays.
-        let info = e.pool_info();
-        assert_eq!(info.arrays.len(), 2);
-        assert_eq!(info.volumes, 2);
-
-        // Fail a disk in the second array via its global index, then
-        // rebuild it — the worker must target array 1.
-        let disks0 = info.arrays[0].disks as u64;
-        assert_eq!(
-            e.execute(0, &req(Op::FailDisk, disks0 + 2, 0, vec![]))
-                .status,
-            Status::Ok
-        );
-        let r = e.execute(0, &vreq(1, Op::Read, 0, 2, vec![]));
-        assert_eq!(r.status, Status::Ok, "degraded read through volume 1");
-        assert_eq!(
-            e.execute(0, &req(Op::Rebuild, disks0 + 2, 0, vec![]))
-                .status,
-            Status::Accepted
-        );
-        let s = wait_rebuild(&e);
-        assert_eq!(s.state, RebuildState::Done);
-        let r = e.execute(0, &vreq(1, Op::Read, 0, 2, vec![]));
-        assert_eq!(r.status, Status::Ok);
-        assert!(r.payload.iter().all(|&b| b == 0x77));
-        // A global index past the pool is WrongDiskState, not a panic.
-        assert_eq!(
-            e.execute(0, &req(Op::FailDisk, 999, 0, vec![])).status,
-            Status::WrongDiskState
-        );
-    }
-
     #[test]
     fn shard_set_is_sorted_and_deduplicated() {
         let e = engine();
-        let a = &e.inner.pool[0].array;
+        let a = &e.inner.array;
         a.fail_disk(2).unwrap();
         let ticket = a.begin_rebuild(2).unwrap();
         let batch = RebuildConfig::default().batch as usize;

@@ -1,15 +1,15 @@
-//! `pddl-server`: a zero-dependency TCP block service exporting a pool
-//! of [`pddl_array::DeclusteredArray`]s — carved into logical volumes
-//! with per-tenant QoS — over a compact NBD-flavoured wire protocol.
+//! `pddl-server`: a zero-dependency TCP block service exporting one
+//! [`pddl_array::DeclusteredArray`] — carved into logical volumes with
+//! per-tenant QoS — over a compact NBD-flavoured wire protocol.
 //!
 //! The crate's modules, bottom-up:
 //!
 //! | module     | role |
 //! |------------|------|
-//! | [`wire`]   | frame codec: request/response encode + decode, volume + pool payloads |
+//! | [`wire`]   | frame codec: request/response encode + decode, volume and array-geometry payloads |
 //! | [`ring`]   | bounded SPSC ring, the inter-shard mailbox of the sharded runtime |
 //! | [`reactor`] | readiness reactor: zero-dep epoll (raw syscalls, edge-triggered) on Linux x86_64/aarch64, a std-only sleep-poll stand-in elsewhere |
-//! | [`engine`] | volume resolution + request execution: lock-free shard-exec entry points for the runtime, in-process `execute*` that run the same bodies with the runtime parked (tests, tools, benchmarks) |
+//! | [`engine`] | the array and its volume table: volume resolution + request execution, lock-free shard-exec entry points for the runtime, in-process `execute*` that run the same bodies with the runtime parked (tests, tools, benchmarks) |
 //! | [`runtime`] | thread-per-core shard runtime: per-core event loops, stripe-owner routing, fan-out/join, per-tick write batching |
 //! | [`server`] | the serve entry: bind, start the runtime, hand back a [`ServerHandle`] |
 //! | [`metrics_http`] | `/metrics` Prometheus exposition over minimal HTTP/1.0 |

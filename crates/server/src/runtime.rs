@@ -17,8 +17,8 @@
 //!   are warm no allocation and no copy but array to frame); a TRIM
 //!   chunk zero-fills; a WRITE chunk, local or a peer's, joins the
 //!   owner's *tick batch*, and the end of the tick submits the whole
-//!   batch as one [`Engine::shard_write_batch_into`] per array (one intent
-//!   append) — the only route from a served WRITE to the array;
+//!   batch as one [`Engine::shard_write_batch_into`] (one intent append)
+//!   — the only route from a served WRITE to the array;
 //! * each chunk's result is folded into its job, directly or back over
 //!   the ring, and the last one finalizes it: volume counters, the
 //!   access span, the gauges and delivery happen once, in one tail.
@@ -162,12 +162,10 @@ const MAX_PARK: Duration = Duration::from_millis(100);
 /// socket.
 pub(crate) const MAX_PIPELINE: u32 = 32;
 
-/// The shard that owns `stripe` of `array`: contiguous
-/// [`STRIPE_GROUP`]-stripe runs rotate round-robin, offset by the
-/// array index so a multi-array pool doesn't pile group 0 of every
-/// array onto shard 0.
-pub fn owner_of(array: usize, stripe: u64, shards: usize) -> usize {
-    ((stripe / STRIPE_GROUP) as usize).wrapping_add(array) % shards.max(1)
+/// The shard that owns `stripe`: contiguous [`STRIPE_GROUP`]-stripe
+/// runs rotate round-robin.
+pub fn owner_of(stripe: u64, shards: usize) -> usize {
+    (stripe / STRIPE_GROUP) as usize % shards.max(1)
 }
 
 /// Whether an `accept` failure is a descriptor/memory-exhaustion
@@ -195,17 +193,14 @@ enum WriteData {
 /// One owner-chunk of a data op, executed on the owning shard.
 enum SubKind {
     Read {
-        array: usize,
         phys: u64,
         bytes: usize,
     },
     Write {
-        array: usize,
         phys: u64,
         data: WriteData,
     },
     Trim {
-        array: usize,
         phys: u64,
         units: u64,
     },
@@ -852,7 +847,6 @@ struct TickWrite {
     origin: usize,
     client: u32,
     job: u64,
-    array: usize,
     phys: u64,
     data: WriteData,
 }
@@ -904,7 +898,6 @@ impl Job {
 #[derive(Clone, Copy)]
 struct Chunk {
     owner: usize,
-    array: usize,
     phys: u64,
     units: u64,
     /// Byte offset within the op's logical payload.
@@ -935,12 +928,10 @@ struct Shard {
     /// The tick batch: empty at the end of every tick.
     wbatch: Vec<TickWrite>,
     /// `flush_write_batch`'s buffers, kept across ticks so a warm batch
-    /// allocates nothing: one array's `(phys, bytes)` ops (always empty
-    /// between batches; only the allocation is kept), their `wbatch`
-    /// indices, each chunk's status, and the array's write scratch.
+    /// allocates nothing: the batch's `(phys, bytes)` ops (always empty
+    /// between batches; only the allocation is kept) and the array's
+    /// write scratch.
     wops: Vec<(u64, &'static [u8])>,
-    widx: Vec<usize>,
-    wstatus: Vec<Result<(), Status>>,
     wscratch: WriteScratch,
     /// Set while `flush_write_batch` answers its chunks: `complete`
     /// then queues a response in its outbuf and the connection's slot
@@ -1003,8 +994,6 @@ impl Shard {
             gen_seq: 0,
             wbatch: Vec::new(),
             wops: Vec::new(),
-            widx: Vec::new(),
-            wstatus: Vec::new(),
             wscratch: WriteScratch::default(),
             defer_acks: false,
             acked: Vec::new(),
@@ -1203,7 +1192,7 @@ impl Shard {
             self.flush_write_batch();
         }
         let result = match kind {
-            SubKind::Read { array, phys, bytes } => {
+            SubKind::Read { phys, bytes } => {
                 // A local chunk lands in its slice of the job's
                 // response frame; a peer's in a buffer that rides the
                 // ring home.
@@ -1215,24 +1204,23 @@ impl Shard {
                         &mut buf[..]
                     }
                 };
-                self.engine.shard_read(array, phys, out).map(|()| buf)
+                self.engine.shard_read(phys, out).map(|()| buf)
             }
-            SubKind::Write { array, phys, data } => {
+            SubKind::Write { phys, data } => {
                 // Answered by `flush_write_batch`, with the rest of the
                 // tick's WRITE chunks.
                 self.wbatch.push(TickWrite {
                     origin,
                     client,
                     job,
-                    array,
                     phys,
                     data,
                 });
                 return;
             }
-            SubKind::Trim { array, phys, units } => self
+            SubKind::Trim { phys, units } => self
                 .engine
-                .shard_trim(array, phys, units, &self.zeros)
+                .shard_trim(phys, units, &self.zeros)
                 .map(|()| Vec::new()),
             SubKind::Barrier => {
                 // A barrier is answered only after every WRITE chunk
@@ -1555,19 +1543,13 @@ impl Shard {
         self.chunks.clear();
         let mut seg_base = 0usize;
         for seg in resolved.segments.iter() {
-            let array = seg.array as usize;
             let mut start = 0u64;
-            let mut owner = owner_of(array, self.engine.stripe_of(array, seg.phys), self.nshards);
+            let mut owner = owner_of(self.engine.stripe_of(seg.phys), self.nshards);
             for u in 1..seg.units {
-                let o = owner_of(
-                    array,
-                    self.engine.stripe_of(array, seg.phys + u),
-                    self.nshards,
-                );
+                let o = owner_of(self.engine.stripe_of(seg.phys + u), self.nshards);
                 if o != owner {
                     self.chunks.push(Chunk {
                         owner,
-                        array,
                         phys: seg.phys + start,
                         units: u - start,
                         byte_off: seg_base + start as usize * unit,
@@ -1578,7 +1560,6 @@ impl Shard {
             }
             self.chunks.push(Chunk {
                 owner,
-                array,
                 phys: seg.phys + start,
                 units: seg.units - start,
                 byte_off: seg_base + start as usize * unit,
@@ -1667,15 +1648,10 @@ impl Shard {
         job.remaining = chunks.len();
         for c in &chunks {
             let local = c.owner == self.id;
-            let (array, phys, len) = (c.array, c.phys, c.units as usize * unit);
+            let (phys, len) = (c.phys, c.units as usize * unit);
             let kind = match job.req.op {
-                Op::Read => SubKind::Read {
-                    array,
-                    phys,
-                    bytes: len,
-                },
+                Op::Read => SubKind::Read { phys, bytes: len },
                 Op::Write => SubKind::Write {
-                    array,
                     phys,
                     data: if local {
                         WriteData::InJob {
@@ -1687,7 +1663,6 @@ impl Shard {
                     },
                 },
                 _ => SubKind::Trim {
-                    array,
                     phys,
                     units: c.units,
                 },
@@ -1765,56 +1740,39 @@ impl Shard {
 
     /// Submit the tick batch — every WRITE chunk this shard took in
     /// since the last flush, decoded here or delivered by a ring — as
-    /// one `shard_write_batch` per array, then answer each chunk's
-    /// origin. The only route from a served WRITE to the array.
+    /// one `shard_write_batch_into`, then answer each chunk's origin.
+    /// The only route from a served WRITE to the array.
     fn flush_write_batch(&mut self) {
         if self.wbatch.is_empty() {
             return;
         }
         let mut wbatch = std::mem::take(&mut self.wbatch);
-        self.wstatus.clear();
-        self.wstatus.resize(wbatch.len(), Ok(()));
+        // (phys, bytes) pairs across the batch, in arrival order.
         let mut ops = reuse_allocation(std::mem::take(&mut self.wops));
-        for array in 0..self.engine.array_count() {
-            // (phys, bytes) pairs across the batch, in arrival order.
-            ops.clear();
-            self.widx.clear();
-            for (i, w) in wbatch.iter().enumerate() {
-                if w.array != array {
-                    continue;
+        for w in &wbatch {
+            let data = match &w.data {
+                WriteData::Copied(bytes) => &bytes[..],
+                WriteData::InJob { at, len } => {
+                    let job = self.jobs.get(&w.job);
+                    let job = job.expect("a job with a chunk pending stays in `jobs`");
+                    &job.req.payload[*at..*at + *len]
                 }
-                let data = match &w.data {
-                    WriteData::Copied(bytes) => &bytes[..],
-                    WriteData::InJob { at, len } => {
-                        let job = self.jobs.get(&w.job);
-                        let job = job.expect("a job with a chunk pending stays in `jobs`");
-                        &job.req.payload[*at..*at + *len]
-                    }
-                };
-                ops.push((w.phys, data));
-                self.widx.push(i);
-            }
-            if ops.is_empty() {
-                continue;
-            }
-            let results = self
-                .engine
-                .shard_write_batch_into(array, &ops, &mut self.wscratch);
-            for (&i, res) in self.widx.iter().zip(results) {
-                if let Err(e) = res {
-                    self.wstatus[i] = Err(status_of(e));
-                }
-            }
+            };
+            ops.push((w.phys, data));
         }
+        // The results borrow the scratch while `join_done`/`send` need
+        // `self`: lend it out for the batch (a move, no allocation).
+        let mut scratch = std::mem::take(&mut self.wscratch);
+        let results = self.engine.shard_write_batch_into(&ops, &mut scratch);
         self.wops = reuse_allocation(ops);
         // Rule 3: the acks this batch completes are queued, then each
         // touched connection is sent once.
         self.defer_acks = true;
-        for (i, w) in wbatch.drain(..).enumerate() {
+        for (w, res) in wbatch.drain(..).zip(results) {
             let done = Done {
                 job: w.job,
                 frame_off: 0,
-                payload: self.wstatus[i].map(|()| Vec::new()),
+                payload: res.as_ref().map(|()| Vec::new()).map_err(status_of),
             };
             if w.origin == self.id {
                 self.join_done(done);
@@ -1823,6 +1781,7 @@ impl Shard {
             }
         }
         self.defer_acks = false;
+        self.wscratch = scratch;
         // Answering runs no chunk, so nothing joined the batch meanwhile.
         debug_assert!(self.wbatch.is_empty(), "a chunk joined a flushing batch");
         self.wbatch = wbatch;
@@ -1990,17 +1949,15 @@ mod tests {
     fn owner_partitions_stripe_groups_stably() {
         // Within one group the owner never changes...
         for s in 0..STRIPE_GROUP {
-            assert_eq!(owner_of(0, s, 4), owner_of(0, 0, 4));
+            assert_eq!(owner_of(s, 4), owner_of(0, 4));
         }
         // ...across groups it rotates round-robin...
         for g in 0..16u64 {
-            assert_eq!(owner_of(0, g * STRIPE_GROUP, 4), (g % 4) as usize);
+            assert_eq!(owner_of(g * STRIPE_GROUP, 4), (g % 4) as usize);
         }
-        // ...the array index offsets the rotation, and a single shard
-        // owns everything.
-        assert_ne!(owner_of(0, 0, 4), owner_of(1, 0, 4));
+        // ...and a single shard owns everything.
         for s in 0..200 {
-            assert_eq!(owner_of(0, s, 1), 0);
+            assert_eq!(owner_of(s, 1), 0);
         }
     }
 

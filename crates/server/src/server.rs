@@ -284,9 +284,9 @@ mod tests {
         .unwrap();
         let engine = handle.engine();
         let cap = engine.volume_info().capacity_units;
-        // Volume 0 maps a unit to the same physical unit of array 0.
+        // Volume 0 maps a unit to the same physical unit of the array.
         let units: Vec<u64> = (0..cap)
-            .filter(|&u| runtime::owner_of(0, engine.stripe_of(0, u), shards) == owner)
+            .filter(|&u| runtime::owner_of(engine.stripe_of(u), shards) == owner)
             .collect();
         assert!(units.len() >= CONNS, "shard {owner} owns too few units");
         let mut socks: Vec<TcpStream> = (0..CONNS * shards)
@@ -360,7 +360,7 @@ mod tests {
     /// shard 0 write units shard 1 owns, so every WRITE chunk reaches
     /// its owner over the ring, and those that arrive in one tick must
     /// still commit together. Submitting a peer's chunk on arrival, one
-    /// `shard_write_batch` each, fails this.
+    /// `shard_write_batch_into` each, fails this.
     #[test]
     fn tick_batch_coalesces_writes_routed_from_a_peer_shard() {
         assert_tick_batch_coalesces(2, 1);

@@ -92,7 +92,7 @@ pub enum Op {
     /// payload; responds with the assigned volume id (one byte).
     VolumeCreate,
     /// Management: delete the volume named by the flags byte, returning
-    /// its capacity to the pool.
+    /// its capacity to the array.
     VolumeDelete,
     /// Management: resize the volume named by the flags byte to
     /// `offset` capacity units.
@@ -100,7 +100,7 @@ pub enum Op {
     /// Management: list the volume table; responds with an
     /// [`encode_volume_list`] payload.
     VolumeList,
-    /// Query pool-level geometry (arrays, free space, failure state);
+    /// Query the array's geometry, free space and failure state;
     /// responds with a [`PoolInfo`] payload. INFO stays volume-scoped.
     PoolInfo,
 }
@@ -194,7 +194,7 @@ pub enum Status {
     MediaError,
     /// The addressed volume does not exist.
     VolumeNotFound,
-    /// The pool cannot satisfy the requested capacity (create/resize),
+    /// The array cannot satisfy the requested capacity (create/resize),
     /// or the volume id space is exhausted.
     NoCapacity,
 }
@@ -261,7 +261,7 @@ impl fmt::Display for Status {
             Status::Accepted => "accepted",
             Status::MediaError => "media error",
             Status::VolumeNotFound => "volume not found",
-            Status::NoCapacity => "insufficient pool capacity",
+            Status::NoCapacity => "insufficient array capacity",
         };
         write!(f, "{s}")
     }
@@ -959,10 +959,10 @@ pub fn decode_volume_list(buf: &[u8]) -> Option<Vec<pddl_volume::VolumeMeta>> {
     Some(rows)
 }
 
-/// One array's slice of a [`PoolInfo`] report.
+/// The array's row of a [`PoolInfo`] report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolArrayInfo {
-    /// Disks in this array.
+    /// Disks in the array.
     pub disks: u32,
     /// Total capacity in stripe units.
     pub capacity_units: u64,
@@ -970,23 +970,25 @@ pub struct PoolArrayInfo {
     pub free_units: u64,
     /// 0 = fault-free, 1 = degraded, 2 = post-reconstruction.
     pub mode: u8,
-    /// Currently failed disks (array-local indices).
+    /// Currently failed disks.
     pub failed: Vec<u32>,
 }
 
-/// Pool-level geometry and failure state, the POOL_INFO response
-/// payload. INFO answers for one volume; this answers for the pool.
+/// Array geometry and failure state, the POOL_INFO response payload.
+/// INFO answers for one volume; this answers for the array. The server
+/// exports one array, so its payload has exactly one row; the row count
+/// stays on the wire, and a decoder accepts any count.
 ///
-/// Encoding: `unit_bytes u32 · volumes u16 · array_count u8`, then per
-/// array `disks u32 · capacity_units u64 · free_units u64 · mode u8 ·
+/// Encoding: `unit_bytes u32 · volumes u16 · rows u8`, then per row
+/// `disks u32 · capacity_units u64 · free_units u64 · mode u8 ·
 /// failed_count u32 · failed indices (u32 each)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolInfo {
-    /// Bytes per stripe unit (uniform across the pool).
+    /// Bytes per stripe unit.
     pub unit_bytes: u32,
     /// Live volume count.
     pub volumes: u16,
-    /// Per-array geometry, in pool order.
+    /// One row per array: the server sends exactly one.
     pub arrays: Vec<PoolArrayInfo>,
 }
 
@@ -1017,9 +1019,9 @@ impl PoolInfo {
         let mut c = Cursor { buf, pos: 0 };
         let unit_bytes = c.u32()?;
         let volumes = c.u16()?;
-        let array_count = c.u8()? as usize;
-        let mut arrays = Vec::with_capacity(array_count);
-        for _ in 0..array_count {
+        let rows = c.u8()? as usize;
+        let mut arrays = Vec::with_capacity(rows);
+        for _ in 0..rows {
             let disks = c.u32()?;
             let capacity_units = c.u64()?;
             let free_units = c.u64()?;

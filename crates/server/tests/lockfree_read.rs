@@ -3,8 +3,8 @@
 //! system allocator, and [`pddl_server::engine::lock_acquisitions`]
 //! counts every mutex/rwlock acquisition made through the engine's
 //! lock helpers. Driving the exact per-shard execution sequence —
-//! `prepare_read` → `begin_access` → `shard_read` → `end_access` —
-//! over a healthy pool must move neither counter.
+//! `prepare` → `begin_access` → `shard_read` → `end_access` —
+//! over a healthy array must move neither counter.
 //!
 //! This file is its own test binary (one `#[global_allocator]` per
 //! process) and deliberately contains a single test so no concurrent
@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pddl_array::DeclusteredArray;
+use pddl_array::{DeclusteredArray, WriteScratch};
 use pddl_core::Pddl;
 use pddl_server::engine::{lock_acquisitions, Engine};
 use pddl_server::wire::{Op, Request, Status};
@@ -83,14 +83,14 @@ fn read_req(offset: u64, length: u32) -> Request {
 /// the socket: resolve, bracket, copy, close. Asserts the data made it.
 fn serve_one_read(engine: &Engine, offset: u64, out: &mut [u8]) {
     let req = read_req(offset, (out.len() / engine.unit_bytes()) as u32);
-    let (resolved, bytes) = engine.prepare_read(&req).expect("healthy resolve");
+    let (resolved, bytes) = engine.prepare(&req).expect("healthy resolve");
     assert_eq!(bytes, out.len());
     let span = engine.begin_access(7, &req);
     let mut at = 0usize;
     for seg in resolved.segments.iter() {
         let len = seg.units as usize * engine.unit_bytes();
         engine
-            .shard_read(seg.array as usize, seg.phys, &mut out[at..at + len])
+            .shard_read(seg.phys, &mut out[at..at + len])
             .expect("healthy read");
         at += len;
     }
@@ -113,6 +113,7 @@ fn healthy_shard_read_takes_no_locks_and_makes_no_allocations() {
 
     // Seed data so reads return something checkable.
     let unit_pattern: Vec<u8> = (0..UNIT).map(|i| i as u8).collect();
+    let mut scratch = WriteScratch::default();
     for logical in 0..cap {
         let req = Request {
             id: 0,
@@ -122,12 +123,11 @@ fn healthy_shard_read_takes_no_locks_and_makes_no_allocations() {
             length: 1,
             payload: unit_pattern.clone(),
         };
-        let resolved = engine.prepare_write(&req).unwrap();
+        let (resolved, _) = engine.prepare(&req).unwrap();
         for seg in resolved.segments.iter() {
-            engine
-                .shard_write_batch(seg.array as usize, &[(seg.phys, &unit_pattern[..])])
-                .pop()
-                .unwrap()
+            let ops = [(seg.phys, &unit_pattern[..])];
+            engine.shard_write_batch_into(&ops, &mut scratch)[0]
+                .clone()
                 .unwrap();
         }
     }

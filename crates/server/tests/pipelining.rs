@@ -153,8 +153,8 @@ fn assert_pipeline_keeps_program_order(shards: usize, seed: u64) {
     let handle = start(shards);
     let engine = handle.engine();
     let cap = engine.volume_info().capacity_units;
-    // Volume 0 maps a unit to the same physical unit of array 0.
-    let owner = |u: u64| owner_of(0, engine.stripe_of(0, u), shards);
+    // Volume 0 maps a unit to the same physical unit of the array.
+    let owner = |u: u64| owner_of(engine.stripe_of(u), shards);
     let edge = (1..cap).find(|&u| owner(u) != owner(u - 1));
     assert_eq!(
         edge.is_some(),

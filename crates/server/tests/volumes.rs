@@ -13,7 +13,7 @@ use pddl_core::Pddl;
 use pddl_server::{
     engine::{Engine, RebuildConfig},
     server::{serve, ServerConfig, ServerHandle},
-    Client, ClientError, Op, Status, VolumeSpec,
+    Client, ClientError, Op, Request, Status, VolumeSpec,
 };
 
 const UNIT: usize = 16;
@@ -224,4 +224,61 @@ fn rate_limited_tenant_keeps_fair_share_under_saturation_and_rebuild() {
     let hot_done = hot_ops.load(Ordering::Relaxed);
     assert!(hot_done > 0, "hot tenant made no progress at all");
     handle.shutdown();
+}
+
+/// A volume grown into the hole a deleted neighbour left spans two
+/// extents, so an op across the boundary resolves to two segments.
+/// WRITE, READ and TRIM over TCP on a 2-shard runtime, and a READ
+/// through `Engine::execute`, must each place every unit of both
+/// segments at its own offset, and parity must scrub clean.
+#[test]
+fn fragmented_volume_serves_ops_across_extents() {
+    let layout = Pddl::new(7, 3).unwrap();
+    let array = DeclusteredArray::new(Box::new(layout), UNIT, 4).unwrap();
+    let config = ServerConfig {
+        shards: 2,
+        ..ServerConfig::default()
+    };
+    let handle = serve(Arc::new(Engine::new(array)), "127.0.0.1:0", config).unwrap();
+    let engine = Arc::clone(handle.engine());
+    let mut c = Client::connect(handle.local_addr()).unwrap();
+    let cap = c.info().unwrap().capacity_units;
+
+    // `a` takes the first 8 free units and `b` the next 8; deleting
+    // `a` leaves a hole in front of `b`, and growing `b` fills it.
+    c.volume_resize(0, cap - 32).unwrap();
+    let a = c.volume_create(&VolumeSpec::new("a", 8)).unwrap();
+    let b = c.volume_create(&VolumeSpec::new("b", 8)).unwrap();
+    c.volume_delete(a).unwrap();
+    c.volume_resize(b, 16).unwrap();
+    let resolved = engine.volumes().resolve(b, 0, 16).unwrap();
+    assert_eq!(resolved.segments.len(), 2, "{:?}", resolved.segments);
+    drop(resolved);
+
+    // Units 4..12 straddle the boundary at logical unit 8; each unit
+    // carries its own byte so a misplaced unit cannot pass.
+    c.set_volume(b);
+    let data: Vec<u8> = (4..12u8).flat_map(|u| [u; UNIT]).collect();
+    c.write_units(4, &data).unwrap();
+    assert_eq!(c.read_units(4, 8).unwrap(), data);
+    let read = Request {
+        id: 1,
+        op: Op::Read,
+        volume: b,
+        offset: 4,
+        length: 8,
+        payload: Vec::new(),
+    };
+    let r = engine.execute(0, &read);
+    assert_eq!((r.status, r.payload), (Status::Ok, data.clone()));
+
+    // A TRIM of units 6..10 zeroes both sides of the boundary and
+    // nothing else.
+    c.trim(6, 4).unwrap();
+    let mut expect = data;
+    expect[2 * UNIT..6 * UNIT].fill(0);
+    assert_eq!(c.read_units(4, 8).unwrap(), expect);
+
+    handle.shutdown();
+    assert_eq!(engine.scrub().unwrap(), Vec::<u64>::new());
 }

@@ -1,7 +1,7 @@
 //! Proof that the sharded runtime's healthy WRITE path is
 //! allocation-free once warm: a counting global allocator wraps the
 //! system allocator, and the exact per-tick sequence a shard runs for
-//! pipelined WRITEs — `RequestReader::poll` → `prepare_write` →
+//! pipelined WRITEs — `RequestReader::poll` → `prepare` →
 //! `begin_access` → one `shard_write_batch_into` with the shard's
 //! scratch → `end_access` → `RequestReader::recycle` — must not
 //! allocate at all after one warm-up tick.
@@ -102,14 +102,14 @@ fn tick(
         for _ in 0..DEPTH {
             let req = reader.poll(socket).expect("valid frame").expect("a frame");
             t.resolved
-                .push(engine.prepare_write(&req).expect("healthy resolve"));
+                .push(engine.prepare(&req).expect("healthy resolve").0);
             t.spans.push(engine.begin_access(7, &req));
             t.reqs.push(req);
         }
     }
     let ops: [(u64, &[u8]); OPS] =
         std::array::from_fn(|i| (t.resolved[i].segments[0].phys, &t.reqs[i].payload[..]));
-    let results = engine.shard_write_batch_into(0, &ops, &mut t.scratch);
+    let results = engine.shard_write_batch_into(&ops, &mut t.scratch);
     assert!(results.len() == OPS && results.iter().all(Result::is_ok));
     for (i, (span, mut req)) in t.spans.drain(..).zip(t.reqs.drain(..)).enumerate() {
         engine.end_access(span, &req, Status::Ok, 0, 0);
@@ -126,11 +126,11 @@ fn healthy_pipelined_write_ticks_make_no_allocations() {
     let cap = engine.volume_info().capacity_units;
 
     // One unit per stripe (volume 0 maps a unit to the same physical
-    // unit of array 0), OPS of them.
+    // unit of the array), OPS of them.
     let mut stripes = Vec::new();
     let mut units = Vec::new();
     for logical in 0..cap {
-        let stripe = engine.stripe_of(0, logical);
+        let stripe = engine.stripe_of(logical);
         if !stripes.contains(&stripe) {
             stripes.push(stripe);
             units.push(logical);

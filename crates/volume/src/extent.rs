@@ -1,5 +1,5 @@
 //! Extent maps: the translation from a volume's logical unit space to
-//! physical unit runs on the arrays of the pool.
+//! physical unit runs on the array.
 //!
 //! A volume's data lives in a short sorted list of [`Extent`]s covering
 //! `[0, capacity)` of its logical space with no holes. Resolution walks
@@ -7,14 +7,12 @@
 //! physical run, splitting requests that straddle extent boundaries.
 
 /// One contiguous mapping: `units` logical units starting at `logical`
-/// live at physical unit `phys` on array `array`.
+/// live at physical unit `phys` of the array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Extent {
     /// First logical unit of this extent within the volume.
     pub logical: u64,
-    /// Pool array index backing this extent.
-    pub array: u32,
-    /// First physical unit on that array.
+    /// First physical unit on the array.
     pub phys: u64,
     /// Run length in units.
     pub units: u64,
@@ -23,9 +21,7 @@ pub struct Extent {
 /// One physical piece of a resolved request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
-    /// Pool array index.
-    pub array: u32,
-    /// First physical unit on that array.
+    /// First physical unit on the array.
     pub phys: u64,
     /// Run length in units.
     pub units: u64,
@@ -34,7 +30,7 @@ pub struct Segment {
 /// Segments a [`SegmentList`] holds without touching the heap.
 ///
 /// Resolution emits one segment per extent crossed, and on a fresh
-/// pool nearly every volume is a single extent — so the common READ /
+/// array nearly every volume is a single extent — so the common READ /
 /// WRITE resolves into zero or one boundary split. Two inline slots
 /// cover that without an allocation, which is what keeps the sharded
 /// runtime's healthy READ path allocation-free end to end.
@@ -58,11 +54,7 @@ pub struct SegmentList {
 impl SegmentList {
     /// An empty list (no allocation).
     pub fn new() -> Self {
-        const ZERO: Segment = Segment {
-            array: 0,
-            phys: 0,
-            units: 0,
-        };
+        const ZERO: Segment = Segment { phys: 0, units: 0 };
         Self {
             inline: [ZERO; INLINE_SEGMENTS],
             len: 0,
@@ -160,22 +152,20 @@ impl ExtentMap {
     }
 
     /// Append a physical run at the end of the logical space, merging
-    /// with the previous extent when physically adjacent on the same
-    /// array.
-    pub fn append(&mut self, array: u32, phys: u64, units: u64) {
+    /// with the previous extent when physically adjacent.
+    pub fn append(&mut self, phys: u64, units: u64) {
         if units == 0 {
             return;
         }
         let logical = self.capacity();
         if let Some(last) = self.extents.last_mut() {
-            if last.array == array && last.phys + last.units == phys {
+            if last.phys + last.units == phys {
                 last.units += units;
                 return;
             }
         }
         self.extents.push(Extent {
             logical,
-            array,
             phys,
             units,
         });
@@ -188,7 +178,6 @@ impl ExtentMap {
         while let Some(last) = self.extents.last_mut() {
             if last.logical >= new_capacity {
                 freed.push(Segment {
-                    array: last.array,
                     phys: last.phys,
                     units: last.units,
                 });
@@ -196,7 +185,6 @@ impl ExtentMap {
             } else if last.logical + last.units > new_capacity {
                 let keep = new_capacity - last.logical;
                 freed.push(Segment {
-                    array: last.array,
                     phys: last.phys + keep,
                     units: last.units - keep,
                 });
@@ -234,7 +222,6 @@ impl ExtentMap {
             let within = at - e.logical;
             let take = (e.units - within).min(end - at);
             out.push(Segment {
-                array: e.array,
                 phys: e.phys + within,
                 units: take,
             });
@@ -249,30 +236,27 @@ impl ExtentMap {
 mod tests {
     use super::*;
 
+    fn seg(phys: u64, units: u64) -> Segment {
+        Segment { phys, units }
+    }
+
     fn map() -> ExtentMap {
         let mut m = ExtentMap::new();
-        m.append(0, 100, 10); // logical [0,10) -> array 0 phys [100,110)
-        m.append(1, 0, 5); // logical [10,15) -> array 1 phys [0,5)
-        m.append(0, 200, 5); // logical [15,20) -> array 0 phys [200,205)
+        m.append(100, 10); // logical [0,10) -> phys [100,110)
+        m.append(0, 5); // logical [10,15) -> phys [0,5)
+        m.append(200, 5); // logical [15,20) -> phys [200,205)
         m
     }
 
     #[test]
     fn append_merges_adjacent_runs() {
         let mut m = ExtentMap::new();
-        m.append(0, 100, 4);
-        m.append(0, 104, 4);
-        m.append(0, 300, 2);
+        m.append(100, 4);
+        m.append(104, 4);
+        m.append(300, 2);
         assert_eq!(m.extents().len(), 2);
         assert_eq!(m.capacity(), 10);
-        assert_eq!(
-            m.resolve(0, 8).unwrap(),
-            [Segment {
-                array: 0,
-                phys: 100,
-                units: 8
-            }]
-        );
+        assert_eq!(m.resolve(0, 8).unwrap(), [seg(100, 8)]);
     }
 
     #[test]
@@ -280,23 +264,7 @@ mod tests {
         let m = map();
         assert_eq!(
             m.resolve(8, 9).unwrap(),
-            [
-                Segment {
-                    array: 0,
-                    phys: 108,
-                    units: 2
-                },
-                Segment {
-                    array: 1,
-                    phys: 0,
-                    units: 5
-                },
-                Segment {
-                    array: 0,
-                    phys: 200,
-                    units: 2
-                },
-            ] as [Segment; 3]
+            [seg(108, 2), seg(0, 5), seg(200, 2)]
         );
     }
 
@@ -315,29 +283,8 @@ mod tests {
         let mut m = map();
         let freed = m.truncate(12);
         assert_eq!(m.capacity(), 12);
-        assert_eq!(
-            freed,
-            vec![
-                Segment {
-                    array: 0,
-                    phys: 200,
-                    units: 5
-                },
-                Segment {
-                    array: 1,
-                    phys: 2,
-                    units: 3
-                },
-            ]
-        );
-        assert_eq!(
-            m.resolve(10, 2).unwrap(),
-            [Segment {
-                array: 1,
-                phys: 0,
-                units: 2
-            }]
-        );
+        assert_eq!(freed, vec![seg(200, 5), seg(2, 3)]);
+        assert_eq!(m.resolve(10, 2).unwrap(), [seg(0, 2)]);
         assert!(m.truncate(12).is_empty());
     }
 }

@@ -1,14 +1,14 @@
-//! `pddl-volume`: the multi-tenant volume layer over a pool of PDDL
-//! declustered arrays.
+//! `pddl-volume`: the multi-tenant volume layer over one PDDL
+//! declustered array.
 //!
-//! One array ≠ a service. This crate turns a pool of
-//! `DeclusteredArray`s (represented here purely by their capacities —
-//! the crate holds metadata and policy, never device handles) into many
-//! logical **volumes**, each with:
+//! One array ≠ a service. This crate turns a `DeclusteredArray`
+//! (represented here purely by its capacity — the crate holds metadata
+//! and policy, never device handles) into many logical **volumes**,
+//! each with:
 //!
 //! - an **extent map** translating volume-logical unit ranges to
-//!   `(array, physical unit)` segments ([`extent`]),
-//! - **capacity accounting** over a per-array first-fit free list
+//!   physical unit segments ([`extent`]),
+//! - **capacity accounting** over the array's first-fit free list
 //!   ([`manager`]),
 //! - a **tenant identity** feeding per-tenant QoS: token-bucket rate
 //!   limits (ops/s and bytes/s) and deficit-weighted fair queueing
@@ -17,9 +17,10 @@
 //!   starve foreground reads.
 //!
 //! The server engine resolves every READ/WRITE/TRIM through
-//! [`VolumeManager::resolve`] before touching an array, and its worker
-//! pool admits work through a [`QosQueue`] backed by the same
-//! [`TenantRegistry`] the rebuild thread charges per batch.
+//! [`VolumeManager::resolve`] before touching the array. The server's
+//! shard threads admit each decoded request with
+//! [`TenantRegistry::try_admit`], against the same registry the
+//! rebuild thread charges per batch.
 
 pub mod extent;
 pub mod manager;

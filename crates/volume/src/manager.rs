@@ -1,21 +1,21 @@
-//! The volume manager: carves logical volumes out of a pool of arrays.
+//! The volume manager: carves logical volumes out of one array.
 //!
-//! The manager holds pure metadata — per-array free lists, the volume
+//! The manager holds pure metadata — the array's free list, the volume
 //! table, per-volume telemetry counters — and never touches devices.
-//! The server engine owns the actual `DeclusteredArray`s and asks the
+//! The server engine owns the actual `DeclusteredArray` and asks the
 //! manager to translate `(volume, offset, units)` into physical
 //! [`Segment`](crate::Segment)s before doing any I/O.
 //!
 //! Allocation is eager and first-fit: a volume's whole capacity is
-//! mapped at create/resize time (no thin provisioning), walking the
-//! pool's arrays in order and taking free runs front-to-back. On a
-//! fresh pool this yields contiguous, predictable placements — the
-//! chaos harness depends on that determinism to mirror the mapping in
-//! its sequential checker.
+//! mapped at create/resize time (no thin provisioning), taking free
+//! runs front-to-back. On a fresh array this yields contiguous,
+//! predictable placements — the chaos harness depends on that
+//! determinism to mirror the mapping in its sequential checker. Once
+//! volumes have been deleted or shrunk, a new allocation may fill
+//! several holes, and the volume then spans several extents.
 //!
-//! Volume 0 is created automatically, spanning all of array 0, so a
-//! pool built from one array behaves exactly like the pre-volume
-//! single-array server for clients that never mention a volume.
+//! Volume 0 is created automatically, spanning the whole array, so a
+//! client that never mentions a volume addresses the array directly.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +38,7 @@ pub enum VolumeError {
     NotFound,
     /// The I/O range falls outside the volume's capacity.
     OutOfRange,
-    /// The pool cannot satisfy the requested capacity.
+    /// The array lacks the free units the request needs.
     NoCapacity,
     /// All 256 volume ids are in use.
     TooManyVolumes,
@@ -53,7 +53,7 @@ impl std::fmt::Display for VolumeError {
         match self {
             VolumeError::NotFound => write!(f, "volume not found"),
             VolumeError::OutOfRange => write!(f, "range outside volume capacity"),
-            VolumeError::NoCapacity => write!(f, "pool has insufficient free capacity"),
+            VolumeError::NoCapacity => write!(f, "array has insufficient free capacity"),
             VolumeError::TooManyVolumes => write!(f, "volume id space exhausted"),
             VolumeError::BadSpec => write!(f, "malformed volume spec"),
             VolumeError::DefaultVolume => write!(f, "operation not allowed on volume 0"),
@@ -247,7 +247,7 @@ struct Volume {
     gate: Arc<IoGate>,
 }
 
-/// Sorted, coalesced `(start, len)` free runs for one array.
+/// Sorted, coalesced `(start, len)` free runs of the array.
 struct FreeList {
     runs: Vec<(u64, u64)>,
 }
@@ -307,32 +307,24 @@ impl FreeList {
 }
 
 struct Inner {
-    free: Vec<FreeList>,
+    free: FreeList,
     volumes: BTreeMap<u8, Volume>,
 }
 
-/// The pool-wide volume table. Interior-mutable (`RwLock`): resolution
+/// The array's volume table. Interior-mutable (`RwLock`): resolution
 /// takes a read lock, create/delete/resize a write lock.
 pub struct VolumeManager {
-    /// Per-array total capacities, fixed at construction.
-    array_capacity: Vec<u64>,
     inner: RwLock<Inner>,
 }
 
 impl VolumeManager {
-    /// A manager over a pool of arrays given by capacity (units). The
-    /// default volume 0 is created spanning all of array 0; any further
-    /// arrays start fully free.
-    ///
-    /// # Panics
-    ///
-    /// If the pool is empty.
-    pub fn new(pool_capacities: &[u64]) -> Self {
-        assert!(!pool_capacities.is_empty(), "empty array pool");
-        let mut free: Vec<FreeList> = pool_capacities.iter().map(|&c| FreeList::new(c)).collect();
+    /// A manager over an array of `capacity` units. The default volume
+    /// 0 is created spanning all of it.
+    pub fn new(capacity: u64) -> Self {
+        let mut free = FreeList::new(capacity);
         let mut map = ExtentMap::new();
-        for (start, len) in free[0].take(pool_capacities[0]) {
-            map.append(0, start, len);
+        for (start, len) in free.take(capacity) {
+            map.append(start, len);
         }
         let mut volumes = BTreeMap::new();
         volumes.insert(
@@ -341,7 +333,7 @@ impl VolumeManager {
                 meta: VolumeMeta {
                     id: 0,
                     name: "default".to_string(),
-                    capacity_units: pool_capacities[0],
+                    capacity_units: capacity,
                     tenant: 0,
                     weight: 1,
                     ops_per_sec: 0,
@@ -353,7 +345,6 @@ impl VolumeManager {
             },
         );
         Self {
-            array_capacity: pool_capacities.to_vec(),
             inner: RwLock::new(Inner { free, volumes }),
         }
     }
@@ -370,19 +361,9 @@ impl VolumeManager {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Number of arrays in the pool.
-    pub fn arrays(&self) -> usize {
-        self.array_capacity.len()
-    }
-
-    /// Total capacity of array `a` in units.
-    pub fn array_capacity(&self, a: usize) -> u64 {
-        self.array_capacity[a]
-    }
-
-    /// Free units per array, in array order.
-    pub fn free_units(&self) -> Vec<u64> {
-        self.read().free.iter().map(FreeList::free_units).collect()
+    /// Units no volume owns.
+    pub fn free_units(&self) -> u64 {
+        self.read().free.free_units()
     }
 
     /// Live volume count.
@@ -391,7 +372,7 @@ impl VolumeManager {
     }
 
     /// Create a volume per `spec`, allocating its whole capacity
-    /// eagerly (first-fit across arrays in order). Returns the assigned
+    /// eagerly (first-fit). Returns the assigned
     /// id — the lowest free one.
     ///
     /// # Errors
@@ -400,7 +381,7 @@ impl VolumeManager {
     /// or the reserved [`REBUILD_TENANT`] (a client spec must not be
     /// able to re-register the rebuild tenant and replace its limits),
     /// [`VolumeError::TooManyVolumes`] when all 256 ids are live, and
-    /// [`VolumeError::NoCapacity`] when the pool lacks free units.
+    /// [`VolumeError::NoCapacity`] when the array lacks free units.
     pub fn create(&self, spec: &VolumeSpec) -> Result<u8, VolumeError> {
         if spec.capacity_units == 0 || spec.name.len() > MAX_NAME || spec.tenant == REBUILD_TENANT {
             return Err(VolumeError::BadSpec);
@@ -433,30 +414,20 @@ impl VolumeManager {
         Ok(id)
     }
 
-    /// First-fit allocation of `want` units across the pool into a
-    /// fresh extent map. All-or-nothing: on shortfall the free lists
-    /// are left untouched.
-    fn alloc(free: &mut [FreeList], want: u64) -> Result<ExtentMap, VolumeError> {
-        let total: u64 = free.iter().map(FreeList::free_units).sum();
-        if total < want {
+    /// First-fit allocation of `want` units into a fresh extent map.
+    /// All-or-nothing: on shortfall the free list is left untouched.
+    fn alloc(free: &mut FreeList, want: u64) -> Result<ExtentMap, VolumeError> {
+        if free.free_units() < want {
             return Err(VolumeError::NoCapacity);
         }
         let mut map = ExtentMap::new();
-        let mut need = want;
-        for (a, list) in free.iter_mut().enumerate() {
-            if need == 0 {
-                break;
-            }
-            for (start, len) in list.take(need) {
-                map.append(a as u32, start, len);
-                need -= len;
-            }
+        for (start, len) in free.take(want) {
+            map.append(start, len);
         }
-        debug_assert_eq!(need, 0);
         Ok(map)
     }
 
-    /// Delete a volume, returning its capacity to the pool. Returns the
+    /// Delete a volume, returning its capacity to the array. Returns the
     /// deleted row so the caller can release its tenant registration.
     ///
     /// Blocks until I/O already resolved against the volume drains
@@ -482,7 +453,7 @@ impl VolumeManager {
         gate.quiesce();
         let mut inner = self.write();
         for seg in freed {
-            inner.free[seg.array as usize].give(seg.phys, seg.units);
+            inner.free.give(seg.phys, seg.units);
         }
         Ok(meta)
     }
@@ -493,7 +464,7 @@ impl VolumeManager {
     ///
     /// A shrink blocks (without holding the write lock) until I/O
     /// resolved against the pre-shrink mapping drains before the tail
-    /// extents return to the pool: the volume's gate is swapped for a
+    /// extents return to the free list: the volume's gate is swapped for a
     /// fresh one under the write lock, so ops resolved against the
     /// shrunk mapping — which cannot touch the freed tail — proceed
     /// unimpeded while the old generation quiesces.
@@ -515,7 +486,7 @@ impl VolumeManager {
                 if new_capacity > current {
                     let grown = Self::alloc(&mut inner.free, new_capacity - current)?;
                     for e in grown.extents() {
-                        vol.map.append(e.array, e.phys, e.units);
+                        vol.map.append(e.phys, e.units);
                     }
                     vol.meta.capacity_units = new_capacity;
                 }
@@ -529,7 +500,7 @@ impl VolumeManager {
         gate.quiesce();
         let mut inner = self.write();
         for seg in freed {
-            inner.free[seg.array as usize].give(seg.phys, seg.units);
+            inner.free.give(seg.phys, seg.units);
         }
         Ok(())
     }
@@ -603,25 +574,18 @@ mod tests {
 
     #[test]
     fn default_volume_spans_array_zero() {
-        let m = VolumeManager::new(&[100, 50]);
+        let m = VolumeManager::new(100);
         let meta = m.meta(0).unwrap();
         assert_eq!(meta.capacity_units, 100);
-        assert_eq!(m.free_units(), vec![0, 50]);
+        assert_eq!(m.free_units(), 0);
         let r = m.resolve(0, 10, 5).unwrap();
-        assert_eq!(
-            r.segments,
-            [Segment {
-                array: 0,
-                phys: 10,
-                units: 5
-            }]
-        );
+        assert_eq!(r.segments, [Segment { phys: 10, units: 5 }]);
         assert_eq!(r.tenant, 0);
     }
 
     #[test]
     fn create_is_first_fit_and_contiguous_on_a_fresh_pool() {
-        let m = VolumeManager::new(&[100]);
+        let m = VolumeManager::new(100);
         m.resize(0, 40).unwrap(); // free [40,100)
         let a = m.create(&VolumeSpec::new("a", 30)).unwrap();
         let b = m.create(&VolumeSpec::new("b", 20)).unwrap();
@@ -629,7 +593,6 @@ mod tests {
         assert_eq!(
             m.resolve(a, 0, 30).unwrap().segments,
             [Segment {
-                array: 0,
                 phys: 40,
                 units: 30
             }]
@@ -637,47 +600,23 @@ mod tests {
         assert_eq!(
             m.resolve(b, 0, 20).unwrap().segments,
             [Segment {
-                array: 0,
                 phys: 70,
                 units: 20
             }]
         );
-        assert_eq!(m.free_units(), vec![10]);
-    }
-
-    #[test]
-    fn create_spills_across_arrays() {
-        let m = VolumeManager::new(&[10, 10]);
-        m.resize(0, 4).unwrap(); // array0 free [4,10)
-        let v = m.create(&VolumeSpec::new("wide", 12)).unwrap();
-        let segs = m.resolve(v, 0, 12).unwrap().segments;
-        assert_eq!(
-            segs,
-            [
-                Segment {
-                    array: 0,
-                    phys: 4,
-                    units: 6
-                },
-                Segment {
-                    array: 1,
-                    phys: 0,
-                    units: 6
-                },
-            ] as [Segment; 2]
-        );
+        assert_eq!(m.free_units(), 10);
     }
 
     #[test]
     fn delete_returns_space_and_ids_are_reused() {
-        let m = VolumeManager::new(&[100]);
+        let m = VolumeManager::new(100);
         m.resize(0, 10).unwrap();
         let a = m.create(&VolumeSpec::new("a", 40)).unwrap();
         let _b = m.create(&VolumeSpec::new("b", 40)).unwrap();
-        assert_eq!(m.free_units(), vec![10]);
+        assert_eq!(m.free_units(), 10);
         let meta = m.delete(a).unwrap();
         assert_eq!(meta.name, "a");
-        assert_eq!(m.free_units(), vec![50]);
+        assert_eq!(m.free_units(), 50);
         assert!(m.resolve(a, 0, 1).is_err());
         // Freed space coalesces: a 50-unit volume now fits, and the
         // lowest free id (the deleted one) is reused.
@@ -687,21 +626,21 @@ mod tests {
 
     #[test]
     fn resize_grows_and_shrinks_with_accounting() {
-        let m = VolumeManager::new(&[100]);
+        let m = VolumeManager::new(100);
         m.resize(0, 20).unwrap();
         let v = m.create(&VolumeSpec::new("v", 10)).unwrap();
         m.resize(v, 50).unwrap();
         assert_eq!(m.meta(v).unwrap().capacity_units, 50);
         assert!(m.resolve(v, 0, 50).is_ok());
-        assert_eq!(m.free_units(), vec![30]);
+        assert_eq!(m.free_units(), 30);
         m.resize(v, 5).unwrap();
-        assert_eq!(m.free_units(), vec![75]);
+        assert_eq!(m.free_units(), 75);
         assert_eq!(m.resolve(v, 0, 6).unwrap_err(), VolumeError::OutOfRange);
     }
 
     #[test]
     fn error_taxonomy() {
-        let m = VolumeManager::new(&[20]);
+        let m = VolumeManager::new(20);
         assert_eq!(m.delete(0).unwrap_err(), VolumeError::DefaultVolume);
         assert_eq!(m.delete(9).unwrap_err(), VolumeError::NotFound);
         assert_eq!(
@@ -724,7 +663,7 @@ mod tests {
 
     #[test]
     fn rebuild_tenant_is_not_assignable_through_a_spec() {
-        let m = VolumeManager::new(&[100]);
+        let m = VolumeManager::new(100);
         m.resize(0, 10).unwrap();
         let mut spec = VolumeSpec::new("sneaky", 5);
         spec.tenant = REBUILD_TENANT;
@@ -733,29 +672,29 @@ mod tests {
 
     #[test]
     fn delete_waits_for_inflight_io_before_freeing_extents() {
-        let m = Arc::new(VolumeManager::new(&[100]));
+        let m = Arc::new(VolumeManager::new(100));
         m.resize(0, 10).unwrap();
         let v = m.create(&VolumeSpec::new("victim", 40)).unwrap();
         let resolved = m.resolve(v, 0, 40).unwrap();
         let mc = Arc::clone(&m);
         let deleter = std::thread::spawn(move || mc.delete(v).unwrap());
         // The row vanishes promptly (new resolves fail) but the space
-        // must not return to the pool while `resolved` pins it.
+        // must not return to the free list while `resolved` pins it.
         let start = std::time::Instant::now();
         while m.resolve(v, 0, 1).is_ok() {
             assert!(start.elapsed() < std::time::Duration::from_secs(5));
             std::thread::yield_now();
         }
         std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(m.free_units(), vec![50], "freed while I/O in flight");
+        assert_eq!(m.free_units(), 50, "freed while I/O in flight");
         drop(resolved);
         deleter.join().unwrap();
-        assert_eq!(m.free_units(), vec![90]);
+        assert_eq!(m.free_units(), 90);
     }
 
     #[test]
     fn shrink_waits_for_old_generation_but_not_new_io() {
-        let m = Arc::new(VolumeManager::new(&[100]));
+        let m = Arc::new(VolumeManager::new(100));
         m.resize(0, 10).unwrap();
         let v = m.create(&VolumeSpec::new("v", 60)).unwrap();
         let old = m.resolve(v, 0, 60).unwrap();
@@ -772,19 +711,19 @@ mod tests {
         let fresh = m.resolve(v, 0, 20).unwrap();
         drop(fresh);
         std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(m.free_units(), vec![30], "tail freed under old I/O");
+        assert_eq!(m.free_units(), 30, "tail freed under old I/O");
         drop(old);
         shrinker.join().unwrap();
-        assert_eq!(m.free_units(), vec![70]);
+        assert_eq!(m.free_units(), 70);
     }
 
     #[test]
     fn failed_growth_leaves_free_lists_untouched() {
-        let m = VolumeManager::new(&[30, 10]);
+        let m = VolumeManager::new(40);
         m.resize(0, 10).unwrap();
         assert_eq!(m.resize(0, 100).unwrap_err(), VolumeError::NoCapacity);
-        assert_eq!(m.free_units(), vec![20, 10]);
+        assert_eq!(m.free_units(), 30);
         m.resize(0, 40).unwrap(); // exactly fits after the failed try
-        assert_eq!(m.free_units(), vec![0, 0]);
+        assert_eq!(m.free_units(), 0);
     }
 }
