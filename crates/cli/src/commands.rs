@@ -73,7 +73,8 @@ USAGE:
                    from STATS every M ms (N = 0 runs until killed);
                    --volume V narrows the per-volume rows to volume V;
                    on the sharded runtime, adds a per-shard table:
-                   queued frames, cross-shard ring depth, wakeups/s
+                   queued frames, inbox depth (messages its last
+                   drain took), wakeups/s
   pddl trace-dump --addr HOST:PORT [--out FILE]
                    dump the server's flight recorder (recent + slow op
                    spans) as chrome://tracing JSON to FILE or stdout
@@ -928,8 +929,8 @@ pub fn top(cli: &Cli) -> Result<(), String> {
             println!("{name:<44} {rate:>9.1} {total:>10}");
         }
         // Per-shard runtime health (sharded backend only): queued
-        // connection frames, cross-shard ring depth, epoll wakeup
-        // rate, plus accept-loop exhaustion backoffs.
+        // connection frames, messages the last inbox drain took, epoll
+        // wakeup rate, plus accept-loop exhaustion backoffs.
         let mut shard_any = false;
         for (name, queued) in &snap.gauges {
             let Some(label) = name
@@ -941,17 +942,17 @@ pub fn top(cli: &Cli) -> Result<(), String> {
             if !shard_any {
                 println!(
                     "{:<8} {:>9} {:>10} {:>10}",
-                    "shard", "queued", "ring", "wakeups/s"
+                    "shard", "queued", "inbox", "wakeups/s"
                 );
                 shard_any = true;
             }
-            let ring = snap
-                .gauge(&format!("shard.ring_depth{{shard=\"{label}\"}}"))
+            let inbox = snap
+                .gauge(&format!("shard.inbox_depth{{shard=\"{label}\"}}"))
                 .unwrap_or(0.0);
             let wname = format!("shard.wakeups{{shard=\"{label}\"}}");
             let wakeups = snap.counter(&wname).unwrap_or(0);
             let wrate = wakeups.saturating_sub(prev.counter(&wname).unwrap_or(0)) as f64 / dt;
-            println!("{label:<8} {queued:>9.0} {ring:>10.0} {wrate:>10.1}");
+            println!("{label:<8} {queued:>9.0} {inbox:>10.0} {wrate:>10.1}");
         }
         if shard_any {
             let accept_errors = snap.counter("server.accept_errors").unwrap_or(0);

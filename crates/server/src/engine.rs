@@ -588,15 +588,6 @@ impl Engine {
         (tenant, bytes)
     }
 
-    /// The current rebuild knobs (batch fixed at construction, rate
-    /// possibly retuned since).
-    pub fn rebuild_config(&self) -> RebuildConfig {
-        RebuildConfig {
-            batch: self.inner.rebuild_batch,
-            rate: self.inner.rebuild_rate(),
-        }
-    }
-
     /// Retune the rebuild rate limit (stripes/sec; `0.0` unthrottles).
     /// Takes effect from the worker's next batch — no restart needed.
     pub fn set_rebuild_rate(&self, rate: f64) {

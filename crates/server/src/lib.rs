@@ -7,10 +7,9 @@
 //! | module     | role |
 //! |------------|------|
 //! | [`wire`]   | frame codec: request/response encode + decode, volume and array-geometry payloads |
-//! | [`ring`]   | bounded SPSC ring, the inter-shard mailbox of the sharded runtime |
 //! | [`reactor`] | readiness reactor: zero-dep epoll (raw syscalls, edge-triggered) on Linux x86_64/aarch64, a std-only sleep-poll stand-in elsewhere |
 //! | [`engine`] | the array and its volume table: volume resolution + request execution, lock-free shard-exec entry points for the runtime, in-process `execute*` that run the same bodies with the runtime parked (tests, tools, benchmarks) |
-//! | [`runtime`] | thread-per-core shard runtime: per-core event loops, stripe-owner routing, fan-out/join, per-tick write batching |
+//! | [`runtime`] | thread-per-core shard runtime: per-core event loops with one `mpsc` inbox each, stripe-owner routing, fan-out/join, per-tick write batching |
 //! | [`server`] | the serve entry: bind, start the runtime, hand back a [`ServerHandle`] |
 //! | [`metrics_http`] | `/metrics` Prometheus exposition over minimal HTTP/1.0 |
 //!
@@ -49,6 +48,11 @@
 //! keeps flowing throughout (taking the same locks while the rebuild
 //! runs), and `REBUILD_STATUS` reports `repaired / total` progress
 //! without touching the array lock.
+//!
+//! `unsafe` code lives in [`reactor`] only (the raw epoll and eventfd
+//! syscalls); the crate denies `unsafe_code` everywhere else.
+
+#![deny(unsafe_code)]
 
 pub mod client;
 pub mod engine;
@@ -66,8 +70,8 @@ pub mod metrics_http;
     ),
     path = "reactor_portable.rs"
 )]
+#[allow(unsafe_code)]
 pub mod reactor;
-pub mod ring;
 pub mod runtime;
 pub mod server;
 pub mod wire;

@@ -111,7 +111,7 @@ impl EventFd {
 
     /// `Release`, pairing with [`drain`](Self::drain)'s `Acquire`, like
     /// the eventfd write/read it mimics; the work a signal announces is
-    /// published by the rings' own ordering, not by this counter.
+    /// published by the inbox channel's own ordering, not by this counter.
     pub fn signal(&self) {
         self.count.fetch_add(1, Ordering::Release);
     }

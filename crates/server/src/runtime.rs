@@ -9,9 +9,9 @@
 //! owner chunks — maximal runs of units whose stripes one shard owns.
 //! One function executes a chunk, wherever it came from:
 //!
-//! * a chunk this shard owns runs at once, a chunk owned elsewhere
-//!   crosses a bounded SPSC [`ring`](crate::ring) and runs there — the
-//!   same code, reached from the ring drain instead of the decode;
+//! * a chunk this shard owns runs at once, a chunk owned elsewhere is
+//!   sent to its owner's inbox and runs there — the same code, reached
+//!   from the inbox drain instead of the decode;
 //! * a READ chunk fills its slice of the job's response frame (in
 //!   place when local: no queue hop, no stripe lock, and once buffers
 //!   are warm no allocation and no copy but array to frame); a TRIM
@@ -19,19 +19,30 @@
 //!   owner's *tick batch*, and the end of the tick submits the whole
 //!   batch as one [`Engine::shard_write_batch_into`] (one intent append)
 //!   — the only route from a served WRITE to the array;
-//! * each chunk's result is folded into its job, directly or back over
-//!   the ring, and the last one finalizes it: volume counters, the
-//!   access span, the gauges and delivery happen once, in one tail.
+//! * each chunk's result is folded into its job, directly or through
+//!   the origin's inbox, and the last one finalizes it: volume
+//!   counters, the access span, the gauges and delivery happen once,
+//!   in one tail.
 //!
 //! Two kinds of request are not chunks:
 //!
-//! * **Cross-shard barriers** (`FLUSH`) — fan out a barrier message to
-//!   every peer ring and join: rings are FIFO and a peer submits its
-//!   tick batch before it answers, so the joined barrier proves every
-//!   shard has submitted all work enqueued before it.
+//! * **`FLUSH`** — a job with no chunks, answered at once: rule 1
+//!   below parks it until every earlier frame of its connection is
+//!   answered, and a WRITE is answered only once its tick batch is in
+//!   the array.
 //! * **Blocking ops** (volume lifecycle, `REBUILD`, `STATS`, ...) —
 //!   handed to a dedicated control thread so a shard's event loop
-//!   never blocks; the response rides a control→shard ring home.
+//!   never blocks; the response comes home through the shard's inbox.
+//!
+//! # One inbox per shard
+//!
+//! Everything that reaches a shard from another thread arrives on its
+//! one [`mpsc`] channel: a peer's chunk or chunk result, a control
+//! thread answer, and a fresh connection from the acceptor. The
+//! senders live in the shared state, and the shard drains its receiver
+//! once per tick. Whoever sends also signals the shard's eventfd
+//! doorbell; a shard rings each peer it sent to once, at the end of
+//! its tick. One sender's messages arrive in the order sent.
 //!
 //! # The shard-ownership invariant
 //!
@@ -67,9 +78,10 @@
 //!    carries its connection's `client` id, and a READ or TRIM chunk
 //!    submits the owner's tick batch first if the batch holds a WRITE
 //!    chunk of the same connection (other connections' chunks keep
-//!    priority over the batch). Rings are FIFO and `write_batch` is
-//!    last-deposit-wins in arrival order, so one connection's
-//!    overlapping ops take effect in request order on every owner.
+//!    priority over the batch). A shard's messages to one peer arrive
+//!    in order and `write_batch` is last-deposit-wins in arrival order,
+//!    so one connection's overlapping ops take effect in request order
+//!    on every owner.
 //! 3. **WRITE acks are coalesced.** Completions produced while the tick
 //!    batch is answered are appended to their connections' outbufs, and
 //!    each touched connection is sent once, after the batch. Every other
@@ -109,11 +121,13 @@
 //! admission: a frame that exceeds its tenant's token bucket parks with
 //! a deadline ([`TenantRegistry::try_admit`]'s wait hint) instead of
 //! blocking the loop, and the reactor's wait timeout shrinks to the
-//! nearest deadline. Ring-full conditions park messages in a local
-//! outbox and retry next tick — shards never block on each other.
+//! nearest deadline. Inboxes are unbounded, so a send never blocks and
+//! shards never wait on each other. The connections bound what an
+//! inbox can hold: rule 4 caps each connection's in-flight frames and
+//! bytes, and rule 1 allows one control op per connection.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -127,7 +141,6 @@ use crate::engine::{status_of, AccessSpan, Engine};
 use crate::reactor::{
     Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use crate::ring::{ring, Consumer, Producer};
 use crate::server::ServerConfig;
 use crate::wire::{self, Op, Request, Status, WireError, RESPONSE_HEADER_LEN};
 use pddl_array::WriteScratch;
@@ -144,9 +157,6 @@ const DOORBELL: u64 = u64::MAX;
 
 /// Readiness records drained per `epoll_pwait`.
 const EVENTS_CAP: usize = 256;
-
-/// Capacity of each inter-shard / control ring.
-const RING_CAPACITY: usize = 1024;
 
 /// Default reactor tick when nothing is imminent (idle sweeps land
 /// within this granularity).
@@ -183,7 +193,7 @@ pub fn accept_should_backoff(e: &io::Error) -> bool {
 
 /// Where a WRITE chunk's bytes wait until the tick batch submits them.
 enum WriteData {
-    /// A peer's chunk: the bytes crossed the ring as a copy.
+    /// A peer's chunk: the bytes travel in the message as a copy.
     Copied(Vec<u8>),
     /// A local chunk: `len` bytes at `at` of its job's request payload,
     /// borrowed from the job waiting in this shard's `jobs`.
@@ -192,21 +202,9 @@ enum WriteData {
 
 /// One owner-chunk of a data op, executed on the owning shard.
 enum SubKind {
-    Read {
-        phys: u64,
-        bytes: usize,
-    },
-    Write {
-        phys: u64,
-        data: WriteData,
-    },
-    Trim {
-        phys: u64,
-        units: u64,
-    },
-    /// FLUSH fence: answering proves this shard submitted everything
-    /// enqueued on this ring before the barrier.
-    Barrier,
+    Read { phys: u64, bytes: usize },
+    Write { phys: u64, data: WriteData },
+    Trim { phys: u64, units: u64 },
 }
 
 struct Sub {
@@ -226,9 +224,17 @@ struct Done {
     payload: Result<Vec<u8>, Status>,
 }
 
+/// Everything that reaches a shard from another thread, through its
+/// one inbox.
 enum ShardMsg {
+    /// A chunk a peer cut, owned here.
     Sub(Sub),
+    /// A chunk result for a job waiting here.
     Done(Done),
+    /// The control thread's answer to a job waiting here.
+    Ctl(CtlDone),
+    /// A fresh connection dealt by the acceptor.
+    Conn(TcpStream),
 }
 
 /// A blocking op, executed off-loop by the control thread.
@@ -272,8 +278,8 @@ struct Pause {
 struct ShardStats {
     /// Reactor waits that returned at least one event.
     wakeups: AtomicU64,
-    /// Messages queued in this shard's incoming rings at last tick.
-    ring_depth: AtomicU64,
+    /// Messages the shard's last drain took off its inbox.
+    inbox_depth: AtomicU64,
     /// Requests parked awaiting QoS admission at last tick. In-flight
     /// work (cross-shard joins, control-thread ops) is deliberately
     /// excluded so `queue.depth` means waiting-for-admission work
@@ -291,8 +297,8 @@ struct RtShared {
     conn_seq: AtomicU32,
     pause: Pause,
     stats: Vec<ShardStats>,
-    /// Fresh connections dealt by the acceptor, one mailbox per shard.
-    mailboxes: Vec<Mutex<Vec<TcpStream>>>,
+    /// Each shard's inbox, the one way another thread reaches it.
+    inboxes: Vec<mpsc::Sender<ShardMsg>>,
     /// Each shard's doorbell, signalled by anyone who queued it work.
     doorbells: Vec<Arc<EventFd>>,
 }
@@ -300,6 +306,15 @@ struct RtShared {
 impl RtShared {
     fn wake(&self, shard: usize) {
         self.doorbells[shard].signal();
+    }
+
+    /// Send `msg` to `shard`'s inbox and ring its doorbell at once (the
+    /// acceptor and the control thread; a shard rings once per tick).
+    fn deliver(&self, shard: usize, msg: ShardMsg) {
+        // Fails only once the shard has exited, at shutdown.
+        if self.inboxes[shard].send(msg).is_ok() {
+            self.wake(shard);
+        }
     }
 }
 
@@ -371,11 +386,6 @@ impl Runtime {
         self.shared.requests.load(Ordering::Relaxed)
     }
 
-    /// Accept-loop failures that triggered exhaustion backoff.
-    pub fn accept_errors(&self) -> u64 {
-        self.shared.accept_errors.load(Ordering::Relaxed)
-    }
-
     /// Number of shard (event-loop) threads this runtime is running.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -444,6 +454,7 @@ pub fn start(
         n => n,
     };
 
+    let (senders, inboxes): (Vec<_>, Vec<_>) = (0..nshards).map(|_| mpsc::channel()).unzip();
     let shared = Arc::new(RtShared {
         engine: Arc::clone(&engine),
         stop: AtomicBool::new(false),
@@ -461,37 +472,11 @@ pub fn start(
             flag: AtomicBool::new(false),
         },
         stats: (0..nshards).map(|_| ShardStats::default()).collect(),
-        mailboxes: (0..nshards).map(|_| Mutex::new(Vec::new())).collect(),
+        inboxes: senders,
         doorbells: (0..nshards)
             .map(|_| EventFd::new().map(Arc::new))
             .collect::<io::Result<_>>()?,
     });
-
-    // Ring matrix: producers[i][j] carries messages from shard i to
-    // shard j; ctl rings carry control-thread answers to each shard.
-    let mut producers: Vec<Vec<Option<Producer<ShardMsg>>>> = (0..nshards)
-        .map(|_| (0..nshards).map(|_| None).collect())
-        .collect();
-    let mut consumers: Vec<Vec<Option<Consumer<ShardMsg>>>> = (0..nshards)
-        .map(|_| (0..nshards).map(|_| None).collect())
-        .collect();
-    for i in 0..nshards {
-        for j in 0..nshards {
-            if i == j {
-                continue;
-            }
-            let (p, c) = ring(RING_CAPACITY);
-            producers[i][j] = Some(p);
-            consumers[j][i] = Some(c);
-        }
-    }
-    let mut ctl_producers = Vec::with_capacity(nshards);
-    let mut ctl_consumers = Vec::with_capacity(nshards);
-    for _ in 0..nshards {
-        let (p, c) = ring::<CtlDone>(RING_CAPACITY);
-        ctl_producers.push(p);
-        ctl_consumers.push(c);
-    }
 
     let (control_tx, control_rx) = mpsc::channel::<ControlJob>();
 
@@ -508,21 +493,13 @@ pub fn start(
     }
 
     let mut shard_threads: Vec<JoinHandle<()>> = Vec::with_capacity(nshards);
-    for (i, ctl_rx) in ctl_consumers.into_iter().enumerate() {
-        let mut to = Vec::with_capacity(nshards);
-        let mut from = Vec::with_capacity(nshards);
-        for j in 0..nshards {
-            to.push(producers[i][j].take());
-            from.push(consumers[i][j].take());
-        }
+    for (i, inbox) in inboxes.into_iter().enumerate() {
         let spawned = Epoll::new().and_then(|epoll| {
             let shard = Shard::new(
                 i,
                 Arc::clone(&shared),
                 epoll,
-                to,
-                from,
-                ctl_rx,
+                inbox,
                 control_tx.clone(),
                 cfg,
             )?;
@@ -544,7 +521,7 @@ pub fn start(
         let shared2 = Arc::clone(&shared);
         let spawned = std::thread::Builder::new()
             .name("pddl-control".into())
-            .spawn(move || control_loop(&engine, &shared2, &control_rx, &ctl_producers));
+            .spawn(move || control_loop(&engine, &shared2, &control_rx));
         match spawned {
             Ok(h) => h,
             Err(e) => {
@@ -583,7 +560,7 @@ pub fn start(
 }
 
 /// Register the runtime's scrape-time series with the engine's
-/// telemetry plane: per-shard ring/queue-depth gauges and wakeup
+/// telemetry plane: per-shard inbox/queue-depth gauges and wakeup
 /// counters, plus the aggregates. The closures hold a `Weak`: the
 /// engine owns the telemetry plane that owns them, and `RtShared` owns
 /// the engine, so a strong reference would be a cycle.
@@ -592,10 +569,10 @@ fn register_scrape_sources(shared: &Arc<RtShared>) {
     for i in 0..shared.stats.len() {
         let w = Arc::downgrade(shared);
         telemetry.set_gauge_source(
-            &format!("shard.ring_depth{{shard=\"{i}\"}}"),
+            &format!("shard.inbox_depth{{shard=\"{i}\"}}"),
             Box::new(move || {
                 w.upgrade().map_or(0.0, |s| {
-                    s.stats[i].ring_depth.load(Ordering::Relaxed) as f64
+                    s.stats[i].inbox_depth.load(Ordering::Relaxed) as f64
                 })
             }),
         );
@@ -679,8 +656,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<RtShared>) {
                 let _ = stream.set_nodelay(true);
                 let shard = next % nshards;
                 next = next.wrapping_add(1);
-                plock(&shared.mailboxes[shard]).push(stream);
-                shared.wake(shard);
+                shared.deliver(shard, ShardMsg::Conn(stream));
             }
             Err(e) => {
                 if shared.stop.load(Ordering::SeqCst) {
@@ -704,34 +680,15 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<RtShared>) {
 // Control thread
 // ---------------------------------------------------------------------
 
-fn control_loop(
-    engine: &Arc<Engine>,
-    shared: &Arc<RtShared>,
-    rx: &mpsc::Receiver<ControlJob>,
-    to_shards: &[Producer<CtlDone>],
-) {
+fn control_loop(engine: &Arc<Engine>, shared: &RtShared, rx: &mpsc::Receiver<ControlJob>) {
     while let Ok(job) = rx.recv() {
         let mut frame = Vec::new();
         engine.execute_queued_frame_into(job.client, &job.req, &mut frame, job.queue_ns);
-        let mut msg = CtlDone {
+        let done = CtlDone {
             job: job.job,
             frame,
         };
-        loop {
-            match to_shards[job.origin].push(msg) {
-                Ok(()) => {
-                    shared.wake(job.origin);
-                    break;
-                }
-                Err(back) => {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    msg = back;
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-        }
+        shared.deliver(job.origin, ShardMsg::Ctl(done));
     }
 }
 
@@ -841,7 +798,7 @@ struct Parked {
 }
 
 /// A WRITE chunk in the tick batch: taken in this tick from a local job
-/// or a peer's ring, submitted (and answered to `origin`) by
+/// or the inbox, submitted (and answered to `origin`) by
 /// `flush_write_batch`.
 struct TickWrite {
     origin: usize,
@@ -852,7 +809,7 @@ struct TickWrite {
 }
 
 /// A request in flight on the shard that decoded it: a data op's
-/// chunks, a FLUSH barrier, or a control-thread op. `req.op` says
+/// chunks, a FLUSH, or a control-thread op. `req.op` says
 /// which.
 struct Job {
     slot: usize,
@@ -912,13 +869,9 @@ struct Shard {
     tenants: Arc<TenantRegistry>,
     epoll: Epoll,
     bell: Arc<EventFd>,
-    to: Vec<Option<Producer<ShardMsg>>>,
-    from: Vec<Option<Consumer<ShardMsg>>>,
-    ctl_rx: Consumer<CtlDone>,
+    inbox: mpsc::Receiver<ShardMsg>,
     ctl_tx: mpsc::Sender<ControlJob>,
-    /// Ring-full spill, one FIFO per destination shard.
-    outbox: Vec<VecDeque<ShardMsg>>,
-    /// Destinations to ring after this tick's pushes.
+    /// Peers to ring after this tick's sends.
     signal: Vec<bool>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -952,14 +905,11 @@ struct Shard {
 }
 
 impl Shard {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         id: usize,
         shared: Arc<RtShared>,
         epoll: Epoll,
-        to: Vec<Option<Producer<ShardMsg>>>,
-        from: Vec<Option<Consumer<ShardMsg>>>,
-        ctl_rx: Consumer<CtlDone>,
+        inbox: mpsc::Receiver<ShardMsg>,
         ctl_tx: mpsc::Sender<ControlJob>,
         cfg: &ServerConfig,
     ) -> io::Result<Self> {
@@ -971,7 +921,7 @@ impl Shard {
         // huge unit size doesn't pin a huge block per shard.
         let zero_units = (256 * 1024 / unit).clamp(1, 1024);
         let bell = Arc::clone(&shared.doorbells[id]);
-        // Without its doorbell a shard never wakes for ring traffic and
+        // Without its doorbell a shard never wakes for inbox traffic and
         // cross-shard jobs hang silently: fail the start instead.
         epoll.add(bell.raw_fd(), EPOLLIN | EPOLLET, DOORBELL)?;
         Ok(Self {
@@ -981,11 +931,8 @@ impl Shard {
             tenants,
             epoll,
             bell,
-            to,
-            from,
-            ctl_rx,
+            inbox,
             ctl_tx,
-            outbox: (0..nshards).map(|_| VecDeque::new()).collect(),
             signal: vec![false; nshards],
             conns: Vec::new(),
             free: Vec::new(),
@@ -1043,15 +990,13 @@ impl Shard {
             if self.shared.pause.flag.load(Ordering::Acquire) {
                 self.park();
             }
-            self.drain_mailbox();
-            self.drain_rings();
+            self.drain_inbox();
             self.service_conns();
-            // Every WRITE chunk taken in above — from the rings or from
+            // Every WRITE chunk taken in above — from the inbox or from
             // this shard's own connections — commits here, so the tick
             // batch is empty at the end of every tick, hence whenever
             // the shard parks (see `park`).
             self.flush_write_batch();
-            self.flush_outboxes();
             self.ring_doorbells();
             self.sweep();
         }
@@ -1063,13 +1008,10 @@ impl Shard {
 
     // -- tick plumbing -------------------------------------------------
 
-    /// How long the reactor may sleep: zero when decodable input, a due
-    /// parked request or retries are pending, else bounded by the
-    /// nearest parked-request deadline and the idle-sweep granularity.
+    /// How long the reactor may sleep: zero when decodable input or a
+    /// due parked request is pending, else bounded by the nearest
+    /// parked-request deadline and the idle-sweep granularity.
     fn tick_timeout(&self) -> i32 {
-        if self.outbox.iter().any(|q| !q.is_empty()) {
-            return 0;
-        }
         let mut timeout = IDLE_TICK_MS;
         let now = Instant::now();
         for conn in self.conns.iter().flatten() {
@@ -1111,69 +1053,71 @@ impl Shard {
         self.shared.pause.cv.notify_all();
     }
 
-    fn drain_mailbox(&mut self) {
-        let fresh = std::mem::take(&mut *plock(&self.shared.mailboxes[self.id]));
-        for stream in fresh {
-            let slot = self.free.pop().unwrap_or_else(|| {
-                self.conns.push(None);
-                self.conns.len() - 1
-            });
-            self.gen_seq += 1;
-            if self
-                .epoll
-                .add(
-                    stream.as_raw_fd(),
-                    EPOLLIN | EPOLLRDHUP | EPOLLET,
-                    slot as u64,
-                )
-                .is_err()
-            {
-                // Registration failed (fd pressure): shed this
-                // connection, keep the slot free.
-                self.free.push(slot);
-                continue;
+    /// Take everything off the inbox: peers' chunks and results,
+    /// control-thread answers and fresh connections.
+    fn drain_inbox(&mut self) {
+        let mut taken = 0;
+        while let Ok(msg) = self.inbox.try_recv() {
+            taken += 1;
+            match msg {
+                ShardMsg::Sub(sub) => self.execute_chunk(sub, None),
+                ShardMsg::Done(done) => self.join_done(done),
+                ShardMsg::Ctl(done) => self.finish_control(done),
+                ShardMsg::Conn(stream) => self.adopt(stream),
             }
-            self.conns[slot] = Some(Conn {
-                stream,
-                gen: self.gen_seq,
-                client: self.shared.conn_seq.fetch_add(1, Ordering::Relaxed),
-                reader: wire::RequestReader::new(),
-                readable: true,
-                inflight: 0,
-                inflight_bytes: 0,
-                barrier: false,
-                parked: None,
-                outbuf: Vec::new(),
-                out_pos: 0,
-                want_write: false,
-                write_stalled: None,
-                last_activity: Instant::now(),
-                buffered_prev: 0,
-                eof: false,
-                close_after_flush: false,
-                dead: false,
-            });
         }
+        self.shared.stats[self.id]
+            .inbox_depth
+            .store(taken, Ordering::Relaxed);
     }
 
-    fn drain_rings(&mut self) {
-        for peer in 0..self.nshards {
-            while let Some(msg) = self.from[peer].as_ref().and_then(Consumer::pop) {
-                match msg {
-                    ShardMsg::Sub(sub) => self.execute_chunk(sub, None),
-                    ShardMsg::Done(done) => self.join_done(done),
-                }
-            }
+    /// Register a connection the acceptor dealt to this shard.
+    fn adopt(&mut self, stream: TcpStream) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        self.gen_seq += 1;
+        if self
+            .epoll
+            .add(
+                stream.as_raw_fd(),
+                EPOLLIN | EPOLLRDHUP | EPOLLET,
+                slot as u64,
+            )
+            .is_err()
+        {
+            // Registration failed (fd pressure): shed this connection,
+            // keep the slot free.
+            self.free.push(slot);
+            return;
         }
-        while let Some(done) = self.ctl_rx.pop() {
-            self.finish_control(done);
-        }
+        self.conns[slot] = Some(Conn {
+            stream,
+            gen: self.gen_seq,
+            client: self.shared.conn_seq.fetch_add(1, Ordering::Relaxed),
+            reader: wire::RequestReader::new(),
+            readable: true,
+            inflight: 0,
+            inflight_bytes: 0,
+            barrier: false,
+            parked: None,
+            outbuf: Vec::new(),
+            out_pos: 0,
+            want_write: false,
+            write_stalled: None,
+            last_activity: Instant::now(),
+            buffered_prev: 0,
+            eof: false,
+            close_after_flush: false,
+            dead: false,
+        });
     }
 
     /// Execute one owner chunk: the one place a served READ or TRIM
     /// meets the engine's shard-exec API and a served WRITE enters the
     /// tick batch, whether this shard cut `sub` itself (`home` is its
-    /// job, still being dispatched) or a peer's ring delivered it.
+    /// job, still being dispatched) or it came from the inbox.
     fn execute_chunk(&mut self, sub: Sub, mut home: Option<&mut Job>) {
         let Sub {
             origin,
@@ -1194,8 +1138,8 @@ impl Shard {
         let result = match kind {
             SubKind::Read { phys, bytes } => {
                 // A local chunk lands in its slice of the job's
-                // response frame; a peer's in a buffer that rides the
-                // ring home.
+                // response frame; a peer's in a buffer that goes home
+                // in its `Done`.
                 let mut buf = Vec::new();
                 let out = match home.as_deref_mut() {
                     Some(job) => &mut job.frame[frame_off..frame_off + bytes],
@@ -1222,15 +1166,6 @@ impl Shard {
                 .engine
                 .shard_trim(phys, units, &self.zeros)
                 .map(|()| Vec::new()),
-            SubKind::Barrier => {
-                // A barrier is answered only after every WRITE chunk
-                // that arrived before it on its ring has been submitted:
-                // those sit in the tick batch, so submit it first. (Their
-                // `Done`s then precede the barrier's on the way back.)
-                self.flush_write_batch();
-                debug_assert!(self.wbatch.is_empty(), "barrier passed a batched WRITE");
-                Ok(Vec::new())
-            }
         };
         let done = Done {
             job,
@@ -1265,12 +1200,10 @@ impl Shard {
         self.complete(job);
     }
 
-    /// Every chunk (or barrier) has reported: account the op against
-    /// its volume and settle the response frame. A served READ's frame
-    /// already holds its data; everything else answers a bare header —
-    /// for a joined FLUSH that header says every shard has submitted the
-    /// work enqueued before it, and every acknowledged write is already
-    /// in the array.
+    /// Every chunk has reported (a FLUSH has none): account the op
+    /// against its volume and settle the response frame. A served
+    /// READ's frame already holds its data; everything else answers a
+    /// bare header.
     fn finalize_job(&mut self, mut job: Job) {
         let ok = job.status == Status::Ok;
         if let Some(resolved) = &job.resolved {
@@ -1313,8 +1246,8 @@ impl Shard {
             ..
         } = job;
         let pinned = pinned_bytes(&req, self.engine.unit_bytes());
-        // A job whose connection died mid-flight (e.g. teardown during
-        // a cross-shard FLUSH) still ran everything above — the span is
+        // A job whose connection died mid-flight (e.g. teardown while a
+        // chunk is out on a peer) still ran everything above — the span is
         // closed and `server.jobs_inflight` is back down; there is just
         // nobody left to answer, so only delivery is skipped.
         if let Some(conn) = self
@@ -1432,7 +1365,7 @@ impl Shard {
     /// as rule 4's predicate allows, and at most [`MAX_PIPELINE`] of
     /// them per tick: a READ answered in place frees its slot at once,
     /// so a client that keeps refilling would otherwise hold the tick —
-    /// and every other connection, the rings and a pending park — for
+    /// and every other connection, the inbox and a pending park — for
     /// as long as it keeps up.
     fn service_reads(&mut self, slot: usize) {
         let unit = self.engine.unit_bytes();
@@ -1684,27 +1617,13 @@ impl Shard {
         self.join_or_finalize(id, job);
     }
 
+    /// FLUSH is a job with no chunks, answered at once. Rule 1 parked
+    /// it until every earlier frame of its connection was answered, and
+    /// a WRITE is answered only once its tick batch is in the array.
     fn dispatch_flush(&mut self, slot: usize, req: Request, queue_ns: u64) {
-        let client = self.client_of(slot);
-        let span = self.engine.begin_access(client, &req);
-        let (id, mut job) = self.new_job(slot, req, Some(span), queue_ns);
-        for peer in 0..self.nshards {
-            if peer == self.id {
-                continue;
-            }
-            self.send(
-                peer,
-                ShardMsg::Sub(Sub {
-                    origin: self.id,
-                    client,
-                    job: id,
-                    frame_off: 0,
-                    kind: SubKind::Barrier,
-                }),
-            );
-            job.remaining += 1;
-        }
-        self.join_or_finalize(id, job);
+        let span = self.engine.begin_access(self.client_of(slot), &req);
+        let (_, job) = self.new_job(slot, req, Some(span), queue_ns);
+        self.finalize_job(job);
     }
 
     fn dispatch_control(&mut self, slot: usize, req: Request, queue_ns: u64) {
@@ -1739,7 +1658,7 @@ impl Shard {
     // -- the tick batch -----------------------------------------------
 
     /// Submit the tick batch — every WRITE chunk this shard took in
-    /// since the last flush, decoded here or delivered by a ring — as
+    /// since the last flush, decoded here or taken from the inbox — as
     /// one `shard_write_batch_into`, then answer each chunk's origin.
     /// The only route from a served WRITE to the array.
     fn flush_write_batch(&mut self) {
@@ -1795,35 +1714,15 @@ impl Shard {
         self.acked = acked;
     }
 
-    // -- ring plumbing ------------------------------------------------
+    // -- inbox plumbing -----------------------------------------------
 
+    /// Send `msg` to a peer's inbox; its doorbell rings at the end of
+    /// the tick, once however many messages it got.
     fn send(&mut self, dest: usize, msg: ShardMsg) {
-        if !self.outbox[dest].is_empty() {
-            // Preserve FIFO behind already-spilled messages.
-            self.outbox[dest].push_back(msg);
-            return;
-        }
-        match self.to[dest].as_ref() {
-            Some(p) => match p.push(msg) {
-                Ok(()) => self.signal[dest] = true,
-                Err(back) => self.outbox[dest].push_back(back),
-            },
-            None => debug_assert!(false, "self-send on shard {}", self.id),
-        }
-    }
-
-    fn flush_outboxes(&mut self) {
-        for dest in 0..self.nshards {
-            while let Some(msg) = self.outbox[dest].pop_front() {
-                match self.to[dest].as_ref().map(|p| p.push(msg)) {
-                    Some(Ok(())) => self.signal[dest] = true,
-                    Some(Err(back)) => {
-                        self.outbox[dest].push_front(back);
-                        break;
-                    }
-                    None => break,
-                }
-            }
+        debug_assert_ne!(dest, self.id, "self-send on shard {}", self.id);
+        // Fails only once the peer has exited, at shutdown.
+        if self.shared.inboxes[dest].send(msg).is_ok() {
+            self.signal[dest] = true;
         }
     }
 
@@ -1927,15 +1826,7 @@ impl Shard {
                 self.free.push(slot);
             }
         }
-        let ring_depth: u64 = self
-            .from
-            .iter()
-            .flatten()
-            .map(|c| c.len() as u64)
-            .sum::<u64>()
-            + self.ctl_rx.len() as u64;
         let st = &self.shared.stats[self.id];
-        st.ring_depth.store(ring_depth, Ordering::Relaxed);
         st.queued.store(self.parked_count as u64, Ordering::Relaxed);
         st.wakeups.store(self.wakeups, Ordering::Relaxed);
     }

@@ -5,17 +5,20 @@
 //! every platform:
 //!
 //! ```text
-//! accept thread ──deals──▶ shard event loops (1 per shard) ◀──rings──▶ peers
+//! accept thread ──deals──▶ shard inboxes ◀──chunks, results──▶ peers
+//!                               │  one event loop per shard:
 //!                               │  decode → admit → execute on the
 //!                               │  stripe-owning shard → respond
 //!                               └──blocking ops──▶ control thread
+//!                                   (answers come back to the inbox)
 //! ```
 //!
 //! Each shard runs a readiness loop over its connections (epoll on
 //! Linux x86_64/aarch64, a sleep-poll stand-in elsewhere — see
 //! [`crate::reactor`]), owns a fixed partition of the stripes, and
 //! commits the WRITE chunks that reached it in one tick — from its own
-//! connections or from a peer's ring — as a single array batch.
+//! connections or from a peer through its inbox — as a single array
+//! batch.
 //! `ServerConfig::shards` sets the shard count (0 = one per available
 //! core).
 //!
@@ -149,8 +152,8 @@ mod tests {
 
     /// Explicit multi-shard runtime: WRITEs, READs and a TRIM that span
     /// stripe groups send chunks of all three kinds to peer shards and
-    /// join them, FLUSH exercises the barrier, and everything must
-    /// still round-trip exactly.
+    /// join them, FLUSH answers on the decoding shard, and everything
+    /// must still round-trip exactly.
     #[test]
     fn four_shards_serve_cross_shard_requests_and_flush() {
         let layout = Pddl::new(7, 3).unwrap();
@@ -358,7 +361,7 @@ mod tests {
 
     /// ...and it batches whoever cut the chunk: connections homed on
     /// shard 0 write units shard 1 owns, so every WRITE chunk reaches
-    /// its owner over the ring, and those that arrive in one tick must
+    /// its owner's inbox, and those that arrive in one tick must
     /// still commit together. Submitting a peer's chunk on arrival, one
     /// `shard_write_batch_into` each, fails this.
     #[test]
@@ -373,6 +376,17 @@ mod tests {
     /// stripe groups, so with 4 shards every shard owns some and most
     /// READs hop to a peer. Every request is served with the right
     /// bytes and no job is left in flight.
+    ///
+    /// The run sometimes takes about a second longer, and none of it
+    /// is serving: the second goes into the 256 `connect()` calls,
+    /// before any request is sent. std's `TcpListener::bind` listens
+    /// with a backlog of 128 (`ss -ltn` shows Send-Q 128), so the burst
+    /// overflows the accept queue whenever the acceptor thread is not
+    /// scheduled in time, and Linux retransmits a dropped SYN after
+    /// 1 s. A debug-build timing copy of the four-shard half, on a
+    /// 2-core host, stalled in `connect()` for ~1.04 s in 2 of 12 runs;
+    /// serving the 256 READs took under 100 ms in every run. Raising
+    /// the backlog needs a `listen` call of the reactor's own.
     #[test]
     fn connection_fan_in_serves_every_socket_on_one_and_four_shards() {
         const SOCKS: u64 = 256;

@@ -1,10 +1,10 @@
 //! Regression coverage for connection teardown racing in-flight work
 //! on the sharded runtime.
 //!
-//! The bug this guards against: a client that issues a cross-shard op
-//! (FLUSH fans a barrier out to every peer shard), or pipelines a burst
-//! of data ops, and disconnects before they complete must not leak the
-//! join state. The
+//! The bug this guards against: a client that issues an op that waits
+//! on other work (a FLUSH behind a WRITE whose chunk may be out on a
+//! peer shard), or pipelines a burst of data ops, and disconnects
+//! before they complete must not leak the join state. The
 //! completion path always reclaims the job and decrements the
 //! in-flight gauge; only the *delivery* is skipped when the slot's
 //! generation no longer matches.
@@ -58,8 +58,8 @@ fn teardown_during_cross_shard_flush_leaks_no_join_state() {
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_nodelay(true).unwrap();
         // A write, then a FLUSH whose response we never read: the
-        // FLUSH barrier fans out to 3 peer shards while we slam the
-        // connection shut.
+        // FLUSH waits behind the write while we slam the connection
+        // shut.
         let mut frames = Vec::new();
         wire::write_request(
             &mut frames,
@@ -88,7 +88,7 @@ fn teardown_during_cross_shard_flush_leaks_no_join_state() {
         s.write_all(&frames).unwrap();
         s.flush().unwrap();
         // Drop without reading either response — with some luck the
-        // teardown lands while the barrier join is still outstanding.
+        // teardown lands while the FLUSH is still parked.
         drop(s);
 
         // A pipeliner that dies holding 32 data ops in flight: WRITEs

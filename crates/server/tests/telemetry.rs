@@ -165,3 +165,36 @@ fn per_volume_series_appear_labeled_in_metrics() {
     metrics.shutdown();
     handle.shutdown();
 }
+
+/// Every shard exports its own runtime series: a 2-shard server's
+/// `STATS` carries the inbox-depth and queue-depth gauges and the
+/// wakeup counter of shard 0 and of shard 1, and nothing for a shard
+/// it does not run.
+#[test]
+fn per_shard_series_appear_for_every_shard() {
+    let layout = Pddl::new(7, 3).unwrap();
+    let array = DeclusteredArray::new(Box::new(layout), 16, 4).unwrap();
+    let config = ServerConfig {
+        shards: 2,
+        ..ServerConfig::default()
+    };
+    let handle = serve(Arc::new(Engine::new(array)), "127.0.0.1:0", config).unwrap();
+
+    let mut c = Client::connect(handle.local_addr()).unwrap();
+    let snap = c.stats().unwrap();
+    for shard in 0..2 {
+        let label = format!("{{shard=\"{shard}\"}}");
+        let inbox = snap.gauge(&format!("shard.inbox_depth{label}"));
+        assert!(inbox.is_some(), "shard {shard}: no inbox depth");
+        assert_eq!(
+            snap.gauge(&format!("shard.queue_depth{label}")),
+            Some(0.0),
+            "shard {shard}: nothing is QoS-parked"
+        );
+        let wakeups = snap.counter(&format!("shard.wakeups{label}"));
+        assert!(wakeups.is_some(), "shard {shard}: no wakeup counter");
+    }
+    assert_eq!(snap.gauge("shard.inbox_depth{shard=\"2\"}"), None);
+
+    handle.shutdown();
+}
