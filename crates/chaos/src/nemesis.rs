@@ -199,15 +199,13 @@ pub fn run(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<RunResult, String> {
         .map_err(|e| format!("array construction failed: {e}"))?;
     array.attach_fault_hook(faults.clone());
     array.attach_observer(observer.clone());
-    let mut engine = Engine::with_config(
+    let engine = Arc::new(Engine::with_config(
         array,
         RebuildConfig {
             batch: 4,
             rate: 0.0,
         },
-    );
-    engine.attach_observer(observer.clone());
-    let engine = Arc::new(engine);
+    ));
     let handle = serve(
         engine.clone(),
         "127.0.0.1:0",

@@ -90,6 +90,9 @@ OBSERVABILITY (simulate, rebuild, replay, drill, serve):
   --trace FILE     write a Chrome trace-event JSON (open in Perfetto)
   --metrics FILE   write a metrics TSV (input for `pddl report`)
   --sample-us N    per-disk sampling interval in µs (default 1000; 0 off)
+  On serve these record the array's events (journal, rebuild progress,
+  faults, scrubs); per-request spans and latency come from `pddl stats`,
+  `pddl trace-dump` and --metrics-addr.
 
 LAYOUTS: pddl (default), raid5, parity-decl, datum, prime, pseudo-random
 ";
@@ -98,8 +101,8 @@ LAYOUTS: pddl (default), raid5, parity-decl, datum, prime, pseudo-random
 ///
 /// The observer lives behind `Arc<Mutex<_>>` so one instance can feed
 /// both single-threaded hosts (the simulator, via a [`SyncAdapter`]
-/// bridge) and thread-crossing hosts (the functional array, the server
-/// engine) in the same process.
+/// bridge) and the thread-crossing functional array in the same
+/// process.
 struct ObsOutput {
     observer: Arc<Mutex<Observer>>,
     trace_path: Option<String>,
@@ -133,7 +136,7 @@ impl ObsOutput {
         Rc::new(RefCell::new(SyncAdapter(self.sync_sink())))
     }
 
-    /// The observer as the thread-safe handle the array and server hold.
+    /// The observer as the thread-safe handle the functional array holds.
     fn sync_sink(&self) -> SyncSharedSink {
         self.observer.clone()
     }
@@ -634,16 +637,12 @@ fn build_engine(cli: &Cli, obs: Option<&ObsOutput>) -> Result<Engine, String> {
     let mut array =
         DeclusteredArray::new(Box::new(layout), unit, periods).map_err(|e| e.to_string())?;
     if let Some(o) = obs {
-        // The array emits the rebuild lifecycle (progress, halts) and
-        // journal events; the engine adds per-request spans and rebuild
-        // batch timings on top. Both feed the same observer.
+        // The array's events: journal commits, rebuild progress and
+        // halts, faults, scrubs. Per-request spans and latency live in
+        // the engine's telemetry plane (STATS, TRACE_DUMP, /metrics).
         array.attach_observer(o.sync_sink());
     }
-    let mut engine = Engine::with_config(array, rebuild);
-    if let Some(o) = obs {
-        engine.attach_observer(o.sync_sink());
-    }
-    Ok(engine)
+    Ok(Engine::with_config(array, rebuild))
 }
 
 /// `pddl serve` — export the functional array as a TCP block service.

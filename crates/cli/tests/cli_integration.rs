@@ -202,6 +202,68 @@ fn serve_runs_for_a_bounded_duration() {
     assert!(stdout.contains("served 0 requests"), "{stdout}");
 }
 
+/// `serve --metrics F --trace T` records the array's events: WRITEs
+/// sent while the child serves show up as journal commits in `F`,
+/// which `pddl report` reads, and `T` is valid trace JSON.
+#[test]
+fn serve_writes_array_metrics_and_trace() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir();
+    let tag = std::process::id();
+    let trace = dir.join(format!("pddl-cli-serve-{tag}.json"));
+    let metrics = dir.join(format!("pddl-cli-serve-{tag}.tsv"));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pddl"))
+        .args([
+            "serve",
+            "--disks",
+            "7",
+            "--width",
+            "3",
+            "--unit",
+            "64",
+            "--addr",
+            "127.0.0.1:0",
+            "--duration-ms",
+            "1500",
+            "--metrics",
+            metrics.to_str().unwrap(),
+            "--trace",
+            trace.to_str().unwrap(),
+        ])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr = banner
+        .strip_prefix("serving on ")
+        .and_then(|rest| rest.split_once(": "))
+        .map(|(addr, _)| addr)
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+    let mut client = pddl_server::Client::connect(addr).unwrap();
+    for unit in 0..8u64 {
+        client.write_units(unit, &[unit as u8; 64]).unwrap();
+    }
+    drop(client);
+    let status = child.wait().unwrap();
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut stdout, &mut rest).unwrap();
+    assert!(status.success(), "{banner}{rest}");
+
+    let tsv = std::fs::read_to_string(&metrics).unwrap();
+    assert!(tsv.contains("journal.commits"), "{tsv}");
+    pddl_obs::validate_json(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let (ok, report, stderr) = pddl(&["report", metrics.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(report.contains("journal.commits"), "{report}");
+    assert!(report.contains("driver=serve"), "{report}");
+    std::fs::remove_file(&trace).unwrap();
+    std::fs::remove_file(&metrics).unwrap();
+}
+
 /// The telemetry commands against a live server: an in-process
 /// `serve` takes READs and WRITEs from the blocking client, then the
 /// binary's `stats`, `top` and `trace-dump` read them back over TCP.

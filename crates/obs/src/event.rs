@@ -114,13 +114,6 @@ pub enum Event {
         /// Total units to repair.
         total: u64,
     },
-    /// One bounded rebuild batch finished (incremental rebuild).
-    RebuildBatch {
-        /// Stripe units repaired in this batch.
-        stripes: u64,
-        /// Wall-clock duration of the batch, including lock waits.
-        duration_ns: Nanos,
-    },
     /// A rebuild stopped before completion. The partial state is
     /// resumable: a retry skips units that were already repaired.
     RebuildHalted {
@@ -181,7 +174,6 @@ impl Event {
             Event::AccessEnd { .. } => "access_end",
             Event::OpServiced { .. } => "op_serviced",
             Event::RebuildProgress { .. } => "rebuild_progress",
-            Event::RebuildBatch { .. } => "rebuild_batch",
             Event::RebuildHalted { .. } => "rebuild_halted",
             Event::JournalCommit { .. } => "journal_commit",
             Event::JournalBatch { .. } => "journal_batch",

@@ -177,14 +177,6 @@ impl ObsSink for Observer {
                         .set_gauge("rebuild.progress", repaired as f64 / total as f64);
                 }
             }
-            Event::RebuildBatch {
-                stripes,
-                duration_ns,
-            } => {
-                self.registry.add("rebuild.batches", 1);
-                self.registry.add("rebuild.batch_stripes", stripes);
-                self.registry.record("rebuild.batch_ns", duration_ns);
-            }
             Event::RebuildHalted { repaired, total } => {
                 self.registry.add("rebuild.halts", 1);
                 self.registry

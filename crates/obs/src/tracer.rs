@@ -271,12 +271,6 @@ impl EventTracer {
                 Event::RebuildProgress { repaired, total } => {
                     let _ = write!(out, "\trepaired={repaired}\ttotal={total}");
                 }
-                Event::RebuildBatch {
-                    stripes,
-                    duration_ns,
-                } => {
-                    let _ = write!(out, "\tstripes={stripes}\tduration_ns={duration_ns}");
-                }
                 Event::RebuildHalted { repaired, total } => {
                     let _ = write!(out, "\trepaired={repaired}\ttotal={total}");
                 }
@@ -317,12 +311,6 @@ fn instant_args(event: &Event) -> String {
     match *event {
         Event::RebuildProgress { repaired, total } => {
             format!("\"repaired\":{repaired},\"total\":{total}")
-        }
-        Event::RebuildBatch {
-            stripes,
-            duration_ns,
-        } => {
-            format!("\"stripes\":{stripes},\"duration_ns\":{duration_ns}")
         }
         Event::RebuildHalted { repaired, total } => {
             format!("\"repaired\":{repaired},\"total\":{total}")
@@ -446,13 +434,6 @@ mod tests {
         );
         t.push(
             5,
-            Event::RebuildBatch {
-                stripes: 4,
-                duration_ns: 123,
-            },
-        );
-        t.push(
-            5,
             Event::RebuildHalted {
                 repaired: 4,
                 total: 10,
@@ -481,7 +462,6 @@ mod tests {
             "op_serviced",
             "access_end",
             "rebuild_progress",
-            "rebuild_batch",
             "rebuild_halted",
             "journal_commit",
             "journal_replay",

@@ -29,7 +29,7 @@
 //!   order ⇒ no deadlock). While a rebuild is running the shard
 //!   threads take the same entries for every op, so an op and a batch
 //!   that meet on a stripe serialize; `do_rebuild` parks the shards
-//!   once after flipping the state, so no lock-free op is still in
+//!   once after setting its running flag, so no lock-free op is still in
 //!   flight when the first batch starts.
 //! * **Everything else is excluded by the quiesce.** Lifecycle ops
 //!   (`scrub`, `recover`, `replace_disk`, `arm_crash`) and every
@@ -63,9 +63,9 @@
 //! stripes takes while the rebuild runs — so client I/O keeps flowing
 //! between (and alongside) batches, stalling only on a genuine stripe
 //! collision for one batch at most. Batch size and an optional
-//! stripes/sec rate limit come from [`RebuildConfig`]; progress is
-//! published through atomics and served lock-free by
-//! `REBUILD_STATUS`.
+//! stripes/sec rate limit come from [`RebuildConfig`]; progress is one
+//! mutex-guarded [`RebuildStatus`] that `REBUILD_STATUS` and `STATS`
+//! copy.
 //!
 //! # Write commit
 //!
@@ -77,13 +77,13 @@
 //! one tick — decoded there or routed from a peer — to
 //! [`Engine::shard_write_batch_into`] as one batch.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pddl_array::{ArrayError, ArrayMode, DeclusteredArray, RebuildTicket, WriteScratch};
-use pddl_obs::{Actor, Event, OpKind, OpRecord, SyncSharedSink, Telemetry, TelemetrySnapshot};
+use pddl_obs::{OpKind, OpRecord, Telemetry, TelemetrySnapshot};
 use pddl_volume::{
     Resolved, TenantLimits, TenantRegistry, VolumeError, VolumeManager, VolumeSpec, REBUILD_TENANT,
 };
@@ -232,53 +232,25 @@ impl Default for RebuildConfig {
     }
 }
 
-const REBUILD_NONE: u8 = 0;
-const REBUILD_RUNNING: u8 = 1;
-const REBUILD_DONE: u8 = 2;
-const REBUILD_FAILED: u8 = 3;
-const REBUILD_PAUSED: u8 = 4;
-
-/// Background-rebuild control block: lock-free progress for the status
-/// op, plus the worker handle behind a mutex that also serializes
-/// start/stop decisions.
-///
-/// # Memory ordering
-///
-/// `repaired ≤ total` must never be observed violated, even while one
-/// rebuild generation replaces another. Two rules guarantee it:
-///
-/// * **Within a generation** the worker only moves `repaired` forward
-///   (`Release` stores) and never past the generation's fixed `total`,
-///   so any interleaving of `Acquire` loads is consistent.
-/// * **Across generations** `do_rebuild` brackets its re-initialization
-///   of `disk`/`repaired`/`total`/`state` with a seqlock-style `gen`
-///   counter: odd while the fields are mid-rewrite, bumped to the next
-///   even value (`Release`) once they are coherent again. A reader that
-///   observes an odd `gen`, or a `gen` change across its field loads,
-///   retries instead of returning a value pair that straddles the
-///   transition (e.g. the old generation's `repaired` with a new,
-///   smaller `total`).
+/// Background-rebuild control block: the progress `REBUILD_STATUS`
+/// serves, the flag the shard threads check on every op, and the
+/// worker handle behind a mutex that also serializes start/stop
+/// decisions.
 struct RebuildCtl {
     /// Worker thread handle; the guard also makes REBUILD-vs-REBUILD
     /// races impossible (check state + spawn under one lock).
     slot: Mutex<Option<JoinHandle<()>>>,
-    /// Generation seqlock: odd ⇒ `do_rebuild` is re-initializing the
-    /// fields below; bumped with `Release` so an even value read with
-    /// `Acquire` makes the whole re-initialization visible.
-    gen: AtomicU64,
-    /// Lifecycle (`REBUILD_*`). The worker's terminal store is
-    /// `Release`, after its last `repaired` store, so a reader that
-    /// `Acquire`-loads `Done` also sees the final progress.
-    state: AtomicU8,
-    /// Target disk; written only inside the `gen` bracket.
-    disk: AtomicU32,
-    /// Stripes repaired. `Release`-stored by the worker after each
-    /// batch; monotone within a generation and never exceeds `total`.
-    repaired: AtomicU64,
-    /// Stripes this generation set out to repair; constant between
-    /// `gen` brackets.
-    total: AtomicU64,
-    /// Stop request for the worker (`Release` store, `Acquire` load).
+    /// Progress. `do_rebuild` replaces it whole for a new generation;
+    /// the worker stores `repaired` after each batch and its terminal
+    /// state once, so a copy always has `repaired ≤ total`.
+    status: Mutex<RebuildStatus>,
+    /// Whether a rebuild batch may hold stripe locks: set before
+    /// `do_rebuild`'s pause barrier, cleared after the worker's
+    /// terminal state. Shard threads read it on every op, lock-free;
+    /// the `Release` clear pairs with their `Acquire` load, so an op
+    /// that reads `false` sees every write of the last batch.
+    running: AtomicBool,
+    /// Stop request for the worker.
     stop: AtomicBool,
 }
 
@@ -286,11 +258,13 @@ impl RebuildCtl {
     fn new() -> Self {
         Self {
             slot: Mutex::new(None),
-            gen: AtomicU64::new(0),
-            state: AtomicU8::new(REBUILD_NONE),
-            disk: AtomicU32::new(0),
-            repaired: AtomicU64::new(0),
-            total: AtomicU64::new(0),
+            status: Mutex::new(RebuildStatus {
+                disk: 0,
+                state: RebuildState::None,
+                repaired: 0,
+                total: 0,
+            }),
+            running: AtomicBool::new(false),
             stop: AtomicBool::new(false),
         }
     }
@@ -312,15 +286,9 @@ struct Inner {
     /// Tenant limits and token buckets, shared with the runtime's
     /// admission check (and charged directly by the rebuild worker).
     tenants: Arc<TenantRegistry>,
-    obs: Mutex<Option<SyncSharedSink>>,
-    /// Fast-path flag mirroring `obs.is_some()`: the per-request check
-    /// is one `Relaxed` load instead of a shared mutex acquisition, so
-    /// a server without an attached observer pays nothing per op.
-    obs_attached: AtomicBool,
     /// The live telemetry plane — sharded atomics, recorded lock-free
     /// on every request, merged only when STATS / `/metrics` scrape.
     telemetry: Arc<Telemetry>,
-    access_seq: AtomicU64,
     epoch: Instant,
     rebuild_batch: u64,
     /// Stripes/sec rate limit as `f64` bits, so a throttle change (from
@@ -342,31 +310,8 @@ struct Inner {
 pub type RuntimePauser = Box<dyn Fn() -> Box<dyn std::any::Any + Send> + Send + Sync>;
 
 impl Inner {
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
     fn rebuild_rate(&self) -> f64 {
         f64::from_bits(self.rebuild_rate_bits.load(Ordering::Acquire))
-    }
-
-    fn emit(&self, event: Event) {
-        // One relaxed load on the hot path; the mutex below is touched
-        // only when an observer is actually attached.
-        if !self.obs_attached.load(Ordering::Relaxed) {
-            return;
-        }
-        let sink = lock(&self.obs).clone();
-        if let Some(sink) = sink {
-            // Recover a poisoned sink instead of silently dropping the
-            // event — a panicked observer must not blind the metrics the
-            // chaos checker reconciles against.
-            let mut s = sink
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let now = self.now_ns();
-            s.event(now, event);
-        }
     }
 
     fn unit_bytes(&self) -> usize {
@@ -409,17 +354,15 @@ fn lock_set(stripes: impl IntoIterator<Item = u64>) -> Vec<usize> {
 fn rebuild_worker(inner: Arc<Inner>, mut ticket: RebuildTicket) {
     let batch = inner.rebuild_batch.max(1);
     let batch_bytes = batch.saturating_mul(inner.unit_bytes() as u64);
-    let mut prev = ticket.repaired();
     let final_state = loop {
         if inner.rebuild.stop.load(Ordering::Acquire) {
-            break REBUILD_PAUSED;
+            break RebuildState::Paused;
         }
         if !inner.tenants.admit(REBUILD_TENANT, batch_bytes, || {
             inner.rebuild.stop.load(Ordering::Acquire)
         }) {
-            break REBUILD_PAUSED;
+            break RebuildState::Paused;
         }
-        let started = Instant::now();
         let outcome = {
             let _q = rdlock(&inner.quiesce);
             // Hold only the stripe locks this batch's stripes hash to:
@@ -433,19 +376,11 @@ fn rebuild_worker(inner: Arc<Inner>, mut ticket: RebuildTicket) {
                 .collect();
             inner.array.rebuild_step(&mut ticket, batch)
         };
-        inner
-            .rebuild
-            .repaired
-            .store(ticket.repaired(), Ordering::Release);
-        inner.emit(Event::RebuildBatch {
-            stripes: ticket.repaired() - prev,
-            duration_ns: started.elapsed().as_nanos() as u64,
-        });
-        prev = ticket.repaired();
+        lock(&inner.rebuild.status).repaired = ticket.repaired();
         match outcome {
-            Ok(p) if p.done => break REBUILD_DONE,
+            Ok(p) if p.done => break RebuildState::Done,
             Ok(_) => {}
-            Err(_) => break REBUILD_FAILED,
+            Err(_) => break RebuildState::Failed,
         }
         // Re-read the rate each batch: throttle changes apply live.
         let rate = inner.rebuild_rate();
@@ -460,7 +395,8 @@ fn rebuild_worker(inner: Arc<Inner>, mut ticket: RebuildTicket) {
             }
         }
     };
-    inner.rebuild.state.store(final_state, Ordering::Release);
+    lock(&inner.rebuild.status).state = final_state;
+    inner.rebuild.running.store(false, Ordering::Release);
 }
 
 /// Shared request executor; one per served array, shared by all serving
@@ -475,7 +411,6 @@ pub struct Engine {
 /// covers routing + owner execution, not just the final frame write.
 #[derive(Debug)]
 pub struct AccessSpan {
-    access: u64,
     start_ns: u64,
     started: Instant,
 }
@@ -511,10 +446,7 @@ impl Engine {
                 quiesce: RwLock::new(()),
                 stripe_locks: std::array::from_fn(|_| Mutex::new(())),
                 tenants,
-                obs: Mutex::new(None),
-                obs_attached: AtomicBool::new(false),
                 telemetry: Arc::new(Telemetry::new(TELEMETRY_SHARDS)),
-                access_seq: AtomicU64::new(0),
                 epoch: Instant::now(),
                 rebuild_batch: rebuild.batch,
                 rebuild_rate_bits: AtomicU64::new(rebuild.rate.to_bits()),
@@ -524,18 +456,8 @@ impl Engine {
         }
     }
 
-    /// Attach an observer sink; `AccessStart`/`AccessEnd` spans are
-    /// emitted per request with wall-clock timestamps, so the observer's
-    /// `latency.access_ns` histogram captures server-side service time.
-    pub fn attach_observer(&mut self, sink: SyncSharedSink) {
-        *lock(&self.inner.obs) = Some(sink);
-        // Release pairs with the hot path's load: once a worker sees
-        // the flag, the sink behind the mutex is in place.
-        self.inner.obs_attached.store(true, Ordering::Release);
-    }
-
     /// The live telemetry plane — for the server to register scrape-time
-    /// gauges, benchmarks to toggle recording, and exporters to merge.
+    /// gauges and for exporters to merge.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.inner.telemetry
     }
@@ -680,43 +602,12 @@ impl Engine {
         }
     }
 
-    /// Current rebuild progress, served from atomics (no array lock).
-    ///
-    /// The rebuild control block's `gen` seqlock makes the returned
-    /// snapshot generation-coherent: `repaired ≤ total` always holds,
-    /// and a `Done` state is only reported with its final counts.
+    /// Current rebuild progress: a copy of the control block's status,
+    /// so `repaired ≤ total` holds and `Done` comes with its final
+    /// counts. No caller is a shard thread: `REBUILD_STATUS` and
+    /// `STATS` run on the control thread, `/metrics` on its own.
     pub fn rebuild_status(&self) -> RebuildStatus {
-        let r = &self.inner.rebuild;
-        loop {
-            // Acquire pairs with do_rebuild's closing Release bump: an
-            // even generation implies its re-initialization is visible.
-            let g1 = r.gen.load(Ordering::Acquire);
-            if g1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            // State first (Acquire pairs with the worker's terminal
-            // Release store), so `Done` implies the final `repaired`.
-            let state = match r.state.load(Ordering::Acquire) {
-                REBUILD_RUNNING => RebuildState::Running,
-                REBUILD_DONE => RebuildState::Done,
-                REBUILD_FAILED => RebuildState::Failed,
-                REBUILD_PAUSED => RebuildState::Paused,
-                _ => RebuildState::None,
-            };
-            let status = RebuildStatus {
-                disk: r.disk.load(Ordering::Acquire),
-                state,
-                repaired: r.repaired.load(Ordering::Acquire),
-                total: r.total.load(Ordering::Acquire),
-            };
-            // Unchanged generation ⇒ every load above came from one
-            // generation; within one the worker keeps repaired ≤ total.
-            if r.gen.load(Ordering::Acquire) == g1 {
-                debug_assert!(status.repaired <= status.total);
-                return status;
-            }
-        }
+        *lock(&self.inner.rebuild.status)
     }
 
     /// Ask the rebuild thread (if any) to stop after its current batch
@@ -727,10 +618,6 @@ impl Engine {
         if let Some(handle) = handle {
             let _ = handle.join();
         }
-    }
-
-    fn emit(&self, event: Event) {
-        self.inner.emit(event);
     }
 
     /// Run a full parity scrub, quiesced (no client op or rebuild batch
@@ -758,48 +645,13 @@ impl Engine {
         self.inner.array.outstanding_intents()
     }
 
-    /// Record one completed request into the telemetry plane: per-op
-    /// counters and latency, byte accounting, and a flight-recorder
-    /// span. Lock-free and allocation-free (atomics only), so it is
-    /// safe on the zero-alloc healthy-READ path.
-    fn record_op(
-        &self,
-        req: &Request,
-        status: Status,
-        response_payload: usize,
-        start_ns: u64,
-        queue_ns: u64,
-        service_ns: u64,
-    ) {
-        let ok = matches!(status, Status::Ok | Status::Accepted);
-        let (bytes_read, bytes_written) = match req.op {
-            Op::Read if ok => (response_payload as u64, 0),
-            Op::Write => (0, req.payload.len() as u64),
-            _ => (0, 0),
-        };
-        self.inner.telemetry.record(&OpRecord {
-            id: req.id,
-            op: op_kind(req.op),
-            status: status.code(),
-            ok,
-            offset: req.offset,
-            len: req.length,
-            bytes_read,
-            bytes_written,
-            start_ns,
-            queue_ns,
-            array_ns: service_ns,
-            total_ns: queue_ns.saturating_add(service_ns),
-        });
-    }
-
-    /// Execute one request on behalf of `client`, producing the response
-    /// to send back: [`Engine::execute_frame_into`] with the frame split
-    /// into a [`Response`], so the two cannot diverge. Never panics;
-    /// every failure maps to a status.
-    pub fn execute(&self, client: u32, req: &Request) -> Response {
+    /// Execute one request, producing the response to send back:
+    /// [`Engine::execute_frame_into`] with the frame split into a
+    /// [`Response`], so the two cannot diverge. Never panics; every
+    /// failure maps to a status. The first argument is ignored.
+    pub fn execute(&self, _client: u32, req: &Request) -> Response {
         let mut frame = Vec::new();
-        self.execute_frame_into(client, req, &mut frame);
+        self.execute_frame_into(0, req, &mut frame);
         Response {
             id: req.id,
             status: Status::from_code(frame[12]).unwrap_or(Status::Internal),
@@ -817,23 +669,23 @@ impl Engine {
     /// allocation + zeroing pass per request: once the buffer has grown
     /// to the largest response seen, the frame costs nothing to produce
     /// and a healthy READ is a single array-to-frame copy. Never
-    /// panics; every failure maps to a status.
-    pub fn execute_frame_into(&self, client: u32, req: &Request, frame: &mut Vec<u8>) {
-        self.execute_queued_frame_into(client, req, frame, 0);
+    /// panics; every failure maps to a status. The first argument is
+    /// ignored.
+    pub fn execute_frame_into(&self, _client: u32, req: &Request, frame: &mut Vec<u8>) {
+        self.execute_queued_frame_into(req, frame, 0);
     }
 
     /// [`Engine::execute_frame_into`] for queued execution: the caller
     /// (the runtime's control thread) passes how long the request
     /// waited for admission, which lands in the queue-wait histogram
     /// and the flight-recorder span alongside the service time.
-    pub fn execute_queued_frame_into(
+    pub(crate) fn execute_queued_frame_into(
         &self,
-        client: u32,
         req: &Request,
         frame: &mut Vec<u8>,
         queue_ns: u64,
     ) {
-        let span = self.begin_access(client, req);
+        let span = self.begin_access();
         let resolved = self.dispatch(req, frame);
         let status = frame
             .get(12)
@@ -868,7 +720,7 @@ impl Engine {
     /// locks — the one writer stripe ownership cannot order, so shard
     /// threads fall back to stripe locking while it runs.
     fn rebuild_locking(&self) -> bool {
-        self.inner.rebuild.state.load(Ordering::Acquire) == REBUILD_RUNNING
+        self.inner.rebuild.running.load(Ordering::Acquire)
     }
 
     /// Stripe guards for a shard-exec op on the `(phys, units)` runs in
@@ -983,28 +835,20 @@ impl Engine {
         Ok(())
     }
 
-    /// Open the observability bracket for one request: emits
-    /// `AccessStart` and captures the timing baseline. Pair with
-    /// [`Engine::end_access`] when the response frame is final.
-    pub fn begin_access(&self, client: u32, req: &Request) -> AccessSpan {
-        let access = self.inner.access_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let start_ns = self.inner.now_ns();
-        let started = Instant::now();
-        self.emit(Event::AccessStart {
-            access,
-            actor: Actor::Client(client),
-            units: req.length,
-            write: matches!(req.op, Op::Write | Op::Trim),
-        });
+    /// Open the observability bracket for one request: captures the
+    /// timing baseline. Pair with [`Engine::end_access`] when the
+    /// response frame is final.
+    pub fn begin_access(&self) -> AccessSpan {
         AccessSpan {
-            access,
-            start_ns,
-            started,
+            start_ns: self.inner.epoch.elapsed().as_nanos() as u64,
+            started: Instant::now(),
         }
     }
 
-    /// Close an access bracket: emits `AccessEnd` and records the op
-    /// into the telemetry plane. Lock-free and allocation-free.
+    /// Close an access bracket: records the op into the telemetry
+    /// plane — per-op counters and latency, byte accounting, and a
+    /// flight-recorder span. Lock-free and allocation-free (atomics
+    /// only), so it is safe on the zero-alloc healthy-READ path.
     pub fn end_access(
         &self,
         span: AccessSpan,
@@ -1014,18 +858,26 @@ impl Engine {
         queue_ns: u64,
     ) {
         let service_ns = span.started.elapsed().as_nanos() as u64;
-        self.emit(Event::AccessEnd {
-            access: span.access,
-            latency_ns: service_ns,
-        });
-        self.record_op(
-            req,
-            status,
-            response_payload,
-            span.start_ns,
+        let ok = matches!(status, Status::Ok | Status::Accepted);
+        let (bytes_read, bytes_written) = match req.op {
+            Op::Read if ok => (response_payload as u64, 0),
+            Op::Write => (0, req.payload.len() as u64),
+            _ => (0, 0),
+        };
+        self.inner.telemetry.record(&OpRecord {
+            id: req.id,
+            op: op_kind(req.op),
+            status: status.code(),
+            ok,
+            offset: req.offset,
+            len: req.length,
+            bytes_read,
+            bytes_written,
+            start_ns: span.start_ns,
             queue_ns,
-            service_ns,
-        );
+            array_ns: service_ns,
+            total_ns: queue_ns.saturating_add(service_ns),
+        });
     }
 
     /// Serve a READ, WRITE or TRIM on the in-process path, the whole op
@@ -1278,10 +1130,11 @@ impl Engine {
         }
         let inner = &self.inner;
         let mut slot = lock(&inner.rebuild.slot);
-        if inner.rebuild.state.load(Ordering::Acquire) == REBUILD_RUNNING {
+        let current = self.rebuild_status();
+        if current.state == RebuildState::Running {
             // One rebuild at a time. Re-requesting the in-flight disk is
             // an idempotent accept; a different disk must wait.
-            let same = u64::from(inner.rebuild.disk.load(Ordering::Acquire)) == req.offset;
+            let same = u64::from(current.disk) == req.offset;
             let status = if same {
                 Status::Accepted
             } else {
@@ -1302,33 +1155,18 @@ impl Engine {
                 Err(e) => return (status_of(&e), Vec::new()),
             }
         };
-        // Open the generation bracket (odd): status readers retry
-        // rather than mixing the old generation's progress with the new
-        // one's target. The slot mutex serializes writers, so a plain
-        // increment is safe.
-        inner.rebuild.gen.fetch_add(1, Ordering::Release);
-        inner.rebuild.disk.store(
-            u32::try_from(req.offset).unwrap_or(u32::MAX),
-            Ordering::Release,
-        );
-        // Reset progress before publishing the new target, so even a
-        // torn read that slips past the seqlock stays conservative.
-        inner
-            .rebuild
-            .repaired
-            .store(ticket.repaired(), Ordering::Release);
-        inner.rebuild.total.store(ticket.total(), Ordering::Release);
+        *lock(&inner.rebuild.status) = RebuildStatus {
+            disk: u32::try_from(req.offset).unwrap_or(u32::MAX),
+            state: RebuildState::Running,
+            repaired: ticket.repaired(),
+            total: ticket.total(),
+        };
         inner.rebuild.stop.store(false, Ordering::Release);
-        inner
-            .rebuild
-            .state
-            .store(REBUILD_RUNNING, Ordering::Release);
-        // Close the bracket (even): the fields above are coherent again.
-        inner.rebuild.gen.fetch_add(1, Ordering::Release);
+        inner.rebuild.running.store(true, Ordering::Release);
         // One runtime pause barrier before the worker's first batch:
-        // shard threads that sampled the state as not-running may still
+        // shard threads that sampled `running` as false may still
         // be mid-op without stripe locks; parking them once flushes
-        // those, and every op after the resume sees RUNNING and takes
+        // those, and every op after the resume sees it set and takes
         // stripe locks for the rebuild's duration.
         drop(self.pause_runtime());
         let worker_inner = Arc::clone(inner);
@@ -1344,7 +1182,8 @@ impl Engine {
                 // Thread exhaustion is an environment failure, not a
                 // client error; roll the control block back so a retry
                 // can start cleanly.
-                inner.rebuild.state.store(REBUILD_NONE, Ordering::Release);
+                lock(&inner.rebuild.status).state = RebuildState::None;
+                inner.rebuild.running.store(false, Ordering::Release);
                 (Status::Internal, Vec::new())
             }
         }
@@ -1776,6 +1615,92 @@ mod tests {
         assert!(
             matches!(s.state, RebuildState::Paused | RebuildState::Done),
             "{s:?}"
+        );
+    }
+
+    /// `REBUILD_STATUS` stays coherent while one rebuild generation
+    /// replaces another: a poller never sees `repaired > total`, a
+    /// `Done` without its final count, or a `(disk, total)` pair that
+    /// no generation started with. Each throttled cycle fails a disk,
+    /// stops its rebuild halfway and restarts it — the restart's
+    /// `total` counts only the stripes left, so it is smaller than the
+    /// progress the stopped generation reached — then waits for `Done`
+    /// and replaces the disk.
+    #[test]
+    fn rebuild_status_is_coherent_across_generations() {
+        use std::collections::BTreeSet;
+        use std::sync::atomic::AtomicBool;
+
+        let layout = Pddl::new(7, 3).unwrap();
+        let array = DeclusteredArray::new(Box::new(layout), 16, 4).unwrap();
+        let e = Arc::new(Engine::with_config(
+            array,
+            RebuildConfig {
+                batch: 1,
+                rate: 500.0,
+            },
+        ));
+        let cap = e.volume_info().capacity_units;
+        e.execute(
+            0,
+            &req(Op::Write, 0, cap as u32, vec![0x5a; cap as usize * 16]),
+        );
+
+        let done = Arc::new(AtomicBool::new(false));
+        let poller = {
+            let (e, done) = (Arc::clone(&e), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut seen = BTreeSet::new();
+                while !done.load(Ordering::Acquire) {
+                    let s = e.rebuild_status();
+                    assert!(s.repaired <= s.total, "{s:?}");
+                    if s.state == RebuildState::Done {
+                        assert_eq!(s.repaired, s.total, "{s:?}");
+                    }
+                    seen.insert((s.disk, s.total));
+                    std::thread::yield_now();
+                }
+                seen
+            })
+        };
+
+        // The pairs generations start with, as REBUILD publishes them.
+        let mut started = BTreeSet::from([(0, 0)]);
+        let mut rebuild = |disk: u64| {
+            let r = e.execute(0, &req(Op::Rebuild, disk, 0, vec![]));
+            assert_eq!(r.status, Status::Accepted);
+            let s = e.rebuild_status();
+            started.insert((s.disk, s.total));
+            s.total
+        };
+        for disk in 1..5 {
+            assert_eq!(
+                e.execute(0, &req(Op::FailDisk, disk, 0, vec![])).status,
+                Status::Ok
+            );
+            let total = rebuild(disk);
+            while e.rebuild_status().repaired <= total / 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            e.stop_rebuild();
+            let halfway = e.rebuild_status();
+            assert_eq!(halfway.state, RebuildState::Paused);
+            let rest = rebuild(disk);
+            assert!(rest < halfway.repaired, "{rest} left after {halfway:?}");
+            let s = wait_rebuild(&e);
+            assert_eq!((s.state, s.disk), (RebuildState::Done, disk as u32));
+            e.replace_disk(disk as usize).unwrap();
+            assert_eq!(e.volume_info().mode, 0);
+        }
+        done.store(true, Ordering::Release);
+        let seen = poller.join().unwrap();
+        assert!(
+            seen.is_subset(&started),
+            "seen {seen:?}, started {started:?}"
+        );
+        assert!(
+            seen.len() > 4,
+            "the poller saw too few generations: {seen:?}"
         );
     }
 

@@ -3,8 +3,9 @@
 //!
 //! The repo's zero-dependency rule holds all the way down: no `libc`,
 //! no `mio`. The four kernel entry points a readiness loop needs
-//! (`epoll_create1`, `epoll_ctl`, `epoll_pwait`, `eventfd2`) are
-//! invoked as raw Linux syscalls via inline assembly, on the only two
+//! (`epoll_create1`, `epoll_ctl`, `epoll_pwait`, `eventfd2`), plus the
+//! `listen` that raises the listener's backlog, are invoked as raw
+//! Linux syscalls via inline assembly, on the only two
 //! architectures CI and production use (x86_64, aarch64 — elsewhere
 //! `reactor_portable.rs` is compiled in this module's place, with the
 //! same names, and the runtime above is unchanged). File descriptors
@@ -32,11 +33,15 @@ const EPOLL_CTL_MOD: usize = 3;
 const EPOLL_CLOEXEC: usize = 0x8_0000;
 const EFD_CLOEXEC: usize = 0x8_0000;
 const EFD_NONBLOCK: usize = 0x800;
+/// The accept-queue length [`raise_backlog`] asks for; the kernel caps
+/// it at `net.core.somaxconn`.
+const LISTEN_BACKLOG: usize = 4096;
 
 #[cfg(target_arch = "x86_64")]
 mod nr {
     pub const READ: usize = 0;
     pub const WRITE: usize = 1;
+    pub const LISTEN: usize = 50;
     pub const EPOLL_CTL: usize = 233;
     pub const EPOLL_PWAIT: usize = 281;
     pub const EVENTFD2: usize = 290;
@@ -47,6 +52,7 @@ mod nr {
 mod nr {
     pub const READ: usize = 63;
     pub const WRITE: usize = 64;
+    pub const LISTEN: usize = 201;
     pub const EPOLL_CTL: usize = 21;
     pub const EPOLL_PWAIT: usize = 22;
     pub const EVENTFD2: usize = 19;
@@ -142,6 +148,21 @@ fn check(ret: isize) -> io::Result<usize> {
     } else {
         Ok(ret as usize)
     }
+}
+
+/// Listen again on the already-listening socket `fd` with a backlog of
+/// `LISTEN_BACKLOG` (4096). std's `TcpListener::bind` listens with 128,
+/// so a larger `connect()` burst overflows the accept queue whenever
+/// the acceptor is not scheduled in time, and Linux retransmits a
+/// dropped SYN only after 1 s.
+///
+/// # Errors
+///
+/// The kernel's (`EBADF`, `ENOTSOCK`, ...).
+pub fn raise_backlog(fd: RawFd) -> io::Result<()> {
+    // SAFETY: listen(fd, backlog) takes no pointers and changes only the
+    // socket's queue length; a bad fd comes back as an errno.
+    check(unsafe { syscall6(nr::LISTEN, fd as usize, LISTEN_BACKLOG, 0, 0, 0, 0) }).map(drop)
 }
 
 /// An epoll instance.

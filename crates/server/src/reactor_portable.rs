@@ -27,6 +27,12 @@ pub const EPOLLET: u32 = 1 << 31;
 /// Longest one [`Epoll::wait`] sleeps before reporting.
 const POLL_TICK: Duration = Duration::from_micros(500);
 
+/// The epoll reactor raises the listener's backlog with a `listen` of
+/// its own; this stand-in keeps std's backlog of 128.
+pub fn raise_backlog(_fd: RawFd) -> io::Result<()> {
+    Ok(())
+}
+
 /// One readiness record: always readable + writable, for `token`.
 #[derive(Clone, Copy)]
 pub struct EpollEvent {

@@ -241,7 +241,6 @@ enum ShardMsg {
 struct ControlJob {
     origin: usize,
     job: u64,
-    client: u32,
     queue_ns: u64,
     req: Request,
 }
@@ -683,7 +682,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<RtShared>) {
 fn control_loop(engine: &Arc<Engine>, shared: &RtShared, rx: &mpsc::Receiver<ControlJob>) {
     while let Ok(job) = rx.recv() {
         let mut frame = Vec::new();
-        engine.execute_queued_frame_into(job.client, &job.req, &mut frame, job.queue_ns);
+        engine.execute_queued_frame_into(&job.req, &mut frame, job.queue_ns);
         let done = CtlDone {
             job: job.job,
             frame,
@@ -1555,7 +1554,7 @@ impl Shard {
     fn dispatch_data(&mut self, slot: usize, req: Request, queue_ns: u64) {
         let prepared = self.engine.prepare(&req);
         let client = self.client_of(slot);
-        let span = self.engine.begin_access(client, &req);
+        let span = self.engine.begin_access();
         let (id, mut job) = self.new_job(slot, req, Some(span), queue_ns);
         let (resolved, bytes) = match prepared {
             Ok(v) => v,
@@ -1621,13 +1620,12 @@ impl Shard {
     /// it until every earlier frame of its connection was answered, and
     /// a WRITE is answered only once its tick batch is in the array.
     fn dispatch_flush(&mut self, slot: usize, req: Request, queue_ns: u64) {
-        let span = self.engine.begin_access(self.client_of(slot), &req);
+        let span = self.engine.begin_access();
         let (_, job) = self.new_job(slot, req, Some(span), queue_ns);
         self.finalize_job(job);
     }
 
     fn dispatch_control(&mut self, slot: usize, req: Request, queue_ns: u64) {
-        let client = self.client_of(slot);
         // The payload travels with the control thread's copy; the job
         // keeps the header for delivery.
         let header = Request {
@@ -1642,7 +1640,6 @@ impl Shard {
         let ctl = ControlJob {
             origin: self.id,
             job: id,
-            client,
             queue_ns,
             req,
         };

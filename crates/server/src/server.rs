@@ -31,10 +31,12 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::engine::Engine;
+use crate::reactor;
 use crate::runtime::{self, Runtime};
 
 /// Tuning knobs for [`serve`].
@@ -117,6 +119,7 @@ impl ServerHandle {
 /// Propagates the bind failure (or runtime setup failure).
 pub fn serve(engine: Arc<Engine>, addr: &str, config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
+    reactor::raise_backlog(listener.as_raw_fd())?;
     let runtime = runtime::start(Arc::clone(&engine), listener, &config)?;
     Ok(ServerHandle { engine, runtime })
 }
@@ -377,16 +380,14 @@ mod tests {
     /// READs hop to a peer. Every request is served with the right
     /// bytes and no job is left in flight.
     ///
-    /// The run sometimes takes about a second longer, and none of it
-    /// is serving: the second goes into the 256 `connect()` calls,
-    /// before any request is sent. std's `TcpListener::bind` listens
-    /// with a backlog of 128 (`ss -ltn` shows Send-Q 128), so the burst
-    /// overflows the accept queue whenever the acceptor thread is not
-    /// scheduled in time, and Linux retransmits a dropped SYN after
-    /// 1 s. A debug-build timing copy of the four-shard half, on a
-    /// 2-core host, stalled in `connect()` for ~1.04 s in 2 of 12 runs;
-    /// serving the 256 READs took under 100 ms in every run. Raising
-    /// the backlog needs a `listen` call of the reactor's own.
+    /// The 256 `connect()` calls must take under a second. std's
+    /// `TcpListener::bind` listens with a backlog of 128: a burst that
+    /// overflows that accept queue while the acceptor thread is not
+    /// scheduled loses SYNs, and Linux retransmits a dropped SYN after
+    /// 1 s. `serve` raises the backlog to 4096
+    /// ([`reactor::raise_backlog`]), so the burst queues instead. The
+    /// portable reactor keeps std's backlog, so the bound is not
+    /// checked under `--cfg pddl_portable_reactor`.
     #[test]
     fn connection_fan_in_serves_every_socket_on_one_and_four_shards() {
         const SOCKS: u64 = 256;
@@ -411,9 +412,15 @@ mod tests {
             }
             let served_before = handle.requests_served();
 
+            let connecting = Instant::now();
             let mut socks: Vec<TcpStream> = (0..SOCKS)
                 .map(|_| TcpStream::connect(handle.local_addr()).unwrap())
                 .collect();
+            let connect_time = connecting.elapsed();
+            assert!(
+                cfg!(pddl_portable_reactor) || connect_time < Duration::from_secs(1),
+                "{SOCKS} connects took {connect_time:?} on {shards} shards: a dropped SYN"
+            );
             let mut frame = Vec::new();
             for (i, s) in socks.iter_mut().enumerate() {
                 frame.clear();

@@ -85,7 +85,7 @@ fn serve_one_read(engine: &Engine, offset: u64, out: &mut [u8]) {
     let req = read_req(offset, (out.len() / engine.unit_bytes()) as u32);
     let (resolved, bytes) = engine.prepare(&req).expect("healthy resolve");
     assert_eq!(bytes, out.len());
-    let span = engine.begin_access(7, &req);
+    let span = engine.begin_access();
     let mut at = 0usize;
     for seg in resolved.segments.iter() {
         let len = seg.units as usize * engine.unit_bytes();

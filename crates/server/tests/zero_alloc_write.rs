@@ -103,7 +103,7 @@ fn tick(
             let req = reader.poll(socket).expect("valid frame").expect("a frame");
             t.resolved
                 .push(engine.prepare(&req).expect("healthy resolve").0);
-            t.spans.push(engine.begin_access(7, &req));
+            t.spans.push(engine.begin_access());
             t.reqs.push(req);
         }
     }
