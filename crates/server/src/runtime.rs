@@ -103,16 +103,26 @@
 //!
 //! # Reading requests
 //!
-//! Each connection's [`wire::RequestReader`] reads up to 64 KiB per
-//! `recv`, so one read brings in many pipelined frames, and hands out
+//! Each connection's [`wire::RequestReader`] reads into a fixed 64 KiB
+//! window, so one `recv` brings in many pipelined frames, and hands out
 //! buffered frames without touching the socket. **Invariant:** `poll`
 //! never reports `WouldBlock` while a complete frame is buffered. The
 //! reactor is edge-triggered and a connection's `readable` flag is
 //! cleared only on `WouldBlock`, so a frame left in the buffer behind a
-//! `WouldBlock` would never be decoded: no new bytes, no new edge. A
-//! finished WRITE's payload buffer goes back to its connection's reader
-//! (`complete` → `RequestReader::recycle`), which copies the next
-//! payload into it, so a warm connection's WRITEs allocate no payload.
+//! `WouldBlock` would never be decoded: no new bytes, no new edge.
+//!
+//! A finished WRITE's payload buffer is reused. One that fits the
+//! window goes back to its connection's reader (`complete` →
+//! `RequestReader::recycle`), which copies the next payload into it. A
+//! frame larger than the window is received straight into a payload
+//! buffer from the shard's [`wire::LargePayloads`] pool (`poll_with`),
+//! and `complete` returns it there, for any of the shard's connections:
+//! one copy, and no allocation once warm. A READ's response frame is
+//! the shard's `read_frame`, which comes back from the socket with its
+//! bytes, so sizing the next frame zero-fills only growth; header-only
+//! answers use `head_frame`. Every payload byte of a READ frame is
+//! written by its chunks before it is sent, and a failed READ is
+//! answered with a header only, so no stale byte leaves.
 //!
 //! # Backpressure
 //!
@@ -892,9 +902,17 @@ struct Shard {
     acked: Vec<usize>,
     /// Scratch: per-request chunk list (reused; allocation-free warm).
     chunks: Vec<Chunk>,
-    /// Scratch: the next job's response frame. `dispatch_data` takes
-    /// it, `complete` puts back whatever buffer delivery left over.
-    scratch: Vec<u8>,
+    /// Scratch: the next READ's response frame. It keeps its length —
+    /// bytes a sent frame left initialized — so sizing the next frame
+    /// zero-fills only growth. `dispatch_data` takes it; `keep_frame`
+    /// and a finished send put back the buffer with the most bytes.
+    read_frame: Vec<u8>,
+    /// Scratch: the next header-only answer (a WRITE or TRIM ack, an
+    /// error, FLUSH), so those never truncate `read_frame`.
+    head_frame: Vec<u8>,
+    /// Payload buffers of WRITE frames larger than the read window, for
+    /// every connection's next large WRITE.
+    large: wire::LargePayloads,
     /// Scratch: zero block for TRIM.
     zeros: Vec<u8>,
     parked_count: usize,
@@ -944,7 +962,9 @@ impl Shard {
             defer_acks: false,
             acked: Vec::new(),
             chunks: Vec::new(),
-            scratch: Vec::new(),
+            read_frame: Vec::new(),
+            head_frame: Vec::new(),
+            large: wire::LargePayloads::new(),
             zeros: vec![0u8; zero_units * unit],
             parked_count: 0,
             wakeups: 0,
@@ -1211,11 +1231,12 @@ impl Shard {
                 .record(ok, job.payload_bytes as u64, job.req.payload.len() as u64);
         }
         if !(ok && job.req.op == Op::Read) {
-            if job.frame.capacity() == 0 {
-                // Borrowed only now, so a job waiting on its chunks
-                // does not sit on the buffer the next READ wants.
-                job.frame = std::mem::take(&mut self.scratch);
-            }
+            // A header-only answer: borrowed only now, so a job waiting
+            // on its chunks does not sit on it. A failed READ's frame,
+            // sized for its data, goes back whole — its bytes are never
+            // sent.
+            let frame = std::mem::replace(&mut job.frame, std::mem::take(&mut self.head_frame));
+            self.keep_frame(frame);
             let _ = wire::response_frame_into(&mut job.frame, job.req.id, job.status, 0);
         }
         self.complete(job);
@@ -1240,15 +1261,22 @@ impl Shard {
         let Job {
             slot,
             gen,
-            req,
+            mut req,
             mut frame,
             ..
         } = job;
         let pinned = pinned_bytes(&req, self.engine.unit_bytes());
+        // A WRITE's payload buffer carries a later payload: a large one
+        // any connection's next large WRITE, a small one its own
+        // connection's next (below).
+        if req.payload.capacity() > wire::READ_WINDOW {
+            self.large.give(std::mem::take(&mut req.payload));
+        }
         // A job whose connection died mid-flight (e.g. teardown while a
         // chunk is out on a peer) still ran everything above — the span is
         // closed and `server.jobs_inflight` is back down; there is just
         // nobody left to answer, so only delivery is skipped.
+        let mut deliver = false;
         if let Some(conn) = self
             .conns
             .get_mut(slot)
@@ -1264,30 +1292,44 @@ impl Shard {
             if !pipelines(req.op) {
                 conn.barrier = false;
             }
-            // A WRITE's payload buffer goes back to the reader that
-            // filled it, to carry the connection's next payload.
             conn.reader.recycle(req.payload);
             if !conn.dead {
                 if conn.outbuf.is_empty() {
                     // Hand the frame over instead of copying it; the
-                    // drained buffer it displaces is recycled below.
+                    // drained buffer it displaces is kept below.
                     std::mem::swap(&mut conn.outbuf, &mut frame);
                 } else {
                     conn.outbuf.extend_from_slice(&frame);
                 }
                 conn.last_activity = Instant::now();
-                // Rule 3: inside the tick batch's answers, queue only;
-                // `flush_write_batch` sends each connection once.
-                if self.defer_acks {
-                    self.acked.push(slot);
-                } else {
-                    self.try_flush_conn(slot);
-                }
+                deliver = true;
             }
         }
-        if frame.capacity() > self.scratch.capacity() {
-            frame.clear();
-            self.scratch = frame;
+        // Kept before the send: a READ frame that is sent at once then
+        // finds the buffer it displaced in `read_frame`, and trades
+        // places with it (`try_flush_conn`), so no buffer is dropped.
+        self.keep_frame(frame);
+        if deliver {
+            // Rule 3: inside the tick batch's answers, queue only;
+            // `flush_write_batch` sends each connection once.
+            if self.defer_acks {
+                self.acked.push(slot);
+            } else {
+                self.try_flush_conn(slot);
+            }
+        }
+    }
+
+    /// Keep a frame buffer delivery is done with, bytes and all: as the
+    /// next READ's frame if more of it is initialized than of the one
+    /// kept or that one is out, else as the next header-only frame if
+    /// that one is out.
+    fn keep_frame(&mut self, mut frame: Vec<u8>) {
+        if frame.len() > self.read_frame.len() || self.read_frame.capacity() == 0 {
+            std::mem::swap(&mut frame, &mut self.read_frame);
+        }
+        if self.head_frame.capacity() == 0 {
+            self.head_frame = frame;
         }
     }
 
@@ -1377,7 +1419,7 @@ impl Shard {
                     return;
                 }
                 let Conn { reader, stream, .. } = conn;
-                reader.poll(stream)
+                reader.poll_with(stream, &mut self.large)
             };
             match polled {
                 Ok(Some(req)) => {
@@ -1442,10 +1484,10 @@ impl Shard {
                     // Malformed frame — including a clean half-close
                     // midway through one (the reader's UnexpectedEof):
                     // the stream is desynced. Answer once, flush, close.
-                    self.scratch.clear();
-                    let _ = wire::response_frame_into(&mut self.scratch, 0, Status::BadRequest, 0);
+                    let _ =
+                        wire::response_frame_into(&mut self.head_frame, 0, Status::BadRequest, 0);
                     if let Some(Some(conn)) = self.conns.get_mut(slot) {
-                        conn.outbuf.extend_from_slice(&self.scratch);
+                        conn.outbuf.extend_from_slice(&self.head_frame);
                         conn.close_after_flush = true;
                         conn.readable = false;
                     }
@@ -1566,12 +1608,14 @@ impl Shard {
         self.chunk_resolved(&resolved);
         job.resolved = Some(resolved);
         if job.req.op == Op::Read {
-            // A READ's frame is the shard's recycled scratch buffer:
-            // chunks land in it in place, `complete` hands it to the
-            // connection and takes the connection's drained one back,
-            // so a warm all-local READ allocates nothing and copies its
-            // payload once, array to frame.
-            job.frame = std::mem::take(&mut self.scratch);
+            // A READ's frame is the shard's kept `read_frame`: chunks
+            // land in it in place, `complete` hands it to the
+            // connection, and once it is sent it comes back with its
+            // bytes. So a warm all-local READ allocates nothing,
+            // zero-fills nothing and copies its payload once, array to
+            // frame. Every byte of the payload is a chunk's: the frame
+            // is sent only if every chunk succeeded.
+            job.frame = std::mem::take(&mut self.read_frame);
             let _ = wire::response_frame_into(&mut job.frame, job.req.id, Status::Ok, bytes);
             job.payload_bytes = bytes;
         }
@@ -1772,6 +1816,11 @@ impl Shard {
                     return;
                 }
             }
+        }
+        // A sent frame is kept with its bytes when more of it is
+        // initialized than of the READ frame the shard holds.
+        if conn.outbuf.len() > self.read_frame.len() {
+            std::mem::swap(&mut conn.outbuf, &mut self.read_frame);
         }
         conn.outbuf.clear();
         conn.out_pos = 0;

@@ -437,9 +437,11 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Option<Request>, WireError> {
 /// Fixed request-frame header size (magic through payload length).
 const REQUEST_HEADER: usize = 30;
 
-/// Bytes one `read` of a [`RequestReader`] may fill: its buffer is this
-/// big, except while a frame larger than this is being received.
-const READ_WINDOW: usize = 64 << 10;
+/// Size of a [`RequestReader`]'s window, the most one `read` into it
+/// may fill. A frame larger than this is the reader's *large frame*:
+/// its payload is read into its own buffer instead (see
+/// [`LargePayloads`]).
+pub const READ_WINDOW: usize = 64 << 10;
 
 /// Incremental request-frame reader for non-blocking / timeout-driven
 /// sockets.
@@ -451,23 +453,33 @@ const READ_WINDOW: usize = 64 << 10;
 /// the next call resumes exactly where the stream blocked, no matter
 /// where inside a frame the stall happened.
 ///
-/// It reads in windows of up to 64 KiB, so one `read` can bring in many
-/// pipelined frames, and [`poll`] hands out the buffered ones without
-/// touching the source. A frame larger than the window grows the buffer
-/// to fit it, and the buffer shrinks back once that frame is handed out.
-/// Payload bytes are copied into buffers given back through
-/// [`recycle`], so a connection whose WRITEs are answered and recycled
-/// stops allocating for payloads.
+/// It reads into a fixed 64 KiB window ([`READ_WINDOW`]), so one `read`
+/// can bring in many pipelined frames, and [`poll`] hands out the
+/// buffered ones without touching the source. Their payloads are copied
+/// into buffers given back through [`recycle`], so a connection whose
+/// WRITEs are answered and recycled stops allocating for payloads.
+///
+/// A frame larger than the window never passes through it whole. Once
+/// its header is in, the payload bytes already in the window are copied
+/// once into a payload buffer, and the rest of the payload is read
+/// straight into that buffer, never past its end: one copy, and the
+/// window neither grows nor shrinks. [`poll_with`] takes that buffer
+/// from a [`LargePayloads`] pool, [`poll`] allocates it.
 ///
 /// [`poll`]: RequestReader::poll
+/// [`poll_with`]: RequestReader::poll_with
 /// [`recycle`]: RequestReader::recycle
 pub struct RequestReader {
-    /// Received bytes; `buf[start..end]` is not yet handed out. Its
-    /// length is [`READ_WINDOW`] once the first read happened, or the
-    /// size of the larger frame being received.
+    /// The window: `buf[start..end]` is received and not yet handed
+    /// out. Its length is [`READ_WINDOW`] once the first read happened.
     buf: Vec<u8>,
     start: usize,
     end: usize,
+    /// The large frame being received: its header's fields, with its
+    /// whole payload buffer, of which `large_filled` bytes are in. The
+    /// window is empty meanwhile: it held nothing past this frame.
+    large: Option<Request>,
+    large_filled: usize,
     /// Emptied payload buffers, reused for the next payloads: none
     /// larger than the window, and at most one per frame a connection
     /// may have in flight.
@@ -488,22 +500,30 @@ impl RequestReader {
             buf: Vec::new(),
             start: 0,
             end: 0,
+            large: None,
+            large_filled: 0,
             recycled: Vec::new(),
         }
     }
 
-    /// Bytes received and not yet handed out as frames (0 at a frame
-    /// boundary with nothing more buffered). Callers can watch this to
+    /// Bytes received and not yet handed out as frames, a large frame's
+    /// received header and payload bytes included (0 at a frame boundary
+    /// with nothing more buffered). Callers can watch this to
     /// distinguish a genuinely idle connection from one slowly trickling
     /// a frame in.
     pub fn buffered(&self) -> usize {
-        self.end - self.start
+        let large = self
+            .large
+            .as_ref()
+            .map_or(0, |_| REQUEST_HEADER + self.large_filled);
+        self.end - self.start + large
     }
 
     /// Give back a payload [`poll`](RequestReader::poll) handed out, once
     /// it is no longer needed: the next payload is copied into it instead
     /// of a fresh allocation. A buffer larger than the read window, or
-    /// one past the pipeline depth's worth already kept, is dropped.
+    /// one past the pipeline depth's worth already kept, is dropped
+    /// (a large payload belongs in a [`LargePayloads`] pool).
     pub fn recycle(&mut self, mut payload: Vec<u8>) {
         let cap = payload.capacity();
         if cap > 0 && cap <= READ_WINDOW && self.recycled.len() < MAX_PIPELINE as usize {
@@ -512,7 +532,19 @@ impl RequestReader {
         }
     }
 
-    /// Pull bytes from `r` until a complete frame is buffered.
+    /// Pull bytes from `r` until a complete frame is buffered, as
+    /// [`poll_with`](RequestReader::poll_with) with an empty pool: a
+    /// large frame's payload buffer is a fresh allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`poll_with`](RequestReader::poll_with).
+    pub fn poll<R: Read>(&mut self, r: &mut R) -> Result<Option<Request>, WireError> {
+        self.poll_with(r, &mut LargePayloads::new())
+    }
+
+    /// Pull bytes from `r` until a complete frame is buffered, taking a
+    /// large frame's payload buffer from `large`.
     ///
     /// Returns `Ok(Some(req))` for a complete frame, `Ok(None)` on a
     /// clean EOF at a frame boundary. A `WouldBlock`/`TimedOut`
@@ -522,19 +554,37 @@ impl RequestReader {
     /// # Errors
     ///
     /// [`WireError`] on malformed frames or transport failures.
-    pub fn poll<R: Read>(&mut self, r: &mut R) -> Result<Option<Request>, WireError> {
+    pub fn poll_with<R: Read>(
+        &mut self,
+        r: &mut R,
+        large: &mut LargePayloads,
+    ) -> Result<Option<Request>, WireError> {
         loop {
-            let need = self.head_frame_len()?;
-            if self.buffered() >= need {
-                return Ok(Some(self.take_frame(need)));
-            }
             // Invariant: `poll` never reports `WouldBlock` while a
-            // complete frame is buffered — the check above returns it
-            // before the source is touched. An edge-triggered caller
-            // stops polling on `WouldBlock` until new bytes arrive, so a
-            // frame left behind here would be stranded.
-            self.make_room(need);
-            match r.read(&mut self.buf[self.end..]) {
+            // complete frame is buffered — each branch below returns a
+            // complete frame before the source is touched. An
+            // edge-triggered caller stops polling on `WouldBlock` until
+            // new bytes arrive, so a frame left behind would be stranded.
+            let dst = match &mut self.large {
+                Some(req) if self.large_filled == req.payload.len() => {
+                    self.large_filled = 0;
+                    return Ok(self.large.take());
+                }
+                Some(req) => &mut req.payload[self.large_filled..],
+                None => {
+                    let need = self.head_frame_len()?;
+                    if self.buffered() >= need {
+                        return Ok(Some(self.take_frame(need)));
+                    }
+                    if need > READ_WINDOW {
+                        self.start_large(need, large);
+                        continue;
+                    }
+                    self.make_room();
+                    &mut self.buf[self.end..]
+                }
+            };
+            match r.read(dst) {
                 Ok(0) if self.buffered() == 0 => return Ok(None),
                 Ok(0) => {
                     return Err(WireError::Io(io::Error::new(
@@ -542,6 +592,7 @@ impl RequestReader {
                         "EOF inside request frame",
                     )))
                 }
+                Ok(n) if self.large.is_some() => self.large_filled += n,
                 Ok(n) => self.end += n,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(WireError::Io(e)),
@@ -549,7 +600,7 @@ impl RequestReader {
         }
     }
 
-    /// Bytes the frame at the head of the buffer spans: the header's
+    /// Bytes the frame at the head of the window spans: the header's
     /// size until the header is in, then header plus payload. The magic
     /// is checked the moment its 4 bytes are in — a desynced stream is
     /// rejected immediately, not after a full header's worth of garbage
@@ -577,22 +628,36 @@ impl RequestReader {
         Ok(REQUEST_HEADER + payload_len as usize)
     }
 
-    /// Make room to read toward a `need`-byte head frame: move the
-    /// unread bytes to the front and size the buffer to the window, or
-    /// to the frame if it is larger.
-    fn make_room(&mut self, need: usize) {
+    /// Make room to read toward a head frame that fits the window: move
+    /// the unread bytes to the front and size the window.
+    fn make_room(&mut self) {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
             self.start = 0;
         }
-        let size = need.max(READ_WINDOW);
-        if self.buf.len() < size {
-            self.buf.resize(size, 0);
+        if self.buf.len() < READ_WINDOW {
+            self.buf.resize(READ_WINDOW, 0);
         }
     }
 
-    /// Hand out the validated `len`-byte frame at the head of the buffer.
+    /// Start receiving the validated `need`-byte head frame, larger than
+    /// the window, as the large frame: copy its payload bytes already in
+    /// the window into a payload buffer from `large`, once, and empty
+    /// the window. The frame is not complete, so the window holds
+    /// nothing past it.
+    fn start_large(&mut self, need: usize, large: &mut LargePayloads) {
+        let mut payload = large.take(need - REQUEST_HEADER);
+        let head = &self.buf[self.start..self.end];
+        let have = head.len() - REQUEST_HEADER;
+        payload[..have].copy_from_slice(&head[REQUEST_HEADER..]);
+        self.large = Some(decode_header(head, payload));
+        self.large_filled = have;
+        self.start = 0;
+        self.end = 0;
+    }
+
+    /// Hand out the validated `len`-byte frame at the head of the window.
     fn take_frame(&mut self, len: usize) -> Request {
         let frame = &self.buf[self.start..self.start + len];
         let payload = if len > REQUEST_HEADER {
@@ -602,26 +667,76 @@ impl RequestReader {
         } else {
             Vec::new()
         };
-        let req = Request {
-            id: u64::from_be_bytes(frame[4..12].try_into().expect("8 bytes")),
-            op: Op::from_code(frame[12]).expect("validated with the header"),
-            volume: frame[13],
-            offset: u64::from_be_bytes(frame[14..22].try_into().expect("8 bytes")),
-            length: u32::from_be_bytes(frame[22..26].try_into().expect("4 bytes")),
-            payload,
-        };
+        let req = decode_header(frame, payload);
         self.start += len;
-        if self.buf.len() > READ_WINDOW {
-            // The frame was larger than the window, and the buffer was
-            // grown to end where it does: nothing follows it, so the
-            // buffer can go back to the window and release the rest.
-            debug_assert_eq!(self.start, self.end, "bytes read past a grown frame");
-            self.start = 0;
-            self.end = 0;
-            self.buf.truncate(READ_WINDOW);
-            self.buf.shrink_to_fit();
-        }
         req
+    }
+}
+
+/// The request a validated frame header (the first [`REQUEST_HEADER`]
+/// bytes of `frame`) describes, carrying `payload`.
+fn decode_header(frame: &[u8], payload: Vec<u8>) -> Request {
+    Request {
+        id: u64::from_be_bytes(frame[4..12].try_into().expect("8 bytes")),
+        op: Op::from_code(frame[12]).expect("validated with the header"),
+        volume: frame[13],
+        offset: u64::from_be_bytes(frame[14..22].try_into().expect("8 bytes")),
+        length: u32::from_be_bytes(frame[22..26].try_into().expect("4 bytes")),
+        payload,
+    }
+}
+
+/// Payload buffers of frames larger than the read window, kept for the
+/// next large frames of every [`RequestReader`] that polls with this
+/// pool — a served shard keeps one for all its connections, so an idle
+/// connection pins none of it. It keeps at most 2 × [`MAX_PAYLOAD`]
+/// bytes of capacity, the most one connection may pin in WRITE
+/// payloads and READ responses at once, and drops what would exceed
+/// that.
+///
+/// A kept buffer keeps its length: those bytes are initialized, so a
+/// payload no longer than it reuses it without zero-filling, and a
+/// longer one zero-fills only the growth before the socket's bytes land
+/// in it.
+#[derive(Debug, Default)]
+pub struct LargePayloads {
+    bufs: Vec<Vec<u8>>,
+    /// Capacity of `bufs`, summed.
+    bytes: usize,
+}
+
+impl LargePayloads {
+    /// An empty pool; it allocates nothing until a buffer is kept.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Keep a large frame's payload buffer once its request is done. A
+    /// buffer no larger than the read window, or one that would take
+    /// the pool past its cap, is dropped.
+    pub fn give(&mut self, payload: Vec<u8>) {
+        let cap = payload.capacity();
+        if cap > READ_WINDOW && self.bytes + cap <= 2 * MAX_PAYLOAD as usize {
+            self.bytes += cap;
+            self.bufs.push(payload);
+        }
+    }
+
+    /// A `len`-byte buffer: the shortest kept one already initialized
+    /// that far, else the longest kept one grown (zero-filling the
+    /// growth), else a fresh zeroed one.
+    fn take(&mut self, len: usize) -> Vec<u8> {
+        let fits = (0..self.bufs.len())
+            .filter(|&i| self.bufs[i].len() >= len)
+            .min_by_key(|&i| self.bufs[i].len());
+        let pick = fits.or_else(|| (0..self.bufs.len()).max_by_key(|&i| self.bufs[i].len()));
+        let Some(i) = pick else {
+            return vec![0; len];
+        };
+        let mut buf = self.bufs.swap_remove(i);
+        self.bytes -= buf.capacity();
+        buf.resize(len, 0);
+        buf
     }
 }
 
@@ -1568,7 +1683,10 @@ mod tests {
 
     /// The same through a [`RequestReader`] fed `k` bytes per read,
     /// checking at every `WouldBlock` that the next of the `expected`
-    /// frames is not already buffered (the reader's invariant).
+    /// frames is not already buffered (the reader's invariant) and that
+    /// `buffered()` counts every byte read and not handed out, a large
+    /// frame's included; and after every poll that the window stayed
+    /// within [`READ_WINDOW`].
     fn decode_streaming(bytes: &[u8], k: usize, expected: &[Request]) -> (Vec<Request>, String) {
         let mut src = Segmented {
             data: bytes,
@@ -1577,11 +1695,23 @@ mod tests {
         };
         let mut reader = RequestReader::new();
         let mut got = Vec::new();
+        let mut handed_out = 0;
         loop {
-            match reader.poll(&mut src) {
-                Ok(Some(req)) => got.push(req),
+            let polled = reader.poll(&mut src);
+            assert!(
+                reader.buf.capacity() <= READ_WINDOW,
+                "window grew to {}",
+                reader.buf.capacity()
+            );
+            match polled {
+                Ok(Some(req)) => {
+                    handed_out += REQUEST_HEADER + req.payload.len();
+                    got.push(req);
+                }
                 Ok(None) => return (got, ending(None)),
                 Err(WireError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let read = bytes.len() - src.data.len();
+                    assert_eq!(reader.buffered(), read - handed_out, "buffered() miscounts");
                     if let Some(next) = expected.get(got.len()) {
                         let len = REQUEST_HEADER + next.payload.len();
                         assert!(reader.buffered() < len, "WouldBlock with a whole frame in");
@@ -1655,6 +1785,47 @@ mod tests {
                 streams.push((format!("{what} at frame {at}"), bytes, at));
             }
         }
+        // Payloads around and well past the window: the frame that fills
+        // it exactly, the first that does not fit, and the served large
+        // accesses (240 KiB is 30 units of 8 KiB). Each is followed by a
+        // small frame, which must come out of the window after it, and is
+        // also cut short: in its header, just after it, at the window's
+        // edge and one byte before its end.
+        for payload in [
+            READ_WINDOW - REQUEST_HEADER,
+            READ_WINDOW - REQUEST_HEADER + 1,
+            READ_WINDOW + 1,
+            240 << 10,
+            1 << 20,
+        ] {
+            let frames: Vec<Vec<u8>> = [
+                (1, Op::Write, payload),
+                (2, Op::Write, 64),
+                (3, Op::Read, 0),
+            ]
+            .into_iter()
+            .map(|(id, op, len)| {
+                let req = Request {
+                    id,
+                    op,
+                    volume: 3,
+                    offset: id * 1000,
+                    length: 30,
+                    payload: (0..len).map(|i| (i % 251) as u8).collect(),
+                };
+                let mut frame = Vec::new();
+                write_request(&mut frame, &req).unwrap();
+                frame
+            })
+            .collect();
+            let bytes = frames.concat();
+            let big = frames[0].len();
+            for cut in [REQUEST_HEADER - 1, REQUEST_HEADER + 1, READ_WINDOW, big - 1] {
+                let what = format!("{payload}-byte payload, EOF at byte {cut}");
+                streams.push((what, bytes[..cut].to_vec(), usize::from(cut == big)));
+            }
+            streams.push((format!("{payload}-byte payload"), bytes, frames.len()));
+        }
         for (what, bytes, good) in &streams {
             let want = decode_blocking(bytes);
             assert_eq!(
@@ -1663,7 +1834,7 @@ mod tests {
                 "{what}: reference decoded {}",
                 want.0.len()
             );
-            for k in [1, 7, 29, 30, 31, 8192, 65536] {
+            for k in [1, 7, 29, 30, 31, 8192, 65536, 65537] {
                 let got = decode_streaming(bytes, k, &want.0);
                 assert_eq!(got.1, want.1, "{what}, {k}-byte reads: ending");
                 assert!(got.0 == want.0, "{what}, {k}-byte reads: frames differ");
@@ -1715,16 +1886,16 @@ mod tests {
 
     #[test]
     fn request_reader_releases_a_large_frame_and_caps_recycling() {
-        let big = Request {
-            id: 1,
+        let large = |id: u64, fill: u8| Request {
+            id,
             op: Op::Write,
             volume: 0,
             offset: 0,
             length: 512,
-            payload: vec![7; 4 << 20],
+            payload: vec![fill; 4 << 20],
         };
         let small = Request {
-            id: 2,
+            id: 9,
             op: Op::Write,
             volume: 0,
             offset: 9,
@@ -1732,22 +1903,65 @@ mod tests {
             payload: vec![9; 8192],
         };
         let mut bytes = Vec::new();
-        write_request(&mut bytes, &big).unwrap();
-        write_request(&mut bytes, &small).unwrap();
+        for req in [large(1, 7), large(2, 8), small.clone()] {
+            write_request(&mut bytes, &req).unwrap();
+        }
         let mut src = bytes.as_slice();
         let mut reader = RequestReader::new();
-        let got = reader.poll(&mut src).unwrap().expect("the large frame");
-        assert!(got == big);
-        // Larger than the window: not kept for reuse.
-        reader.recycle(got.payload);
+        let mut pool = LargePayloads::new();
+
+        // A large frame is received into its own buffer: the window
+        // never grows, and once the frame is out the reader holds
+        // nothing of it.
+        let got = reader
+            .poll_with(&mut src, &mut pool)
+            .unwrap()
+            .expect("a frame");
+        assert!(got == large(1, 7));
+        assert!(reader.buf.capacity() <= READ_WINDOW);
+        assert!(reader.large.is_none() && reader.buffered() == 0);
+        // The reader does not keep a large payload; the pool does.
+        let at = got.payload.as_ptr();
+        reader.recycle(got.payload.clone());
         assert!(reader.recycled.is_empty());
-        assert_eq!(reader.poll(&mut src).unwrap(), Some(small));
-        assert!(
-            reader.buf.capacity() <= READ_WINDOW,
-            "buffer pinned at {} bytes after the large frame",
-            reader.buf.capacity()
+        pool.give(got.payload);
+        assert_eq!(pool.bytes, 4 << 20);
+        // The next large frame reuses it, overwritten by its own bytes.
+        let got = reader
+            .poll_with(&mut src, &mut pool)
+            .unwrap()
+            .expect("a frame");
+        assert!(got == large(2, 8));
+        assert_eq!(got.payload.as_ptr(), at, "the kept buffer was not reused");
+        assert_eq!(pool.bytes, 0);
+        assert_eq!(reader.poll_with(&mut src, &mut pool).unwrap(), Some(small));
+        assert!(reader.buf.capacity() <= READ_WINDOW);
+
+        // The pool keeps at most 2 × MAX_PAYLOAD bytes, and no buffer
+        // that fits the window.
+        pool.give(vec![0; READ_WINDOW]);
+        assert_eq!(pool.bytes, 0);
+        for _ in 0..3 {
+            pool.give(Vec::with_capacity(MAX_PAYLOAD as usize));
+        }
+        assert_eq!(pool.bytes, 2 * MAX_PAYLOAD as usize);
+        // A payload no longer than a kept buffer's initialized bytes
+        // reuses the shortest such buffer without growing it.
+        let mut pool = LargePayloads::new();
+        pool.give(vec![1; 300 << 10]);
+        pool.give(vec![2; 200 << 10]);
+        let buf = pool.take(100 << 10);
+        assert_eq!(
+            (buf.len(), buf.capacity(), buf[0]),
+            (100 << 10, 200 << 10, 2)
         );
-        // At most one recycled payload per frame in flight.
+        // A longer one grows the longest kept buffer.
+        let buf = pool.take(400 << 10);
+        assert_eq!((buf.len(), buf[0], buf[(400 << 10) - 1]), (400 << 10, 1, 0));
+        assert_eq!(pool.bytes, 0);
+
+        // An idle reader keeps at most one recycled payload per frame in
+        // flight.
         for _ in 0..2 * MAX_PIPELINE {
             reader.recycle(vec![0; 64]);
         }

@@ -2,7 +2,10 @@
 //! bit-flipped valid frames, truncations, and concatenations are fed
 //! to every decode entry point. The codec must never panic and never
 //! buffer more than one frame's worth of bytes (header + payload cap),
-//! no matter what the peer sends.
+//! no matter what the peer sends. One request in eight carries a
+//! payload that straddles the streaming reader's window, so its
+//! large-frame path (and its pool of reused payload buffers) is fuzzed
+//! too.
 //!
 //! `fuzz_wire_decoders` runs a fixed budget suitable for CI;
 //! `fuzz_wire_decoders_soak` is the same loop with a much larger
@@ -16,8 +19,8 @@ use std::io::Read;
 
 use pddl_core::rng::Xoshiro256pp;
 use pddl_server::wire::{
-    self, Op, PoolInfo, RebuildStatus, Request, RequestReader, Response, Status, VolumeInfo,
-    MAX_PAYLOAD,
+    self, LargePayloads, Op, PoolInfo, RebuildStatus, Request, RequestReader, Response, Status,
+    VolumeInfo, MAX_PAYLOAD, READ_WINDOW,
 };
 use pddl_server::VolumeSpec;
 
@@ -64,7 +67,13 @@ fn random_request(rng: &mut Xoshiro256pp) -> Request {
         9 => Op::VolumeList,
         _ => Op::PoolInfo,
     };
-    let payload_len = rng.below(64);
+    // Mostly small; sometimes a frame from 64 bytes under to 64 bytes
+    // over the reader's window.
+    let payload_len = if rng.below(8) == 0 {
+        READ_WINDOW - HEADER - 64 + rng.below(128)
+    } else {
+        rng.below(64)
+    };
     Request {
         id: rng.next_u64(),
         op,
@@ -152,8 +161,9 @@ fn mangle(rng: &mut Xoshiro256pp, frame: Vec<u8>) -> Vec<u8> {
 
 /// The invariant under fuzz: every decoder either produces a value or
 /// a typed error — no panic — and the streaming reader never buffers
-/// beyond one maximal frame.
-fn fuzz_one(rng: &mut Xoshiro256pp) {
+/// beyond one maximal frame. `pool` carries large payload buffers from
+/// one iteration to the next, stale bytes and all.
+fn fuzz_one(rng: &mut Xoshiro256pp, pool: &mut LargePayloads) {
     // A valid request round-trips through both decode paths.
     let req = random_request(rng);
     let mut frame = Vec::new();
@@ -168,8 +178,11 @@ fn fuzz_one(rng: &mut Xoshiro256pp) {
     };
     // Trickle never returns `WouldBlock`, so a single poll must
     // deliver the complete frame despite the tiny reads.
-    match reader.poll(&mut trickle) {
-        Ok(Some(got)) => assert_eq!(got, req),
+    match reader.poll_with(&mut trickle, pool) {
+        Ok(Some(got)) => {
+            assert_eq!(got, req);
+            pool.give(got.payload);
+        }
         Ok(None) => panic!("EOF before the complete valid frame"),
         Err(e) => panic!("valid frame rejected: {e}"),
     }
@@ -185,14 +198,14 @@ fn fuzz_one(rng: &mut Xoshiro256pp) {
         rng: Xoshiro256pp::seed_from_u64(rng.next_u64()),
     };
     loop {
-        let polled = reader.poll(&mut trickle);
+        let polled = reader.poll_with(&mut trickle, pool);
         assert!(
             reader.buffered() <= BUFFER_CAP,
             "reader buffered {} bytes, cap is {BUFFER_CAP}",
             reader.buffered()
         );
         match polled {
-            Ok(Some(_)) => {}
+            Ok(Some(got)) => pool.give(got.payload),
             Ok(None) | Err(_) => break,
         }
     }
@@ -295,8 +308,9 @@ fn hostile_volume_payloads_are_rejected() {
 
 fn fuzz_budget(seed: u64, iterations: u64) {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let mut pool = LargePayloads::new();
     for _ in 0..iterations {
-        fuzz_one(&mut rng);
+        fuzz_one(&mut rng, &mut pool);
     }
 }
 
